@@ -11,6 +11,7 @@ from ._scan import available_backends, current_backend, use_backend
 from .activity import (
     BenchmarkPoint,
     PessimisticIncomeZeroError,
+    RegionMap,
     RegionSample,
     activity_full_exploitation_condition,
     activity_weakly_increasing,
@@ -80,6 +81,7 @@ __all__ = [
     "Linear",
     "MultiplicativeIncome",
     "PessimisticIncomeZeroError",
+    "RegionMap",
     "RegionSample",
     "ScenarioConfig",
     "ScenarioError",

@@ -5,6 +5,8 @@ the region sampler behind the contestation map.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,23 +100,50 @@ def boundary_curve(sigma: float) -> float:
     return (1.0 - sigma) / ((1.0 - sigma) + sigma * sigma)
 
 
-def region_sample(resolution: int) -> list[RegionSample]:
+class RegionMap(Sequence):
+    """Benchmark verdicts on the (n+1)^2 lattice over [0, 1]^2.
+
+    ``axis`` holds the n+1 lattice coordinates shared by gamma and sigma;
+    ``full_exploitation[i, j]`` is the verdict at gamma = axis[i],
+    sigma = axis[j]. As a sequence it yields :class:`RegionSample` records
+    in row-major order (gamma outer, sigma inner), built on demand.
+    """
+
+    def __init__(self, axis: np.ndarray, full_exploitation: np.ndarray):
+        axis.setflags(write=False)
+        full_exploitation.setflags(write=False)
+        self.axis = axis
+        self.full_exploitation = full_exploitation
+
+    def __len__(self) -> int:
+        return self.full_exploitation.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("region sample index out of range")
+        i, j = divmod(k, self.axis.size)
+        point = BenchmarkPoint(float(self.axis[i]), float(self.axis[j]))
+        return RegionSample(point, bool(self.full_exploitation[i, j]))
+
+
+def region_sample(resolution: int) -> RegionMap:
     """Benchmark verdicts on the (resolution+1)^2 lattice over [0, 1]^2.
 
-    Ordering is row-major: gamma varies in the outer loop, sigma in the
-    inner. Endpoints gamma = 1 and sigma = 1 are included; see
-    :attr:`RegionSample.outside_threshold_domain`.
+    One broadcast of the benchmark inequality with the same float operations
+    as :func:`benchmark_full_exploitation_condition`, so every verdict is
+    bit-identical to the per-point test. Endpoints gamma = 1 and sigma = 1
+    are included; see :attr:`RegionSample.outside_threshold_domain`.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
         raise TypeError("resolution must be an integer")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = np.arange(resolution + 1) / resolution
-    samples = []
-    for gamma in axis:
-        for sigma in axis:
-            point = BenchmarkPoint(float(gamma), float(sigma))
-            samples.append(
-                RegionSample(point, benchmark_full_exploitation_condition(point))
-            )
-    return samples
+    g = axis[:, None]
+    s = axis[None, :]
+    return RegionMap(axis, (1.0 - g) * (1.0 - s) >= g * s * s)

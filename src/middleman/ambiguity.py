@@ -15,8 +15,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GamePayoffs, Grid, StrategyProfile, Value
-from .hedonic import HedonicGame, full_extraction_fees, game_payoffs, middleman_payoff
+from .hedonic import (
+    HedonicGame,
+    _as_scalar,
+    full_extraction_fees,
+    game_payoffs,
+    middleman_payoff,
+)
 from .oracles import epsilon_nash_check
+
+
+class BeliefError(ValueError):
+    """A belief-system check failed; ``row`` is the flat C-order index of the
+    first offending entry of the (broadcast) fields, 0 for scalar fields."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _raise_first(shape: tuple, checks: list) -> None:
+    """Raise the error a row-by-row loop over ``shape`` (C order) meets first.
+
+    ``checks`` lists ``(bad, message)`` in the order one row is checked:
+    ``bad`` is a boolean array broadcastable to ``shape`` and ``message``
+    is the error text, or a function of the flat row index giving it.
+    """
+    if not any(np.count_nonzero(bad) for bad, _ in checks):
+        return
+    bad = np.stack([np.broadcast_to(b, shape) for b, _ in checks]).reshape(len(checks), -1)
+    row = int(np.argmax(bad.any(axis=0)))
+    _, message = checks[int(np.argmax(bad[:, row]))]
+    raise BeliefError(message if isinstance(message, str) else message(row), row)
 
 
 @dataclass(frozen=True)
@@ -24,27 +54,38 @@ class BeliefSystem:
     """Degrees of optimism/pessimism plus the expected loyalty participation.
 
     Proper belief systems satisfy lambda_ + gamma <= 1; the remainder is the
-    weight on the undisturbed game.
+    weight on the undisturbed game. Fields may hold numpy arrays that
+    broadcast together, one belief system per entry; validation then raises
+    the error of the first offending entry in C order, exactly as checking
+    the entries one at a time would.
     """
 
-    lambda_: float
-    gamma: float
-    loyalty1: float
-    loyalty2: float
+    lambda_: Value
+    gamma: Value
+    loyalty1: Value
+    loyalty2: Value
 
     def __post_init__(self):
+        shape = self.shape
+        checks = []
         for name in ("lambda_", "gamma", "loyalty1", "loyalty2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.lambda_ + self.gamma > 1.0:
-            raise ValueError(
-                "properness violated: lambda_ + gamma = "
-                f"{self.lambda_ + self.gamma:g} exceeds 1"
-            )
+            v = np.asarray(getattr(self, name))
+            checks.append((~((v >= 0.0) & (v <= 1.0)), f"{name} must lie in [0, 1]"))
+        total = np.add(self.lambda_, self.gamma)
+        checks.append((
+            total > 1.0,
+            lambda row: "properness violated: lambda_ + gamma = "
+            f"{float(np.broadcast_to(total, shape).flat[row]):g} exceeds 1",
+        ))
+        _raise_first(shape, checks)
 
     @property
-    def loyalty(self) -> tuple[float, float]:
+    def shape(self) -> tuple:
+        """Broadcast shape of the fields; () for a single belief system."""
+        return np.broadcast(self.lambda_, self.gamma, self.loyalty1, self.loyalty2).shape
+
+    @property
+    def loyalty(self) -> tuple[Value, Value]:
         return (self.loyalty1, self.loyalty2)
 
 
@@ -55,22 +96,23 @@ class ContestationVerdict:
     ``delta`` is the income differential between charging the full-extraction
     fees and the loyalty fees at full participation; ``rhs`` is the
     pessimism-weighted income retained under contestation. Full exploitation
-    holds exactly when delta >= rhs.
+    holds exactly when delta >= rhs. Fields are arrays of the belief
+    system's shape when its fields are arrays.
     """
 
-    delta: float
-    rhs: float
-    full_exploitation: bool
+    delta: Value
+    rhs: Value
+    full_exploitation: bool | np.ndarray
 
     def __post_init__(self):
-        if self.full_exploitation != (self.delta >= self.rhs):
+        if not np.array_equal(self.full_exploitation, np.greater_equal(self.delta, self.rhs)):
             raise ValueError("inconsistent verdict: full_exploitation must equal delta >= rhs")
 
 
-def loyalty_fees(game: HedonicGame, beliefs: BeliefSystem) -> tuple[float, float]:
+def loyalty_fees(game: HedonicGame, beliefs: BeliefSystem) -> tuple[Value, Value]:
     """Fee pair extracting the entire benefit at the loyalty participation levels."""
     l1, l2 = beliefs.loyalty
-    return (float(game.f1(l1, l2)), float(game.f2(l1, l2)))
+    return (_as_scalar(game.f1(l1, l2)), _as_scalar(game.f2(l1, l2)))
 
 
 def optimistic_payoff(game: HedonicGame, rho: tuple[Value, Value]) -> Value:
@@ -161,16 +203,27 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
     for gamma < 1 and loyalty levels < 1, with benefits strictly increasing
     and income weakly increasing on the working grid (the caller's
     responsibility, checkable via the monotonicity helpers).
+
+    Broadcasts over array-valued belief fields: the verdict's fields then
+    have the belief system's shape, and a domain error names the first
+    offending entry in C order. Scalar beliefs give float/bool fields.
     """
-    if beliefs.gamma >= 1.0:
-        raise ValueError("threshold test requires gamma < 1")
-    if beliefs.loyalty1 >= 1.0 or beliefs.loyalty2 >= 1.0:
-        raise ValueError("threshold test requires loyalty levels < 1")
+    shape = beliefs.shape
+    gamma = np.asarray(beliefs.gamma)
+    l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
+    _raise_first(
+        shape,
+        [
+            (gamma >= 1.0, "threshold test requires gamma < 1"),
+            ((l1 >= 1.0) | (l2 >= 1.0), "threshold test requires loyalty levels < 1"),
+        ],
+    )
     F = full_extraction_fees(game)
     phi = loyalty_fees(game, beliefs)
-    l1, l2 = beliefs.loyalty
-    delta = float(game.income(F[0], F[1], 1.0, 1.0)) - float(
-        game.income(phi[0], phi[1], 1.0, 1.0)
-    )
-    rhs = beliefs.gamma / (1.0 - beliefs.gamma) * float(game.income(phi[0], phi[1], l1, l2))
-    return ContestationVerdict(delta=delta, rhs=rhs, full_exploitation=delta >= rhs)
+    delta = np.asarray(game.income(F[0], F[1], 1.0, 1.0)) - game.income(phi[0], phi[1], 1.0, 1.0)
+    rhs = gamma / (1.0 - gamma) * np.asarray(game.income(phi[0], phi[1], l1, l2))
+    delta, rhs = (np.broadcast_to(v, shape) for v in (delta, rhs))
+    full = delta >= rhs
+    if not shape:
+        return ContestationVerdict(delta=float(delta), rhs=float(rhs), full_exploitation=bool(full))
+    return ContestationVerdict(delta=delta, rhs=rhs, full_exploitation=full)

@@ -2,20 +2,22 @@
 maps, and belief-parameter sweeps over scenario files.
 
 Exit codes: 0 on success, 1 when ``--assert`` is given and the analysis
-verdict is false, 2 on usage or validation errors.
+verdict is false, 2 on usage or validation errors, including region and
+sweep lattices over :data:`MAX_POINTS` points.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
 from .activity import region_sample
 from .ambiguity import (
+    BeliefError,
     BeliefSystem,
     ambiguity_equilibrium_check,
     best_fee_response,
@@ -28,6 +30,9 @@ from .oracles import epsilon_nash_check, pareto_check, weak_dominance_check
 from .scenario import ScenarioError, emit_results, parse_scenario, sweep_csv, sweep_machine
 
 SWEEPABLE_FIELDS = ("gamma", "lambda", "loyalty1", "loyalty2")
+# Region and sweep lattices are evaluated whole; larger ones are refused
+# before any allocation rather than risking memory exhaustion.
+MAX_POINTS = 10_000_000
 
 
 def _profile_arg(text):
@@ -55,7 +60,7 @@ def _sweep_arg(text):
         raise argparse.ArgumentTypeError(f"bad sweep range {spec!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("sweep count must be >= 1")
-    return name, np.linspace(start, stop, count)
+    return name, start, stop, count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +131,7 @@ def _load_scenario(args):
 
 
 def _grid_and_eps(config, args):
-    steps = args.steps if getattr(args, "steps", None) else config.steps
+    steps = args.steps if getattr(args, "steps", None) is not None else config.steps
     eps = args.eps if getattr(args, "eps", None) is not None else config.eps
     grid = Grid(steps, full_extraction_fees(config.game), config.s_lo)
     return grid, eps
@@ -138,22 +143,30 @@ def _require_beliefs(config):
     return config.beliefs
 
 
-def _deliver(text, args, default_fmt, allowed):
+def _check_points(points, flag):
+    if points > MAX_POINTS:
+        raise ScenarioError(f"{flag}: {points} points exceed the limit of {MAX_POINTS}")
+
+
+def _format(args, default_fmt, allowed):
     fmt = args.format or default_fmt
     if fmt not in allowed:
         raise ScenarioError(
             f"format: {fmt!r} not supported here (choose from {', '.join(allowed)})"
         )
+    return fmt
+
+
+def _deliver(text, args):
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return fmt
 
 
 def _emit_report(entries, args, verdict_key):
-    fmt = args.format or "text"
-    _deliver(emit_results(entries, fmt), args, fmt, ("text", "machine"))
+    fmt = _format(args, "text", ("text", "machine"))
+    _deliver(emit_results(entries, fmt), args)
     return 1 if args.assert_ and not entries[verdict_key] else 0
 
 
@@ -240,52 +253,56 @@ def _cmd_threshold(args):
 
 
 def _cmd_region(args):
-    samples = region_sample(args.resolution)
-    fmt = args.format or "csv"
-    _deliver(emit_results(samples, fmt), args, fmt, ("csv", "svg"))
+    if args.resolution >= 2:  # smaller ones are region_sample's to reject
+        _check_points((args.resolution + 1) ** 2, "--resolution")
+    fmt = _format(args, "csv", ("csv", "svg"))
+    _deliver(emit_results(region_sample(args.resolution), fmt), args)
     return 0
 
 
 def _cmd_sweep(args):
     config = _load_scenario(args)
     beliefs = _require_beliefs(config)
-    names = [name for name, _ in args.sweeps]
+    names = [name for name, *_ in args.sweeps]
     if len(set(names)) != len(names):
         raise ScenarioError("sweep: duplicate field")
-    base = {
+    points = prod(count for *_, count in args.sweeps)
+    _check_points(points, "--sweep")
+    fmt = _format(args, "csv", ("csv", "machine"))
+
+    axes = [np.linspace(start, stop, count) for _, start, stop, count in args.sweeps]
+    fields = {
         "gamma": beliefs.gamma,
         "lambda": beliefs.lambda_,
         "loyalty1": beliefs.loyalty1,
         "loyalty2": beliefs.loyalty2,
     }
-    rows = []
-    for combo in product(*(values for _, values in args.sweeps)):
-        fields = dict(base)
-        fields.update(zip(names, (float(v) for v in combo)))
-        point_beliefs = BeliefSystem(
-            lambda_=fields["lambda"],
-            gamma=fields["gamma"],
-            loyalty1=fields["loyalty1"],
-            loyalty2=fields["loyalty2"],
-        )
-        verdict = full_exploitation_verdict(config.game, point_beliefs)
-        row = {name: fields[name] for name in names}
-        row.update(
-            delta=verdict.delta,
-            rhs=verdict.rhs,
-            full_exploitation=verdict.full_exploitation,
-        )
-        rows.append(row)
+    fields.update(
+        (name, grid.ravel()) for name, grid in zip(names, np.meshgrid(*axes, indexing="ij"))
+    )
+    fields = {name: np.broadcast_to(v, (points,)) for name, v in fields.items()}
 
-    fieldnames = names + ["delta", "rhs", "full_exploitation"]
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        text = sweep_csv(fieldnames, rows)
-    elif fmt == "machine":
-        text = sweep_machine(fieldnames, rows)
-    else:
-        raise ScenarioError(f"format: {fmt!r} not supported here (choose from csv, machine)")
-    _deliver(text, args, fmt, ("csv", "machine"))
+    def beliefs_for(rows):
+        return BeliefSystem(
+            lambda_=fields["lambda"][rows],
+            gamma=fields["gamma"][rows],
+            loyalty1=fields["loyalty1"][rows],
+            loyalty2=fields["loyalty2"][rows],
+        )
+
+    try:
+        sweep_beliefs = beliefs_for(slice(None))
+    except BeliefError as exc:
+        # rows before the offending one are valid belief systems, and a row
+        # failing the threshold test's domain there is met first in row order
+        full_exploitation_verdict(config.game, beliefs_for(slice(exc.row)))
+        raise
+    verdict = full_exploitation_verdict(config.game, sweep_beliefs)
+    columns = {name: fields[name] for name in names}
+    columns.update(
+        delta=verdict.delta, rhs=verdict.rhs, full_exploitation=verdict.full_exploitation
+    )
+    _deliver(sweep_csv(columns) if fmt == "csv" else sweep_machine(columns), args)
     return 0
 
 
@@ -294,13 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TypeError, ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,9 +30,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
-from .activity import RegionSample, boundary_curve
+from .activity import RegionMap, boundary_curve
 from .ambiguity import BeliefSystem
 from .hedonic import (
     AdditiveFeesIncome,
@@ -312,24 +313,23 @@ def report_machine(entries: dict) -> str:
     return json.dumps({k: _jsonable(v) for k, v in entries.items()}, sort_keys=True) + "\n"
 
 
-def region_csv(samples: list[RegionSample]) -> str:
+def region_csv(region: RegionMap) -> str:
+    labels = [f"{x:.6f}" for x in region.axis.tolist()]
+    cells = {True: [f"{x},true" for x in labels], False: [f"{x},false" for x in labels]}
     lines = ["gamma,sigma,full_exploitation"]
-    for s in samples:
-        lines.append(
-            f"{s.point.gamma:.6f},{s.point.sigma:.6f},"
-            f"{'true' if s.full_exploitation else 'false'}"
-        )
+    for gamma, row in zip(labels, region.full_exploitation.tolist()):
+        prefix = gamma + ","
+        lines.append("\n".join(prefix + cells[v][j] for j, v in enumerate(row)))
     return "\n".join(lines) + "\n"
 
 
-def region_svg(samples: list[RegionSample], size: int = 500) -> str:
+def region_svg(region: RegionMap, size: int = 500) -> str:
     """Shaded full-exploitation region with the boundary polyline.
 
     Gamma runs along the x-axis, sigma up the y-axis. The shaded polygon and
     the curve are drawn from the analytic boundary at the sample resolution.
     """
-    sigmas = sorted({s.point.sigma for s in samples})
-    curve = [(boundary_curve(sig), sig) for sig in sigmas]
+    curve = [(boundary_curve(sig), sig) for sig in region.axis.tolist()]
 
     def pt(gamma, sigma):
         return f"{gamma * size:.2f},{(1.0 - sigma) * size:.2f}"
@@ -345,23 +345,54 @@ def region_svg(samples: list[RegionSample], size: int = 500) -> str:
     )
 
 
-def sweep_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[name]) for name in fieldnames))
-    return "\n".join(lines) + "\n"
+# Sweep columns hold floats or bools; these are the per-value rules of
+# _format_value and _jsonable, applied a column at a time.
+def _csv_column(column) -> list[str]:
+    if column.dtype == bool:
+        return ["true" if v else "false" for v in column.tolist()]
+    return [f"{v:.6f}" for v in column.tolist()]
 
 
-def sweep_machine(fieldnames: list[str], rows: list[dict]) -> str:
-    payload = [{k: _jsonable(row[k]) for k in fieldnames} for row in rows]
-    return json.dumps(payload, sort_keys=True) + "\n"
+def _json_column(column) -> list:
+    if column.dtype == bool:
+        return column.tolist()
+    return [round(v, 6) for v in column.tolist()]
+
+
+# Rows are converted a block at a time, so the per-value Python objects of a
+# large sweep never exist all at once; only the output text grows with it.
+_SWEEP_BLOCK_ROWS = 1 << 16
+
+
+def _row_blocks(columns: dict, convert):
+    arrays = [np.asarray(c) for c in columns.values()]
+    for lo in range(0, len(arrays[0]), _SWEEP_BLOCK_ROWS):
+        yield zip(*(convert(a[lo:lo + _SWEEP_BLOCK_ROWS]) for a in arrays))
+
+
+def sweep_csv(columns: dict) -> str:
+    """CSV of equal-length result columns, one row per index, in mapping order."""
+    blocks = ("".join(f"{','.join(row)}\n" for row in rows)
+              for rows in _row_blocks(columns, _csv_column))
+    return ",".join(columns) + "\n" + "".join(blocks)
+
+
+def sweep_machine(columns: dict) -> str:
+    """JSON list of one object per row of equal-length result columns."""
+    names = list(columns)
+    # each block is encoded as a list; its items joined by ", " are the
+    # items of the whole list
+    blocks = (json.dumps([dict(zip(names, row)) for row in rows], sort_keys=True)[1:-1]
+              for rows in _row_blocks(columns, _json_column))
+    return "[" + ", ".join(blocks) + "]\n"
 
 
 def emit_results(result, fmt: str = "text") -> str:
-    """Serialise a verdict mapping or a region sample list.
+    """Serialise a verdict mapping or a region map.
 
-    Mappings accept ``text`` and ``machine``; region samples accept ``csv``
-    and ``svg``. Output is deterministic for identical inputs.
+    Mappings accept ``text`` and ``machine``; a :class:`RegionMap` (as
+    returned by ``region_sample``) accepts ``csv`` and ``svg``. Output is
+    deterministic for identical inputs.
     """
     if isinstance(result, dict):
         if fmt == "text":
@@ -369,10 +400,10 @@ def emit_results(result, fmt: str = "text") -> str:
         if fmt == "machine":
             return report_machine(result)
         raise ValueError(f"unsupported format {fmt!r} for a verdict report")
-    if isinstance(result, list) and all(isinstance(s, RegionSample) for s in result):
+    if isinstance(result, RegionMap):
         if fmt == "csv":
             return region_csv(result)
         if fmt == "svg":
             return region_svg(result)
-        raise ValueError(f"unsupported format {fmt!r} for region samples")
+        raise ValueError(f"unsupported format {fmt!r} for a region map")
     raise TypeError(f"cannot emit result of type {type(result).__name__}")

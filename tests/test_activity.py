@@ -216,3 +216,26 @@ def test_region_endpoint_flagging():
     flags = {(s.point.gamma, s.point.sigma): s.outside_threshold_domain for s in samples}
     assert flags[(1.0, 0.5)] and flags[(0.5, 1.0)] and flags[(1.0, 1.0)]
     assert not flags[(0.5, 0.5)]
+
+
+def test_region_sample_matches_pointwise_condition_and_boundary():
+    samples = region_sample(50)
+    assert len(samples) == 51 * 51
+    for s in samples:
+        assert s.full_exploitation == benchmark_full_exploitation_condition(s.point)
+        if not s.outside_threshold_domain:
+            assert s.full_exploitation == (s.point.gamma <= boundary_curve(s.point.sigma))
+
+
+def test_region_sample_sequence_access():
+    samples = region_sample(4)
+    listed = list(samples)
+    assert len(listed) == 25
+    assert samples[-1] == listed[-1] == samples[24]
+    assert samples[3:12:4] == listed[3:12:4]
+    assert samples.full_exploitation.shape == (5, 5)
+    assert samples.full_exploitation[2, 3] == samples[13].full_exploitation
+    with pytest.raises(IndexError):
+        samples[25]
+    with pytest.raises(ValueError):
+        samples.full_exploitation[0, 0] = False

@@ -1,5 +1,7 @@
 """Belief systems, the modified payoff, and the full-exploitation threshold."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from middleman import (
     Linear,
     MultiplicativeIncome,
     StrategyProfile,
+    TabulatedIncome,
     ambiguity_equilibrium_check,
     best_fee_response,
     epsilon_nash_check,
@@ -23,9 +26,12 @@ from middleman import (
     modified_game,
     modified_payoff,
     optimistic_payoff,
+    parse_scenario,
     pessimistic_payoff,
 )
 from _support import random_benchmark_game, random_proper_beliefs, sigma_benchmark_game
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def beliefs_at(gamma, lam=0.0, loyalty=(0.5, 0.5)):
@@ -256,6 +262,105 @@ def test_threshold_matches_modified_payoff_comparison():
             verdict = full_exploitation_verdict(game, beliefs)
             assert verdict.full_exploitation == (diff > 0)
 
+
+# ---------------------------------------------------------------------------
+# array-valued beliefs: the broadcast verdict against a per-row scalar loop
+# ---------------------------------------------------------------------------
+
+
+def _shipped_game(name):
+    return parse_scenario((SCENARIOS / f"{name}.yaml").read_text()).game
+
+
+def _tabulated_income_game():
+    # cumulative sums of positive increments: nondecreasing in every argument
+    values = np.random.default_rng(5).uniform(0.1, 1.0, (3, 3, 4, 4))
+    for axis in range(4):
+        values = np.cumsum(values, axis=axis)
+    return HedonicGame(Linear(0.6, 0.4), Linear(0.3, 0.7), TabulatedIncome(values, (1.0, 1.0)))
+
+
+THRESHOLD_GAMES = {
+    "benchmark_sigma05": lambda: _shipped_game("benchmark_sigma05"),
+    "cobb_douglas_loyalty": lambda: _shipped_game("cobb_douglas_loyalty"),
+    "cobb_douglas_exponents": lambda: HedonicGame(
+        CobbDouglas(0.7, 1.3), CobbDouglas(1.6, 0.4), MultiplicativeIncome(CobbDouglas(0.5, 2.5))
+    ),
+    "tabulated_income": _tabulated_income_game,
+}
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_GAMES))
+def test_array_verdict_equals_scalar_loop(name):
+    game = THRESHOLD_GAMES[name]()
+    lam, gamma, l1, l2 = np.meshgrid(
+        [0.0, 0.005],
+        np.linspace(0.0, 0.99, 7),
+        np.linspace(0.0, 0.99, 6),
+        np.linspace(0.03, 0.97, 5),
+        indexing="ij",
+    )
+    verdict = full_exploitation_verdict(game, BeliefSystem(lam, gamma, l1, l2))
+    assert verdict.delta.shape == verdict.rhs.shape == verdict.full_exploitation.shape == lam.shape
+    for idx in np.ndindex(lam.shape):
+        row = full_exploitation_verdict(
+            game, BeliefSystem(float(lam[idx]), float(gamma[idx]), float(l1[idx]), float(l2[idx]))
+        )
+        assert type(row.delta) is float and type(row.full_exploitation) is bool
+        assert verdict.delta[idx] == row.delta
+        assert verdict.rhs[idx] == row.rhs
+        assert verdict.full_exploitation[idx] == row.full_exploitation
+
+
+def test_array_verdict_takes_the_belief_shape():
+    # neither delta nor rhs depends on lambda_, yet there is one verdict per entry
+    beliefs = BeliefSystem(np.array([0.0, 0.1, 0.2]), 0.5, 0.5, 0.5)
+    verdict = full_exploitation_verdict(sigma_benchmark_game(), beliefs)
+    assert verdict.delta.shape == verdict.full_exploitation.shape == (3,)
+    assert verdict.full_exploitation.all()
+
+
+def _first_error(check, rows):
+    for row in rows:
+        try:
+            check(*row)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # improper first row, gamma out of range later
+        ([0.9, 0.9, 0.0], [0.5, 1.5, 0.2], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]),
+        # range errors in several fields of one row: the first field wins
+        ([0.0, 0.0, 0.0], [0.2, 1.5, 0.2], [0.5, -0.1, 1.2], [0.5, 0.5, 2.0]),
+        ([0.0, 0.0, 0.7], [0.2, 0.3, 0.4], [0.5, 0.5, 0.5], [0.5, 0.5, np.nan]),
+    ],
+)
+def test_array_belief_errors_match_row_loop(fields):
+    expected = _first_error(BeliefSystem, zip(*fields))
+    with pytest.raises(ValueError) as info:
+        BeliefSystem(*(np.array(f) for f in fields))
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "loyalty1,gamma",
+    [
+        ([0.5, 1.0, 0.5], [0.2, 0.3, 1.0]),
+        ([0.5, 0.5, 1.0], [0.2, 1.0, 0.3]),
+        ([1.0, 0.5], [1.0, 0.5]),
+    ],
+)
+def test_array_threshold_domain_errors_match_row_loop(loyalty1, gamma):
+    game = sigma_benchmark_game()
+    rows = [(0.0, g, l, 0.5) for l, g in zip(loyalty1, gamma)]
+    expected = _first_error(lambda *row: full_exploitation_verdict(game, BeliefSystem(*row)), rows)
+    with pytest.raises(ValueError) as info:
+        full_exploitation_verdict(game, BeliefSystem(0.0, np.array(gamma), np.array(loyalty1), 0.5))
+    assert str(info.value) == expected
 
 # ---------------------------------------------------------------------------
 # ambiguity equilibrium

@@ -1,5 +1,6 @@
 """End-to-end CLI tests (subprocess, installed entry point semantics)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -208,3 +209,74 @@ def test_grid_overrides_change_the_verdict(scenario):
     )
     assert loose.returncode == 0
     assert "verdict=true" in loose.stdout
+
+
+# SHA-256 of stdout, captured from the per-point implementation of the
+# region map and the sweep; the array-native emitters must reproduce it.
+GOLDEN_SHA256 = [
+    (("region", "--resolution", "7"),
+     "531296e8b26e8826da86d96ad95d33c7fed990ab11d67f99cbc274ba87f59be0"),
+    (("region", "--resolution", "7", "--format", "svg"),
+     "c989a0c98892cf70ccb1a6633aacdba73b91d1131a3c0d176eead5ad5a01c112"),
+    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
+      "--sweep", "loyalty1=0:0.75:4"),
+     "0b2584ea8b9e840fb681435022fac7aadd7d09715b55b6f350a4a956111ae75b"),
+    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
+      "--sweep", "loyalty1=0:0.75:4", "--format", "machine"),
+     "d8c722db8372d8df4818752c23a621c2d334f332082f0dc54562f177912dfbde"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_SHA256)
+def test_map_output_golden_bytes(scenario, argv, digest):
+    result = run_cli(*(a.format(scenario=scenario) for a in argv))
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_steps_zero_rejected(scenario):
+    result = run_cli("pareto", "--scenario", scenario, "--profile", "1,1,1,1", "--steps", "0")
+    assert result.returncode == 2
+    assert "steps" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("region", "--resolution", "100000"), "--resolution"),
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.9:4000",
+          "--sweep", "loyalty1=0:0.9:4000"), "--sweep"),
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.9:100000000000"),
+         "--sweep"),
+    ],
+)
+def test_over_budget_lattice_rejected(scenario, argv, flag):
+    result = run_cli(*(a.format(scenario=scenario) for a in argv))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {flag}: ")
+    assert "limit" in result.stderr
+
+
+def test_sweep_reports_first_failing_row(scenario):
+    # row 1 is improper, row 2 has gamma out of range: row 1's error wins
+    improper_first = run_cli(
+        "sweep", "--scenario", scenario, "--sweep", "lambda=0.9:0:2", "--sweep", "gamma=0.5:1.5:2"
+    )
+    assert improper_first.returncode == 2
+    assert improper_first.stderr == "error: properness violated: lambda_ + gamma = 1.4 exceeds 1\n"
+    # row 3 is a valid belief system outside the threshold domain, row 4 is
+    # improper: the threshold-domain error of row 3 wins
+    domain_first = run_cli(
+        "sweep", "--scenario", scenario, "--sweep", "gamma=0:1:2", "--sweep", "lambda=0:0.5:2"
+    )
+    assert domain_first.returncode == 2
+    assert domain_first.stderr == "error: threshold test requires gamma < 1\n"
+
+
+def test_sweep_format_checked_before_the_sweep(scenario):
+    result = run_cli(
+        "sweep", "--scenario", scenario, "--sweep", "gamma=0.5:1.5:3", "--format", "svg"
+    )
+    assert result.returncode == 2
+    assert "format" in result.stderr

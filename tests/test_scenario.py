@@ -196,11 +196,13 @@ def test_region_svg_contains_shade_and_boundary():
 
 
 def test_sweep_csv_layout():
-    rows = [
-        {"gamma": 0.0, "delta": 1.0, "rhs": 0.0, "full_exploitation": True},
-        {"gamma": 0.99, "delta": 1.0, "rhs": 49.5, "full_exploitation": False},
-    ]
-    text = sweep_csv(["gamma", "delta", "rhs", "full_exploitation"], rows)
+    columns = {
+        "gamma": [0.0, 0.99],
+        "delta": [1.0, 1.0],
+        "rhs": [0.0, 49.5],
+        "full_exploitation": [True, False],
+    }
+    text = sweep_csv(columns)
     lines = text.strip().split("\n")
     assert lines[0] == "gamma,delta,rhs,full_exploitation"
     assert lines[1] == "0.000000,1.000000,0.000000,true"
