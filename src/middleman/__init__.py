@@ -7,14 +7,12 @@ contested middleman still charges full-extraction fees, and maps the
 (gamma, sigma) region where that happens.
 """
 
-from ._scan import available_backends, current_backend, use_backend
 from .activity import (
     BenchmarkPoint,
     PessimisticIncomeZeroError,
     RegionMap,
     RegionSample,
     activity_full_exploitation_condition,
-    activity_weakly_increasing,
     benchmark_full_exploitation_condition,
     boundary_curve,
     region_sample,
@@ -47,6 +45,7 @@ from .hedonic import (
     default_eps,
     full_extraction_fees,
     game_payoffs,
+    gated_income,
     income_weakly_increasing,
     middleman_payoff,
     user_payoff,
@@ -89,15 +88,12 @@ __all__ = [
     "TabulatedBenefit",
     "TabulatedIncome",
     "activity_full_exploitation_condition",
-    "activity_weakly_increasing",
     "ambiguity_equilibrium_check",
-    "available_backends",
     "benchmark_full_exploitation_condition",
     "benefit_strictly_increasing",
     "benefit_weakly_increasing",
     "best_fee_response",
     "boundary_curve",
-    "current_backend",
     "default_eps",
     "dump_scenario",
     "emit_results",
@@ -105,6 +101,7 @@ __all__ = [
     "full_exploitation_verdict",
     "full_extraction_fees",
     "game_payoffs",
+    "gated_income",
     "income_weakly_increasing",
     "loyalty_fees",
     "middleman_payoff",
@@ -116,7 +113,6 @@ __all__ = [
     "pessimistic_payoff",
     "region_sample",
     "trivial_equilibria_check",
-    "use_backend",
     "user_payoff",
     "weak_dominance_check",
 ]

@@ -1,109 +1,22 @@
-"""Backend dispatch for the deviation-scan kernels.
+"""Deviation-scan reductions behind the grid oracles.
 
-The compiled Cython kernels are used when their extension module was built
-at install time; otherwise the numpy fallback takes over. Both give
-identical verdicts. The default is chosen at import time and can be forced
-with the ``MIDDLEMAN_KERNELS`` environment variable (``python`` or
-``cython``) or switched at runtime via :func:`use_backend` (used by the
-parity tests and the benchmark).
+Each reduction answers whether any entry of a payoff slice beats its
+reference by more than ``eps``; a gain of exactly ``eps`` is a tie. All
+functions accept arbitrary broadcast-compatible array arguments.
 """
-
-import os
 
 import numpy as np
 
-from . import _scan_np
-
-try:
-    from . import _scan_cy
-except ImportError:
-    _scan_cy = None
-
-
-def available_backends():
-    names = ["python"]
-    if _scan_cy is not None:
-        names.append("cython")
-    return tuple(names)
-
-
-def _flat64(*arrays):
-    casts = [np.asarray(a, dtype=np.float64) for a in arrays]
-    return [np.ascontiguousarray(b).ravel() for b in np.broadcast_arrays(*casts)]
-
-
-class _CythonFrontend:
-    """Adapts broadcastable array inputs to the flat compiled kernels."""
-
-    name = "cython"
-
-    @staticmethod
-    def any_improvement(values, base, eps):
-        (flat,) = _flat64(values)
-        return _scan_cy.any_improvement(flat, float(base), float(eps))
-
-    @staticmethod
-    def any_dominance_gap(alts, cand, eps):
-        alts = np.asarray(alts, dtype=np.float64)
-        cand = np.asarray(cand, dtype=np.float64)
-        ctx = np.broadcast_shapes(alts.shape[1:], cand.shape)
-        full = np.ascontiguousarray(
-            np.broadcast_to(alts, alts.shape[:1] + ctx)
-        ).reshape(alts.shape[0], -1)
-        cand_flat = np.ascontiguousarray(np.broadcast_to(cand, ctx)).ravel()
-        return _scan_cy.any_dominance_gap(full, cand_flat, float(eps))
-
-    @staticmethod
-    def any_strict_dominator(p1, p2, p3, t1, t2, t3, eps):
-        f1, f2, f3 = _flat64(p1, p2, p3)
-        return _scan_cy.any_strict_dominator(
-            f1, f2, f3, float(t1), float(t2), float(t3), float(eps)
-        )
-
-
-class _NumpyFrontend:
-    name = "python"
-    any_improvement = staticmethod(_scan_np.any_improvement)
-    any_dominance_gap = staticmethod(_scan_np.any_dominance_gap)
-    any_strict_dominator = staticmethod(_scan_np.any_strict_dominator)
-
-
-_FRONTENDS = {"python": _NumpyFrontend}
-if _scan_cy is not None:
-    _FRONTENDS["cython"] = _CythonFrontend
-
-_impl = None
-
-
-def use_backend(name):
-    """Select a kernel backend by name; raises on unavailable backends."""
-    global _impl
-    if name not in _FRONTENDS:
-        raise ValueError(
-            f"unknown or unavailable kernel backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    _impl = _FRONTENDS[name]
-
-
-def current_backend():
-    return _impl.name
-
-
-_requested = os.environ.get("MIDDLEMAN_KERNELS")
-if _requested:
-    use_backend(_requested)
-else:
-    use_backend("cython" if _scan_cy is not None else "python")
-
 
 def any_improvement(values, base, eps):
-    return _impl.any_improvement(values, base, eps)
+    return bool(np.any(values > base + eps))
 
 
 def any_dominance_gap(alts, cand, eps):
-    return _impl.any_dominance_gap(alts, cand, eps)
+    return bool(np.any(alts > cand + eps))
 
 
 def any_strict_dominator(p1, p2, p3, t1, t2, t3, eps):
-    return _impl.any_strict_dominator(p1, p2, p3, t1, t2, t3, eps)
+    weak = (p1 >= t1) & (p2 >= t2) & (p3 >= t3)
+    strict = (p1 > t1 + eps) | (p2 > t2 + eps) | (p3 > t3 + eps)
+    return bool(np.any(weak & strict))

@@ -12,19 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import BeliefSystem, loyalty_fees
-from .game import Grid
-from .hedonic import BenefitSpec, HedonicGame, MultiplicativeIncome, benefit_weakly_increasing
+from .hedonic import HedonicGame, MultiplicativeIncome
 
 
 class PessimisticIncomeZeroError(ZeroDivisionError):
     """The ratio form of the exploitation condition divides by a zero
     pessimistic income; the difference form decides (full exploitation holds
     trivially because the retained income is zero)."""
-
-
-def activity_weakly_increasing(g: BenefitSpec, grid: Grid) -> bool:
-    """True iff the activity measure is nondecreasing per coordinate on the lattice."""
-    return benefit_weakly_increasing(g, grid)
 
 
 def activity_full_exploitation_condition(game: HedonicGame, beliefs: BeliefSystem) -> bool:

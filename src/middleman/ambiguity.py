@@ -20,6 +20,7 @@ from .hedonic import (
     _as_scalar,
     full_extraction_fees,
     game_payoffs,
+    gated_income,
     middleman_payoff,
 )
 from .oracles import epsilon_nash_check
@@ -117,27 +118,14 @@ def loyalty_fees(game: HedonicGame, beliefs: BeliefSystem) -> tuple[Value, Value
 
 def optimistic_payoff(game: HedonicGame, rho: tuple[Value, Value]) -> Value:
     """Income at full participation, provided both fees stay affordable there."""
-    rho1, rho2 = rho
-    cap1 = game.f1(1.0, 1.0)
-    cap2 = game.f2(1.0, 1.0)
-    income = game.income(rho1, rho2, 1.0, 1.0)
-    ok = (np.asarray(rho1) <= cap1) & (np.asarray(rho2) <= cap2)
-    out = np.where(ok, income, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return gated_income(game, *rho, 1.0, 1.0)
 
 
 def pessimistic_payoff(
     game: HedonicGame, beliefs: BeliefSystem, rho: tuple[Value, Value]
 ) -> Value:
     """Income at the loyalty participation levels, gated by the reduced fee caps."""
-    rho1, rho2 = rho
-    l1, l2 = beliefs.loyalty
-    cap1 = game.f1(l1, l2)
-    cap2 = game.f2(l1, l2)
-    income = game.income(rho1, rho2, l1, l2)
-    ok = (np.asarray(rho1) <= cap1) & (np.asarray(rho2) <= cap2)
-    out = np.where(ok, income, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return gated_income(game, *rho, *beliefs.loyalty)
 
 
 def modified_payoff(
@@ -149,7 +137,7 @@ def modified_payoff(
     plain = middleman_payoff(game, profile)
     lam, gam = beliefs.lambda_, beliefs.gamma
     out = lam * np.asarray(best) + gam * np.asarray(worst) + (1.0 - lam - gam) * np.asarray(plain)
-    return float(out) if np.ndim(out) == 0 else out
+    return _as_scalar(out)
 
 
 def modified_game(game: HedonicGame, beliefs: BeliefSystem) -> GamePayoffs:

@@ -3,13 +3,15 @@ maps, and belief-parameter sweeps over scenario files.
 
 Exit codes: 0 on success, 1 when ``--assert`` is given and the analysis
 verdict is false, 2 on usage or validation errors, including region and
-sweep lattices over :data:`MAX_POINTS` points.
+sweep lattices over :data:`MAX_POINTS` points, and 3 on any other error,
+whose traceback goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from math import prod
 from pathlib import Path
 
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except (TypeError, ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

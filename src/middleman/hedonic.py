@@ -8,6 +8,7 @@ only while neither user is overcharged.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -81,8 +82,8 @@ class TabulatedBenefit(BenefitSpec):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
             raise ValueError("tabulated benefit needs a 2-D table, at least 2x2")
-        if np.any(v < 0):
-            raise ValueError("tabulated benefit values must be nonnegative")
+        if not np.all((v >= 0) & (v < np.inf)):
+            raise ValueError("tabulated benefit values must be finite and nonnegative")
         object.__setattr__(self, "values", v)
 
     def __eq__(self, other):
@@ -148,11 +149,11 @@ class TabulatedIncome(IncomeSpec):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 4 or any(n < 2 for n in v.shape):
             raise ValueError("tabulated income needs a 4-D table, at least 2 nodes per axis")
-        if np.any(v < 0):
-            raise ValueError("tabulated income values must be nonnegative")
+        if not np.all((v >= 0) & (v < np.inf)):
+            raise ValueError("tabulated income values must be finite and nonnegative")
         bounds = tuple(float(b) for b in self.fee_bounds)
-        if len(bounds) != 2 or any(b <= 0 for b in bounds):
-            raise ValueError("tabulated income fee_bounds must be a positive pair")
+        if len(bounds) != 2 or not all(0 < b < np.inf for b in bounds):
+            raise ValueError("tabulated income fee_bounds must be a positive finite pair")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "fee_bounds", bounds)
 
@@ -212,13 +213,33 @@ def user_payoff(game: HedonicGame, i: int, profile: StrategyProfile) -> Value:
     return _as_scalar(np.where(np.asarray(rho) <= benefit, benefit - rho, 0.0))
 
 
+def gated_income(game: HedonicGame, rho1: Value, rho2: Value, s1: Value, s2: Value) -> Value:
+    """Net income at participation (s1, s2) while both fees stay affordable
+    there (the cap binds at equality), 0 otherwise."""
+    # Income before the mask, then gated in place when only this frame holds
+    # it (numpy's own test for reusing a temporary): with np.where's second
+    # full-size array a pareto_check slice outgrows glibc's heap trim
+    # threshold, and re-faulting the trimmed pages made it up to 3x slower.
+    b1 = game.f1(s1, s2)
+    b2 = game.f2(s1, s2)
+    income = game.income(rho1, rho2, s1, s2)
+    affordable = (np.asarray(rho1) <= b1) & (np.asarray(rho2) <= b2)
+    if (
+        type(income) is np.ndarray
+        and income.flags.owndata
+        and income.flags.writeable
+        and income.dtype == np.float64
+        and income.shape == affordable.shape
+        and sys.getrefcount(income) == 2
+    ):
+        np.copyto(income, 0.0, where=~affordable)
+        return income
+    return _as_scalar(np.where(affordable, income, 0.0))
+
+
 def middleman_payoff(game: HedonicGame, profile: StrategyProfile) -> Value:
     """Net income while neither user is overcharged, 0 otherwise."""
-    b1 = game.f1(profile.s1, profile.s2)
-    b2 = game.f2(profile.s1, profile.s2)
-    income = game.income(profile.rho1, profile.rho2, profile.s1, profile.s2)
-    affordable = (np.asarray(profile.rho1) <= b1) & (np.asarray(profile.rho2) <= b2)
-    return _as_scalar(np.where(affordable, income, 0.0))
+    return gated_income(game, profile.rho1, profile.rho2, profile.s1, profile.s2)
 
 
 def game_payoffs(game: HedonicGame) -> GamePayoffs:
@@ -235,24 +256,21 @@ def full_extraction_fees(game: HedonicGame) -> tuple[float, float]:
     return (float(game.f1(1.0, 1.0)), float(game.f2(1.0, 1.0)))
 
 
-def benefit_strictly_increasing(f: BenefitSpec, grid: Grid) -> bool:
-    """True iff f strictly increases along every grid line in each coordinate."""
+def _lattice_steps(f: BenefitSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Differences of f between adjacent lattice nodes along s1 and along s2."""
     ax = grid.participation_axis()
     vals = np.asarray(f(ax[:, None], ax[None, :]))
-    return bool(
-        (np.diff(vals, axis=0) > STRICT_TOL).all()
-        and (np.diff(vals, axis=1) > STRICT_TOL).all()
-    )
+    return np.diff(vals, axis=0), np.diff(vals, axis=1)
+
+
+def benefit_strictly_increasing(f: BenefitSpec, grid: Grid) -> bool:
+    """True iff f strictly increases along every grid line in each coordinate."""
+    return all(bool((d > STRICT_TOL).all()) for d in _lattice_steps(f, grid))
 
 
 def benefit_weakly_increasing(f: BenefitSpec, grid: Grid) -> bool:
     """True iff f is nondecreasing along every grid line in each coordinate."""
-    ax = grid.participation_axis()
-    vals = np.asarray(f(ax[:, None], ax[None, :]))
-    return bool(
-        (np.diff(vals, axis=0) >= -STRICT_TOL).all()
-        and (np.diff(vals, axis=1) >= -STRICT_TOL).all()
-    )
+    return all(bool((d >= -STRICT_TOL).all()) for d in _lattice_steps(f, grid))
 
 
 def income_weakly_increasing(income: IncomeSpec, grid: Grid) -> bool:

@@ -4,8 +4,8 @@ zero-participation equilibrium family.
 All oracles discretise deviations on a :class:`~middleman.game.Grid` and
 treat improvements of at most ``eps`` as ties, so verdicts are monotone in
 ``eps``. Scans stream one participation slice at a time, keeping memory flat
-even at high resolutions, and dispatch the inner comparison to the compiled
-kernels (or their numpy fallback) in ``_scan``.
+even at high resolutions, and reduce each slice with the numpy comparisons
+in ``_scan``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from .game import GamePayoffs, Grid, StrategyProfile
 
 
 def _validate_eps(eps):
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return float(eps)
+    eps = float(eps)
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps:g}")
+    return eps
 
 
 def _require_in_box(profile: StrategyProfile, grid: Grid):
@@ -121,10 +122,14 @@ def pareto_check(
     r2 = grid.fee_axis(2)[None, None, :]
     for s1 in s_axis:
         slice_profile = StrategyProfile(s1, s2, r1, r2)
-        p1 = game.payoff_user1(slice_profile)
-        p2 = game.payoff_user2(slice_profile)
-        p3 = game.payoff_middleman(slice_profile)
-        if _scan.any_strict_dominator(p1, p2, p3, t1, t2, t3, eps):
+        # No slice array outlives its scan, so each slice reuses the same heap
+        # blocks (see the note in hedonic.gated_income).
+        if _scan.any_strict_dominator(
+            game.payoff_user1(slice_profile),
+            game.payoff_user2(slice_profile),
+            game.payoff_middleman(slice_profile),
+            t1, t2, t3, eps,
+        ):
             return False
     return True
 

@@ -28,6 +28,7 @@ documents. Numeric results are fixed at six decimals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,12 @@ def _number(mapping, key, path, *, lo=None, hi=None, lo_open=False, default=None
     v = mapping[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", "expected a number")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(f"{path}.{key}", "must be finite")
     if lo is not None and (v <= lo if lo_open else v < lo):
         _fail(f"{path}.{key}", f"must be {'>' if lo_open else '>='} {lo:g}")
     if hi is not None and v > hi:

@@ -16,8 +16,8 @@ from middleman import (
     PessimisticIncomeZeroError,
     TabulatedBenefit,
     activity_full_exploitation_condition,
-    activity_weakly_increasing,
     benchmark_full_exploitation_condition,
+    benefit_weakly_increasing,
     boundary_curve,
     full_exploitation_verdict,
     region_sample,
@@ -35,16 +35,16 @@ def beliefs_at(gamma, loyalty=(0.5, 0.5)):
 
 
 def test_constant_activity_weakly_increasing():
-    assert activity_weakly_increasing(TabulatedBenefit(np.ones((2, 2))), Grid(10))
+    assert benefit_weakly_increasing(TabulatedBenefit(np.ones((2, 2))), Grid(10))
 
 
 def test_product_activity_weakly_increasing():
-    assert activity_weakly_increasing(CobbDouglas(1.0, 1.0), Grid(10))
+    assert benefit_weakly_increasing(CobbDouglas(1.0, 1.0), Grid(10))
 
 
 def test_decreasing_activity_cell_detected():
     values = np.array([[0.0, 0.5], [0.5, 0.2]])
-    assert not activity_weakly_increasing(TabulatedBenefit(values), Grid(10))
+    assert not benefit_weakly_increasing(TabulatedBenefit(values), Grid(10))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from middleman import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BENCHMARK_DOC = """
 schema_version: 1
@@ -211,8 +216,51 @@ def test_grid_overrides_change_the_verdict(scenario):
     assert "verdict=true" in loose.stdout
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_nonfinite_eps_exits_2(eps):
+    # without the check, every comparison against NaN is false and this
+    # refuted profile passes
+    result = run_cli(
+        "verify-nash", "--scenario", str(ROOT / "scenarios/benchmark_sigma05.yaml"),
+        "--profile", "0,0,0,0", "--eps", eps,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: eps must be finite")
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "old,new,field",
+    [
+        ("w1: 0.5, w2", "w1: .nan, w2", "game.f1.w1"),
+        ("{family: linear, w1: 0.5, w2: 0.5}",
+         "{family: tabulated, values: [[0.0, 0.5], [0.5, .nan]]}", "game.f1.values"),
+    ],
+)
+def test_nonfinite_scenario_number_exits_2(tmp_path, old, new, field):
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text(BENCHMARK_DOC.replace(old, new, 1))
+    result = run_cli("threshold", "--scenario", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {field}: ")
+    assert "finite" in result.stderr
+    assert result.stdout == ""
+
+
+def test_unexpected_error_exits_3(scenario, monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_threshold", crash)
+    assert cli.main(["threshold", "--scenario", scenario]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert "RuntimeError: boom" in err
+
+
 # SHA-256 of stdout, captured from the per-point implementation of the
-# region map and the sweep; the array-native emitters must reproduce it.
+# region map and the sweep and from the three-copy gated-income payoffs;
+# every later implementation must reproduce them.
 GOLDEN_SHA256 = [
     (("region", "--resolution", "7"),
      "531296e8b26e8826da86d96ad95d33c7fed990ab11d67f99cbc274ba87f59be0"),
@@ -224,12 +272,28 @@ GOLDEN_SHA256 = [
     (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
       "--sweep", "loyalty1=0:0.75:4", "--format", "machine"),
      "d8c722db8372d8df4818752c23a621c2d334f332082f0dc54562f177912dfbde"),
+    (("verify-nash", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5"),
+     "95dbc9e9954132b3286365b6954fd290c66300aa346987e1125e104f6a8815fd"),
+    (("dominance", "--scenario", "{scenario}", "--profile", "1,1,0,0"),
+     "67b110eadd6e8f0897c2daf2a1dbbf530bb5ac12059ac1ce8700853df23d33d7"),
+    (("pareto", "--scenario", "{scenario}", "--profile", "1,1,1,1"),
+     "cdf2ea51c9a2d1ae478c039b1792b1ff2e3a47ff0bce5454587b57d5a0af786d"),
+    (("pareto", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5"),
+     "b4965e6a87d13a9adf31ba989ab8efde1f566f5a0248be9a5c4c4cee5061bce9"),
+    (("ambiguity-eq", "--scenario", "{scenario}", "--profile", "1,1,1,1"),
+     "655df27676c347d2e3730170c68f4d36b2a47aa3fbf8e0c60c411378bf1fb29b"),
+    (("ambiguity-eq", "--scenario", "{scenario}", "--profile", "1,1,1,1",
+      "--format", "machine"),
+     "3ce7a5e2dc21d0ec7a2dd4f2b8bc84bf8f0f6703afd4d4d61f1dea22e5413fee"),
+    (("threshold", "--scenario", "{root}/scenarios/cobb_douglas_loyalty.yaml",
+      "--format", "machine"),
+     "23445ed90b87031651c9bd46b29c8db71c8357b862dee2f57e1ae91fb306a166"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256)
 def test_map_output_golden_bytes(scenario, argv, digest):
-    result = run_cli(*(a.format(scenario=scenario) for a in argv))
+    result = run_cli(*(a.format(scenario=scenario, root=ROOT) for a in argv))
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 

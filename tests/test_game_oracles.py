@@ -19,6 +19,7 @@ from middleman import (
     trivial_equilibria_check,
     weak_dominance_check,
 )
+from middleman import _scan
 from _support import random_benchmark_game
 
 
@@ -70,6 +71,19 @@ def test_negative_eps_rejected():
     profile = StrategyProfile(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         epsilon_nash_check(pay, profile, Grid(10), -1e-9)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_nonfinite_eps_rejected(eps):
+    pay = game_payoffs(linear_activity_game())
+    grid = Grid(10, (1.0, 1.0))
+    refuted = StrategyProfile(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="eps"):
+        epsilon_nash_check(pay, refuted, grid, eps)
+    with pytest.raises(ValueError, match="eps"):
+        pareto_check(pay, refuted, grid, eps)
+    with pytest.raises(ValueError, match="eps"):
+        weak_dominance_check(pay, 1, 1.0, grid, eps)
 
 
 def test_profile_outside_fee_box_rejected():
@@ -273,3 +287,17 @@ def test_trivial_equilibria_vacuous_on_empty_samples():
 def test_trivial_equilibria_admit_fees_beyond_grid_bounds():
     pay = game_payoffs(externality_game())
     assert trivial_equilibria_check(pay, [(2.5, 7.0)], Grid(10, (1.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# scan reductions
+# ---------------------------------------------------------------------------
+
+
+def test_primitive_tie_semantics():
+    # an improvement of exactly eps is a tie
+    assert not _scan.any_improvement(np.array([1.0]), 0.5, 0.5)
+    assert _scan.any_improvement(np.array([1.0 + 1e-12]), 0.5, 0.5)
+    assert not _scan.any_strict_dominator(
+        np.array([1.0]), np.array([1.0]), np.array([1.0]), 1.0, 1.0, 1.0, 0.0
+    )

@@ -15,7 +15,9 @@ from middleman import (
     TabulatedIncome,
     benefit_strictly_increasing,
     default_eps,
+    IncomeSpec,
     full_extraction_fees,
+    gated_income,
     income_weakly_increasing,
     middleman_payoff,
     user_payoff,
@@ -60,6 +62,57 @@ def test_user_payoff_rejects_bad_index():
 # ---------------------------------------------------------------------------
 # middleman payoff
 # ---------------------------------------------------------------------------
+
+
+SLICE = (  # one pareto_check slice: s1 fixed, (s2, rho1, rho2) on a 9-step grid
+    np.linspace(0.0, 1.0, 9)[None, :, None],
+    np.linspace(0.0, 1.0, 9)[None, None, :],
+    0.5,
+    np.linspace(0.0, 1.0, 9)[:, None, None],
+)
+
+
+def where_reference(game, rho1, rho2, s1, s2):
+    affordable = (rho1 <= game.f1(s1, s2)) & (rho2 <= game.f2(s1, s2))
+    return np.where(affordable, game.income(rho1, rho2, s1, s2), 0.0)
+
+
+@pytest.mark.parametrize(
+    "income",
+    [
+        MultiplicativeIncome(Linear(0.5, 0.5)),
+        AdditiveFeesIncome(),
+        TabulatedIncome(np.arange(16.0).reshape(2, 2, 2, 2), (1.0, 1.0)),
+    ],
+)
+def test_gated_income_equals_where_reference(income):
+    game = product_game(income)
+    out = gated_income(game, *SLICE)
+    want = where_reference(game, *SLICE)
+    assert out.shape == want.shape
+    assert out.dtype == want.dtype
+    assert np.array_equal(out, want)
+    assert 0 < np.count_nonzero(out) < out.size
+
+
+class CachedIncome(IncomeSpec):
+    """Returns the same array object on every call."""
+
+    def __init__(self):
+        self.table = MultiplicativeIncome(Linear(0.5, 0.5))(*SLICE)
+
+    def evaluate(self, rho1, rho2, s1, s2):
+        return self.table
+
+
+def test_gated_income_leaves_a_shared_income_array_alone():
+    income = CachedIncome()
+    before = income.table.copy()
+    game = product_game(income)
+    out = gated_income(game, *SLICE)
+    assert np.array_equal(income.table, before)
+    assert out is not income.table
+    assert np.array_equal(out, where_reference(game, *SLICE))
 
 
 def test_middleman_payoff_full_extraction():

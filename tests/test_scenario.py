@@ -84,6 +84,47 @@ def test_nonpositive_exponent_names_the_field():
         parse_scenario(doc)
 
 
+TABLE_4D = "[[[[0, 0], [0, 1]], [[0, 1], [1, 1]]], [[[0, 1], [1, 1]], [[1, 1], [1, {x}]]]]"
+TABULATED_INCOME = (
+    "    family: multiplicative\n"
+    "    activity: {family: cobb_douglas, alpha: 1.0, beta: 1.0}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old,new,field",
+    [
+        ("{family: cobb_douglas, alpha: 1.0, beta: 1.0}",
+         "{family: linear, w1: .nan, w2: 0.5}", "game.f1.w1"),
+        ("{family: cobb_douglas, alpha: 1.0, beta: 1.0}",
+         "{family: linear, w1: 1" + "0" * 400 + ", w2: 0.5}", "game.f1.w1"),
+        ("alpha: 1.0", "alpha: .nan", "game.f1.alpha"),
+        ("beta: 1.0", "beta: .inf", "game.f1.beta"),
+        ("gamma: 0.5", "gamma: .nan", "beliefs.gamma"),
+        ("schema_version: 1", "schema_version: 1\ngrid: {eps: .nan}", "grid.eps"),
+        ("schema_version: 1", "schema_version: 1\ngrid: {s_lo: -.inf}", "grid.s_lo"),
+        ("{family: cobb_douglas, alpha: 1.0, beta: 1.0}",
+         "{family: tabulated, values: [[0.0, 0.5], [0.5, .nan]]}", "game.f1.values"),
+        (TABULATED_INCOME,
+         "    family: tabulated\n"
+         f"    values: {TABLE_4D.format(x='.nan')}\n"
+         "    fee_bounds: [1.0, 1.0]\n", "game.income.values"),
+        (TABULATED_INCOME,
+         "    family: tabulated\n"
+         f"    values: {TABLE_4D.format(x='1')}\n"
+         "    fee_bounds: [.inf, 1.0]\n", "fee_bounds"),
+    ],
+    ids=["linear-nan", "linear-overflow", "alpha-nan", "beta-inf", "gamma-nan",
+         "eps-nan", "s_lo-inf", "benefit-table-nan", "income-table-nan",
+         "fee-bound-inf"],
+)
+def test_nonfinite_number_names_the_field(old, new, field):
+    doc = COBB_DOUGLAS_DOC.replace(old, new, 1)
+    assert doc != COBB_DOUGLAS_DOC
+    with pytest.raises(ScenarioError, match=rf"{field}\b.*finite"):
+        parse_scenario(doc)
+
+
 def test_missing_loyalty_names_the_field():
     doc = COBB_DOUGLAS_DOC.replace("  loyalty: [0.5, 0.5]\n", "")
     with pytest.raises(ScenarioError, match="beliefs.loyalty"):
