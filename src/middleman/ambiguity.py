@@ -161,14 +161,8 @@ def ambiguity_equilibrium_check(
     return epsilon_nash_check(modified_game(game, beliefs), profile, grid, eps)
 
 
-def best_fee_response(
-    game: HedonicGame,
-    beliefs: BeliefSystem,
-    grid: Grid,
-    s1: float = 1.0,
-    s2: float = 1.0,
-) -> tuple[float, float]:
-    """Grid argmax of the modified payoff at fixed participation.
+def best_fee_response(game: HedonicGame, beliefs: BeliefSystem, grid: Grid) -> tuple[float, float]:
+    """Grid argmax of the modified payoff at full participation.
 
     The threshold test only ever compares the full-extraction and loyalty fee
     pairs; this scan surfaces any third fee pair beating both (ties resolve to
@@ -177,7 +171,7 @@ def best_fee_response(
     r1 = grid.fee_axis(1)
     r2 = grid.fee_axis(2)
     vals = np.asarray(
-        modified_payoff(game, beliefs, StrategyProfile(s1, s2, r1[:, None], r2[None, :]))
+        modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, r1[:, None], r2[None, :]))
     )
     i, j = divmod(int(np.argmax(vals)), r2.size)
     return (float(r1[i]), float(r2[j]))

@@ -1,10 +1,15 @@
 """Command-line front end: equilibrium checks, threshold verdicts, region
 maps, and belief-parameter sweeps over scenario files.
 
+Each subcommand offers only the ``--format`` values it can emit: ``text``
+(the default) and ``machine`` for the five verdict reports, ``csv`` (the
+default) and ``svg`` for ``region``, ``csv`` (the default) and ``machine``
+for ``sweep``. Only the verdict reports take ``--assert``.
+
 Exit codes: 0 on success, 1 when ``--assert`` is given and the analysis
-verdict is false, 2 on usage or validation errors, including region and
-sweep lattices over :data:`MAX_POINTS` points, and 3 on any other error,
-whose traceback goes to stderr.
+verdict is false, 2 on usage or validation errors, including grids and
+lattices whose largest array would exceed :data:`MAX_POINTS` points, and 3
+on any other error, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from .oracles import epsilon_nash_check, pareto_check, weak_dominance_check
 from .scenario import ScenarioError, emit_results, parse_scenario, sweep_csv, sweep_machine
 
 SWEEPABLE_FIELDS = ("gamma", "lambda", "loyalty1", "loyalty2")
-# Region and sweep lattices are evaluated whole; larger ones are refused
-# before any allocation rather than risking memory exhaustion.
+# Region and sweep lattices, and the largest array of each grid check, are
+# built whole; larger ones are refused before any allocation rather than
+# risking memory exhaustion.
 MAX_POINTS = 10_000_000
 
 
@@ -72,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, scenario=True, profile=False, grid=False):
+    def add(name, help_text, handler, formats, *, scenario=True, profile=False):
         p = sub.add_parser(name, help=help_text)
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario YAML file")
@@ -83,38 +89,41 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="strategy profile s1,s2,rho1,rho2",
             )
-        if grid:
             p.add_argument("--steps", type=int, help="override grid subdivisions")
             p.add_argument("--eps", type=float, help="override improvement tolerance")
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument(
-            "--format", choices=("text", "machine", "csv", "svg"), help="output format"
+            "--format",
+            choices=formats,
+            default=formats[0],
+            help="output format (default: %(default)s)",
         )
-        p.add_argument(
+        p.set_defaults(handler=handler)
+        return p
+
+    for name, help_text, handler, profile in (
+        ("verify-nash", "check a profile for unilateral grid deviations",
+         _cmd_verify_nash, True),
+        ("dominance", "check the profile's participation levels for weak dominance",
+         _cmd_dominance, True),
+        ("pareto", "check a profile for grid Pareto efficiency", _cmd_pareto, True),
+        ("ambiguity-eq", "Nash check of the belief-modified game", _cmd_ambiguity_eq, True),
+        ("threshold", "full-exploitation threshold verdict", _cmd_threshold, False),
+    ):
+        report = add(name, help_text, handler, ("text", "machine"), profile=profile)
+        report.add_argument(
             "--assert",
             dest="assert_",
             action="store_true",
             help="exit 1 when the verdict is false",
         )
-        return p
 
-    add("verify-nash", "check a profile for unilateral grid deviations",
-        profile=True, grid=True).set_defaults(handler=_cmd_verify_nash)
-    add("dominance", "check the profile's participation levels for weak dominance",
-        profile=True, grid=True).set_defaults(handler=_cmd_dominance)
-    add("pareto", "check a profile for grid Pareto efficiency",
-        profile=True, grid=True).set_defaults(handler=_cmd_pareto)
-    add("ambiguity-eq", "Nash check of the belief-modified game",
-        profile=True, grid=True).set_defaults(handler=_cmd_ambiguity_eq)
-    add("threshold", "full-exploitation threshold verdict").set_defaults(
-        handler=_cmd_threshold
-    )
-
-    region = add("region", "benchmark (gamma, sigma) region map", scenario=False)
+    region = add("region", "benchmark (gamma, sigma) region map", _cmd_region,
+                 ("csv", "svg"), scenario=False)
     region.add_argument("--resolution", type=int, default=100, help="lattice subdivisions")
-    region.set_defaults(handler=_cmd_region)
 
-    sweep = add("sweep", "threshold verdicts over belief-parameter ranges")
+    sweep = add("sweep", "threshold verdicts over belief-parameter ranges", _cmd_sweep,
+                ("csv", "machine"))
     sweep.add_argument(
         "--sweep",
         dest="sweeps",
@@ -124,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FIELD=START:STOP:COUNT",
         help="belief field range; repeatable (Cartesian product)",
     )
-    sweep.set_defaults(handler=_cmd_sweep)
     return parser
 
 
@@ -132,10 +140,12 @@ def _load_scenario(args):
     return parse_scenario(Path(args.scenario).read_text())
 
 
-def _grid_and_eps(config, args):
-    steps = args.steps if getattr(args, "steps", None) is not None else config.steps
-    eps = args.eps if getattr(args, "eps", None) is not None else config.eps
+def _grid_and_eps(config, args, dims):
+    """Grid and tolerance of a check whose largest array spans ``dims`` axes."""
+    steps, source = (config.steps, "grid.steps") if args.steps is None else (args.steps, "--steps")
+    eps = config.eps if args.eps is None else args.eps
     grid = Grid(steps, full_extraction_fees(config.game), config.s_lo)
+    _check_points((steps + 1) ** dims, source)
     return grid, eps
 
 
@@ -145,18 +155,9 @@ def _require_beliefs(config):
     return config.beliefs
 
 
-def _check_points(points, flag):
+def _check_points(points, source):
     if points > MAX_POINTS:
-        raise ScenarioError(f"{flag}: {points} points exceed the limit of {MAX_POINTS}")
-
-
-def _format(args, default_fmt, allowed):
-    fmt = args.format or default_fmt
-    if fmt not in allowed:
-        raise ScenarioError(
-            f"format: {fmt!r} not supported here (choose from {', '.join(allowed)})"
-        )
-    return fmt
+        raise ScenarioError(f"{source}: {points} points exceed the limit of {MAX_POINTS}")
 
 
 def _deliver(text, args):
@@ -167,14 +168,13 @@ def _deliver(text, args):
 
 
 def _emit_report(entries, args, verdict_key):
-    fmt = _format(args, "text", ("text", "machine"))
-    _deliver(emit_results(entries, fmt), args)
+    _deliver(emit_results(entries, args.format), args)
     return 1 if args.assert_ and not entries[verdict_key] else 0
 
 
 def _cmd_verify_nash(args):
     config = _load_scenario(args)
-    grid, eps = _grid_and_eps(config, args)
+    grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = epsilon_nash_check(game_payoffs(config.game), profile, grid, eps)
     return _emit_report(
@@ -186,7 +186,7 @@ def _cmd_verify_nash(args):
 
 def _cmd_dominance(args):
     config = _load_scenario(args)
-    grid, eps = _grid_and_eps(config, args)
+    grid, eps = _grid_and_eps(config, args, 3)
     payoffs = game_payoffs(config.game)
     s1, s2 = args.profile[0], args.profile[1]
     v1 = weak_dominance_check(payoffs, 1, s1, grid, eps)
@@ -206,7 +206,7 @@ def _cmd_dominance(args):
 
 def _cmd_pareto(args):
     config = _load_scenario(args)
-    grid, eps = _grid_and_eps(config, args)
+    grid, eps = _grid_and_eps(config, args, 3)
     profile = StrategyProfile(*args.profile)
     verdict = pareto_check(game_payoffs(config.game), profile, grid, eps)
     return _emit_report(
@@ -219,7 +219,7 @@ def _cmd_pareto(args):
 def _cmd_ambiguity_eq(args):
     config = _load_scenario(args)
     beliefs = _require_beliefs(config)
-    grid, eps = _grid_and_eps(config, args)
+    grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = ambiguity_equilibrium_check(config.game, beliefs, profile, grid, eps)
     best = best_fee_response(config.game, beliefs, grid)
@@ -257,8 +257,7 @@ def _cmd_threshold(args):
 def _cmd_region(args):
     if args.resolution >= 2:  # smaller ones are region_sample's to reject
         _check_points((args.resolution + 1) ** 2, "--resolution")
-    fmt = _format(args, "csv", ("csv", "svg"))
-    _deliver(emit_results(region_sample(args.resolution), fmt), args)
+    _deliver(emit_results(region_sample(args.resolution), args.format), args)
     return 0
 
 
@@ -270,7 +269,6 @@ def _cmd_sweep(args):
         raise ScenarioError("sweep: duplicate field")
     points = prod(count for *_, count in args.sweeps)
     _check_points(points, "--sweep")
-    fmt = _format(args, "csv", ("csv", "machine"))
 
     axes = [np.linspace(start, stop, count) for _, start, stop, count in args.sweeps]
     fields = {
@@ -304,7 +302,7 @@ def _cmd_sweep(args):
     columns.update(
         delta=verdict.delta, rhs=verdict.rhs, full_exploitation=verdict.full_exploitation
     )
-    _deliver(sweep_csv(columns) if fmt == "csv" else sweep_machine(columns), args)
+    _deliver(sweep_csv(columns) if args.format == "csv" else sweep_machine(columns), args)
     return 0
 
 

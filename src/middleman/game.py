@@ -70,8 +70,8 @@ class Grid:
         bounds = tuple(float(b) for b in self.fee_bounds)
         if len(bounds) != 2:
             raise ValueError("fee_bounds must be a pair")
-        if any(b < 0.0 for b in bounds):
-            raise ValueError("fee_bounds must be nonnegative")
+        if not all(0.0 <= b < np.inf for b in bounds):
+            raise ValueError("fee_bounds must be finite and nonnegative")
         object.__setattr__(self, "fee_bounds", bounds)
         if not 0.0 <= self.s_lo < 1.0:
             raise ValueError("s_lo must lie in [0, 1)")

@@ -18,7 +18,6 @@ Scenarios are YAML documents (schema_version 1)::
       steps: 100                        # default 100
       eps: 1.0e-9                       # default 1e-9
       s_lo: 0.0                         # default 0
-    outputs: [verdict]                  # optional; verdict/region_csv/region_svg
 
 Unknown fields are rejected, every validation error names the offending
 field, and emission is byte-stable: identical inputs give identical output
@@ -49,7 +48,6 @@ from .hedonic import (
 )
 
 SCHEMA_VERSION = 1
-KNOWN_OUTPUTS = ("verdict", "region_csv", "region_svg")
 
 
 class ScenarioError(ValueError):
@@ -63,7 +61,6 @@ class ScenarioConfig:
     steps: int = 100
     eps: float = 1e-9
     s_lo: float = 0.0
-    outputs: tuple[str, ...] = ("verdict",)
 
 
 def _fail(path, problem):
@@ -145,8 +142,14 @@ def _income(spec, path) -> IncomeSpec:
         for key in ("values", "fee_bounds"):
             if key not in spec:
                 _fail(f"{path}.{key}", "missing required field")
+        bounds = spec["fee_bounds"]
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            _fail(f"{path}.fee_bounds", "expected a pair [bound1, bound2]")
+        bounds = tuple(
+            _number({"fee_bounds": b}, "fee_bounds", path, lo=0.0, lo_open=True) for b in bounds
+        )
         try:
-            return TabulatedIncome(spec["values"], tuple(spec["fee_bounds"]))
+            return TabulatedIncome(spec["values"], bounds)
         except (TypeError, ValueError) as exc:
             _fail(f"{path}.values", str(exc))
     _fail(f"{path}.family", f"unknown family {family!r}")
@@ -188,7 +191,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if doc is None:
         doc = {}
     doc = _mapping(doc, "document")
-    _reject_unknown(doc, {"schema_version", "game", "beliefs", "grid", "outputs"}, "")
+    _reject_unknown(doc, {"schema_version", "game", "beliefs", "grid"}, "")
 
     if "game" not in doc:
         raise ScenarioError("missing game section")
@@ -230,19 +233,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if s_lo >= 1.0:
             _fail("grid.s_lo", "must be < 1")
 
-    outputs = ("verdict",)
-    if "outputs" in doc:
-        raw = doc["outputs"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            _fail("outputs", "expected a non-empty list")
-        for name in raw:
-            if name not in KNOWN_OUTPUTS:
-                _fail("outputs", f"unknown output {name!r}")
-        outputs = tuple(raw)
-
-    return ScenarioConfig(
-        game=game, beliefs=beliefs, steps=steps, eps=eps, s_lo=s_lo, outputs=outputs
-    )
+    return ScenarioConfig(game=game, beliefs=beliefs, steps=steps, eps=eps, s_lo=s_lo)
 
 
 def _benefit_doc(spec: BenefitSpec) -> dict:
@@ -287,7 +278,6 @@ def dump_scenario(config: ScenarioConfig) -> str:
             "loyalty": [config.beliefs.loyalty1, config.beliefs.loyalty2],
         }
     doc["grid"] = {"steps": config.steps, "eps": config.eps, "s_lo": config.s_lo}
-    doc["outputs"] = list(config.outputs)
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -329,12 +319,14 @@ def region_csv(region: RegionMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def region_svg(region: RegionMap, size: int = 500) -> str:
+def region_svg(region: RegionMap) -> str:
     """Shaded full-exploitation region with the boundary polyline.
 
-    Gamma runs along the x-axis, sigma up the y-axis. The shaded polygon and
-    the curve are drawn from the analytic boundary at the sample resolution.
+    Gamma runs along the x-axis, sigma up the y-axis, on a 500-unit square.
+    The shaded polygon and the curve are drawn from the analytic boundary at
+    the sample resolution.
     """
+    size = 500
     curve = [(boundary_curve(sig), sig) for sig in region.axis.tolist()]
 
     def pt(gamma, sigma):

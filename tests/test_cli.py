@@ -313,13 +313,27 @@ def test_steps_zero_rejected(scenario):
           "--sweep", "loyalty1=0:0.9:4000"), "--sweep"),
         (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.9:100000000000"),
          "--sweep"),
+        # the fee lattice has (steps + 1)^2 points, a dominance or Pareto
+        # slice (steps + 1)^3
+        (("verify-nash", "--scenario", "{scenario}", "--profile", "1,1,1,1",
+          "--steps", "1000000"), "--steps"),
+        (("ambiguity-eq", "--scenario", "{scenario}", "--profile", "1,1,1,1",
+          "--steps", "4000"), "--steps"),
+        (("dominance", "--scenario", "{scenario}", "--profile", "1,1,0,0",
+          "--steps", "300"), "--steps"),
+        (("pareto", "--scenario", "{scenario}", "--profile", "1,1,1,1",
+          "--steps", "300"), "--steps"),
+        (("pareto", "--scenario", "{large_grid}", "--profile", "1,1,1,1"), "grid.steps"),
     ],
 )
-def test_over_budget_lattice_rejected(scenario, argv, flag):
-    result = run_cli(*(a.format(scenario=scenario) for a in argv))
+def test_over_budget_lattice_rejected(scenario, tmp_path, argv, flag):
+    large_grid = tmp_path / "large_grid.yaml"
+    large_grid.write_text(BENCHMARK_DOC.replace("steps: 20", "steps: 300"))
+    result = run_cli(*(a.format(scenario=scenario, large_grid=large_grid) for a in argv))
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {flag}: ")
     assert "limit" in result.stderr
+    assert result.stdout == ""
 
 
 def test_sweep_reports_first_failing_row(scenario):
@@ -344,3 +358,25 @@ def test_sweep_format_checked_before_the_sweep(scenario):
     )
     assert result.returncode == 2
     assert "format" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("threshold", "--scenario", "{scenario}", "--format", "csv"),
+         "argument --format: invalid choice: 'csv'"),
+        (("region", "--resolution", "7", "--format", "machine"),
+         "argument --format: invalid choice: 'machine'"),
+        (("region", "--resolution", "7", "--assert"), "unrecognized arguments: --assert"),
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.9:3", "--assert"),
+         "unrecognized arguments: --assert"),
+        (("threshold", "--scenario", "{with_outputs}"), "error: outputs: unknown field"),
+    ],
+)
+def test_settings_that_change_nothing_exit_2(scenario, tmp_path, argv, message):
+    with_outputs = tmp_path / "with_outputs.yaml"
+    with_outputs.write_text(BENCHMARK_DOC + "outputs: [verdict]\n")
+    result = run_cli(*(a.format(scenario=scenario, with_outputs=with_outputs) for a in argv))
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert result.stdout == ""

@@ -59,6 +59,12 @@ def test_grid_rejects_negative_fee_bound():
         Grid(10, (-0.1, 1.0))
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+def test_grid_rejects_nonfinite_fee_bound(bound):
+    with pytest.raises(ValueError, match="fee_bounds must be finite"):
+        Grid(10, (bound, 1.0))
+
+
 def test_profile_validates_ranges():
     with pytest.raises(ValueError):
         StrategyProfile(1.2, 0.5, 0.0, 0.0)

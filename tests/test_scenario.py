@@ -53,7 +53,6 @@ def test_parse_applies_documented_defaults():
     assert config.steps == 100
     assert config.eps == 1e-9
     assert config.beliefs.lambda_ == 0.0
-    assert config.outputs == ("verdict",)
 
 
 def test_improper_beliefs_rejected():
@@ -112,7 +111,7 @@ TABULATED_INCOME = (
         (TABULATED_INCOME,
          "    family: tabulated\n"
          f"    values: {TABLE_4D.format(x='1')}\n"
-         "    fee_bounds: [.inf, 1.0]\n", "fee_bounds"),
+         "    fee_bounds: [.inf, 1.0]\n", "game.income.fee_bounds"),
     ],
     ids=["linear-nan", "linear-overflow", "alpha-nan", "beta-inf", "gamma-nan",
          "eps-nan", "s_lo-inf", "benefit-table-nan", "income-table-nan",
@@ -122,6 +121,23 @@ def test_nonfinite_number_names_the_field(old, new, field):
     doc = COBB_DOUGLAS_DOC.replace(old, new, 1)
     assert doc != COBB_DOUGLAS_DOC
     with pytest.raises(ScenarioError, match=rf"{field}\b.*finite"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "bounds,problem",
+    [("1.0", "expected a pair"), ("[1.0]", "expected a pair"), ("[0.0, 1.0]", "must be > 0"),
+     ("[yes, 1.0]", "expected a number")],
+)
+def test_tabulated_fee_bounds_errors_name_the_field(bounds, problem):
+    doc = COBB_DOUGLAS_DOC.replace(
+        TABULATED_INCOME,
+        "    family: tabulated\n"
+        f"    values: {TABLE_4D.format(x='1')}\n"
+        f"    fee_bounds: {bounds}\n",
+        1,
+    )
+    with pytest.raises(ScenarioError, match=f"^game.income.fee_bounds: {problem}"):
         parse_scenario(doc)
 
 
@@ -149,8 +165,9 @@ def test_grid_section_validated():
 
 
 def test_unknown_output_rejected():
-    doc = COBB_DOUGLAS_DOC + "\noutputs: [verdict, histogram]\n"
-    with pytest.raises(ScenarioError, match="outputs"):
+    # no command reads an output list, so schema 1 has none
+    doc = COBB_DOUGLAS_DOC + "\noutputs: [verdict]\n"
+    with pytest.raises(ScenarioError, match="^outputs: unknown field$"):
         parse_scenario(doc)
 
 
@@ -179,7 +196,7 @@ def test_round_trip_tabulated_benefit():
     game = HedonicGame(
         TabulatedBenefit(values), Linear(0.2, 0.8), MultiplicativeIncome(Linear(1.0, 1.0))
     )
-    config = ScenarioConfig(game=game, steps=40, eps=1e-6, outputs=("verdict", "region_csv"))
+    config = ScenarioConfig(game=game, steps=40, eps=1e-6)
     assert round_trip(config) == config
 
 
