@@ -203,14 +203,18 @@ class HedonicGame:
             raise ValueError("tag must be 'benchmark' or 'externality'")
 
 
+def capped_surplus(benefit: Value, rho: Value) -> np.ndarray:
+    """Benefit minus fee while affordable (the cap binds at equality), 0 once overcharged."""
+    return np.where(np.asarray(rho) <= benefit, benefit - rho, 0.0)
+
+
 def user_payoff(game: HedonicGame, i: int, profile: StrategyProfile) -> Value:
-    """Gross benefit minus fee while affordable (the cap binds at equality), 0 once overcharged."""
+    """User i's :func:`capped_surplus` at the profile's participation and fee."""
     if i not in (1, 2):
         raise ValueError("user index must be 1 or 2")
     f = game.f1 if i == 1 else game.f2
     rho = profile.rho1 if i == 1 else profile.rho2
-    benefit = f(profile.s1, profile.s2)
-    return _as_scalar(np.where(np.asarray(rho) <= benefit, benefit - rho, 0.0))
+    return _as_scalar(capped_surplus(f(profile.s1, profile.s2), rho))
 
 
 def gated_income(game: HedonicGame, rho1: Value, rho2: Value, s1: Value, s2: Value) -> Value:
@@ -242,12 +246,21 @@ def middleman_payoff(game: HedonicGame, profile: StrategyProfile) -> Value:
     return gated_income(game, profile.rho1, profile.rho2, profile.s1, profile.s2)
 
 
-def game_payoffs(game: HedonicGame) -> GamePayoffs:
+@dataclass(frozen=True)
+class HedonicPayoffs(GamePayoffs):
+    """The payoff bundle of a :class:`HedonicGame`, carrying the game so an
+    oracle can use its structure (see ``oracles.pareto_check``)."""
+
+    game: HedonicGame
+
+
+def game_payoffs(game: HedonicGame) -> HedonicPayoffs:
     """Bundle the three payoff functions for the generic oracles."""
-    return GamePayoffs(
+    return HedonicPayoffs(
         payoff_user1=lambda p: user_payoff(game, 1, p),
         payoff_user2=lambda p: user_payoff(game, 2, p),
         payoff_middleman=lambda p: middleman_payoff(game, p),
+        game=game,
     )
 
 

@@ -1,11 +1,20 @@
-"""Brute-force grid oracles: Nash, weak dominance, Pareto efficiency, and the
+"""Grid oracles: Nash, weak dominance, Pareto efficiency, and the
 zero-participation equilibrium family.
 
 All oracles discretise deviations on a :class:`~middleman.game.Grid` and
 treat improvements of at most ``eps`` as ties, so verdicts are monotone in
-``eps``. Scans stream one participation slice at a time, keeping memory flat
-even at high resolutions, and reduce each slice with the numpy comparisons
-in ``_scan``.
+``eps``. The brute-force scans are the reference: they stream one
+participation slice at a time, keeping memory flat even at high
+resolutions, and reduce each slice with the numpy comparisons in ``_scan``.
+
+``pareto_check`` takes an exact O(n^3) path instead of the O(n^4) scan for
+the bundles ``hedonic.game_payoffs`` builds when the game's income is
+multiplicative or additive over nonnegative benefit families: there gated
+income never falls as a fee rises inside the affordable box, so each slice
+needs only the corner of the box where every user keeps its payoff. Tabulated
+income (whose interpolation can break that monotonicity at the ulp level),
+other income families and plain :class:`~middleman.game.GamePayoffs` keep
+the scan.
 """
 
 from __future__ import annotations
@@ -16,6 +25,23 @@ import numpy as np
 
 from . import _scan
 from .game import GamePayoffs, Grid, StrategyProfile
+from .hedonic import (
+    AdditiveFeesIncome,
+    CobbDouglas,
+    HedonicGame,
+    HedonicPayoffs,
+    Linear,
+    MultiplicativeIncome,
+    TabulatedBenefit,
+    capped_surplus,
+)
+
+# Benefit families that are nonnegative on the participation box (so a zero
+# fee is always affordable), and income families that never fall as a fee
+# rises when such a family is their activity (sums and products of
+# nonnegative floats round monotonically).
+_NONNEGATIVE_BENEFITS = (CobbDouglas, Linear, TabulatedBenefit)
+_FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
 
 
 def _validate_eps(eps):
@@ -103,6 +129,58 @@ def weak_dominance_check(
     return True
 
 
+def _fee_monotone(game: GamePayoffs) -> bool:
+    """True iff ``game`` is a hedonic bundle that ``_dominated_at_corner`` decides exactly."""
+    if not isinstance(game, HedonicPayoffs):
+        return False
+    income = game.game.income
+    specs = [game.game.f1, game.game.f2]
+    if type(income) is MultiplicativeIncome:
+        specs.append(income.activity)
+    return type(income) in _FEE_MONOTONE_INCOMES and all(
+        type(f) in _NONNEGATIVE_BENEFITS for f in specs
+    )
+
+
+def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) -> bool:
+    """True iff some grid profile Pareto-dominates the payoffs (t1, t2, t3).
+
+    At fixed (s1, s2), user i's payoff ignores the other fee and never rises
+    with its own, so p_i >= t_i holds on a prefix [0, A_i] of its fee axis.
+    Gated income never falls as a fee rises inside the affordable box
+    [0, aff_1] x [0, aff_2] and is 0 outside it. At the corner
+    C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
+    p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
+    smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric. Every
+    payoff is the expression the scan evaluates, on (n+1)^2 arrays.
+    """
+    s_axis = grid.participation_axis()
+    s2 = s_axis[:, None]  # rows: s2; columns: a fee
+    r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
+    rows = np.arange(s_axis.size)
+    for s1 in s_axis:
+        b1, b2 = game.f1(s1, s2), game.f2(s1, s2)
+        p1, p2 = capped_surplus(b1, r1), capped_surplus(b2, r2)
+        c1 = np.minimum((p1 >= t1).sum(1), (r1 <= b1).sum(1)) - 1
+        c2 = np.minimum((p2 >= t2).sum(1), (r2 <= b2).sum(1)) - 1
+        has_corner = (c1 >= 0) & (c2 >= 0)
+        c1, c2 = np.maximum(c1, 0), np.maximum(c2, 0)
+        # Income along the corner's edges (r1, C_2) and (C_1, r2). Fees up to
+        # C_i are affordable, so it is the gated income there, and the first
+        # fee reaching t3 lies there wherever p3(C) >= t3.
+        along1 = game.income(r1, r2[c2, None], s1, s2)
+        along2 = game.income(r1[c1, None], r2, s1, s2)
+        p3 = along1[rows, c1]
+        gain = (
+            (p3 > t3 + eps)
+            | (p1[rows, (along1 >= t3).argmax(1)] > t1 + eps)
+            | (p2[rows, (along2 >= t3).argmax(1)] > t2 + eps)
+        )
+        if np.any(has_corner & (p3 >= t3) & gain):
+            return True
+    return False
+
+
 def pareto_check(
     game: GamePayoffs, profile: StrategyProfile, grid: Grid, eps: float = 1e-9
 ) -> bool:
@@ -115,6 +193,8 @@ def pareto_check(
         game.payoff_user2(profile),
         game.payoff_middleman(profile),
     )
+    if _fee_monotone(game):
+        return not _dominated_at_corner(game.game, t1, t2, t3, grid, eps)
 
     s_axis = grid.participation_axis()
     s2 = s_axis[:, None, None]

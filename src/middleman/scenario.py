@@ -344,17 +344,17 @@ def region_svg(region: RegionMap) -> str:
 
 
 # Sweep columns hold floats or bools; these are the per-value rules of
-# _format_value and _jsonable, applied a column at a time.
+# _format_value and _jsonable, applied a column at a time and returning text.
 def _csv_column(column) -> list[str]:
     if column.dtype == bool:
         return ["true" if v else "false" for v in column.tolist()]
     return [f"{v:.6f}" for v in column.tolist()]
 
 
-def _json_column(column) -> list:
-    if column.dtype == bool:
-        return column.tolist()
-    return [round(v, 6) for v in column.tolist()]
+def _json_column(column) -> list[str]:
+    values = column.tolist() if column.dtype == bool else [round(v, 6) for v in column.tolist()]
+    # one encoder call spells each value as json.dumps would on its own
+    return json.dumps(values)[1:-1].split(", ") if values else []
 
 
 # Rows are converted a block at a time, so the per-value Python objects of a
@@ -377,11 +377,11 @@ def sweep_csv(columns: dict) -> str:
 
 def sweep_machine(columns: dict) -> str:
     """JSON list of one object per row of equal-length result columns."""
-    names = list(columns)
-    # each block is encoded as a list; its items joined by ", " are the
-    # items of the whole list
-    blocks = (json.dumps([dict(zip(names, row)) for row in rows], sort_keys=True)[1:-1]
-              for rows in _row_blocks(columns, _json_column))
+    names = sorted(columns)
+    # json.dumps(..., sort_keys=True) of each row's dict, as a template
+    row = "{" + ", ".join(json.dumps(n).replace("%", "%%") + ": %s" for n in names) + "}"
+    blocks = (", ".join(map(row.__mod__, rows))
+              for rows in _row_blocks({n: columns[n] for n in names}, _json_column))
     return "[" + ", ".join(blocks) + "]\n"
 
 

@@ -227,6 +227,16 @@ def test_region_sample_matches_pointwise_condition_and_boundary():
             assert s.full_exploitation == (s.point.gamma <= boundary_curve(s.point.sigma))
 
 
+@pytest.mark.parametrize("n", [7, 100, 1000])
+def test_region_verdicts_match_the_integer_certificate(n):
+    # at gamma = i/n, sigma = j/n the region test (1 - gamma)(1 - sigma) >=
+    # gamma sigma^2 is (n - i)(n - j) n >= i j^2, exact in integers
+    i = np.arange(n + 1, dtype=np.int64)[:, None]
+    j = np.arange(n + 1, dtype=np.int64)[None, :]
+    exact = (n - i) * (n - j) * n >= i * j * j
+    assert np.array_equal(region_sample(n).full_exploitation, exact)
+
+
 def test_region_sample_sequence_access():
     samples = region_sample(4)
     listed = list(samples)

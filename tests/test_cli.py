@@ -288,6 +288,17 @@ GOLDEN_SHA256 = [
     (("threshold", "--scenario", "{root}/scenarios/cobb_douglas_loyalty.yaml",
       "--format", "machine"),
      "23445ed90b87031651c9bd46b29c8db71c8357b862dee2f57e1ae91fb306a166"),
+    # pareto at the shipped steps 100 and s_lo 0.1: an efficient profile and
+    # two that a move to higher participation dominates
+    (("pareto", "--scenario", "{root}/scenarios/cobb_douglas_loyalty.yaml",
+      "--profile", "1,1,1,1"),
+     "cdf2ea51c9a2d1ae478c039b1792b1ff2e3a47ff0bce5454587b57d5a0af786d"),
+    (("pareto", "--scenario", "{root}/scenarios/cobb_douglas_loyalty.yaml",
+      "--profile", "0.5,0.5,0.1,0.1"),
+     "88fbae6e02a57c457ad9964b4741a00abd256fb4da96c8755626c9ad0256ea15"),
+    (("pareto", "--scenario", "{root}/scenarios/cobb_douglas_loyalty.yaml",
+      "--profile", "1,0.5,0.1,0.3", "--format", "machine"),
+     "4ed8c0f782ba1230ed273f565c43b3a7e6f232d5e602b277c8095b0f7e917c9f"),
 ]
 
 

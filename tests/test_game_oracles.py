@@ -3,9 +3,14 @@ the zero-participation equilibrium family."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from middleman import (
+    AdditiveFeesIncome,
+    BeliefSystem,
     CobbDouglas,
+    GamePayoffs,
     Grid,
     HedonicGame,
     Linear,
@@ -15,6 +20,7 @@ from middleman import (
     epsilon_nash_check,
     full_extraction_fees,
     game_payoffs,
+    modified_game,
     pareto_check,
     trivial_equilibria_check,
     weak_dominance_check,
@@ -266,6 +272,130 @@ def test_constant_income_pareto_verdict_recorded():
     pay = game_payoffs(game)
     grid = Grid(10, full_extraction_fees(game))
     assert not pareto_check(pay, StrategyProfile(1.0, 1.0, 1.0, 1.0), grid, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the fee-monotone Pareto path against the scan
+# ---------------------------------------------------------------------------
+
+benefits = st.one_of(
+    st.builds(Linear, st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    st.builds(CobbDouglas, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+)
+incomes = st.one_of(st.builds(MultiplicativeIncome, benefits), st.just(AdditiveFeesIncome()))
+EPS = (0.0, 1e-9, 1e-3, 0.05, 0.3)
+
+
+@st.composite
+def pareto_cases(draw):
+    """A fee-monotone game, a grid whose fee bounds reach full extraction or
+    beyond, and a profile at full extraction, on the grid, or anywhere in the
+    strategy box."""
+    game = HedonicGame(draw(benefits), draw(benefits), draw(incomes))
+    F = full_extraction_fees(game)
+    scale = draw(st.sampled_from((1.0, 1.5)))
+    grid = Grid(draw(st.integers(2, 10)), (F[0] * scale, F[1] * scale),
+                draw(st.sampled_from((0.0, 0.1))))
+    s = grid.participation_axis()
+    axes = (s, s, grid.fee_axis(1), grid.fee_axis(2))
+    kind = draw(st.sampled_from(("full", "grid", "grid", "off")))
+    if kind == "full":
+        point = (1.0, 1.0, *F)
+    elif kind == "grid":
+        point = [draw(st.sampled_from(ax.tolist())) for ax in axes]
+    else:
+        point = [draw(st.floats(ax[0], ax[-1])) for ax in axes]
+    return game, grid, StrategyProfile(*point)
+
+
+def bare(pay):
+    return GamePayoffs(pay.payoff_user1, pay.payoff_user2, pay.payoff_middleman)
+
+
+def boundary_eps(pay, profile, grid):
+    """Each player's largest gain over the grid profiles that weakly improve
+    all three payoffs, and the float neighbours of each: the eps where a
+    player's gain turns from strict to a tie."""
+    s = grid.participation_axis()
+    lattice = StrategyProfile(
+        s[:, None, None, None], s[:, None, None], grid.fee_axis(1)[:, None], grid.fee_axis(2)
+    )
+    shape = (s.size,) * 4
+    gains = np.array([
+        np.broadcast_to(f(lattice), shape) - t
+        for f, t in zip((pay.payoff_user1, pay.payoff_user2, pay.payoff_middleman),
+                        pay.payoffs(profile))
+    ])
+    weak = (gains >= 0).all(axis=0)
+    out = []
+    for gain in gains:
+        top = float(gain.max(where=weak, initial=0.0))
+        out += [top, max(float(np.nextafter(top, 0.0)), 0.0), float(np.nextafter(top, np.inf))]
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(), eps=st.one_of(st.sampled_from(EPS), st.integers(0, 8)))
+def test_fee_monotone_pareto_path_matches_the_scan(case, eps):
+    # an integer eps picks one of the boundary_eps values
+    game, grid, profile = case
+    pay = game_payoffs(game)
+    if isinstance(eps, int):
+        eps = boundary_eps(pay, profile, grid)[eps]
+    assert pareto_check(pay, profile, grid, eps) == pareto_check(bare(pay), profile, grid, eps)
+
+
+def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
+    scans = []
+    scan = _scan.any_strict_dominator
+    monkeypatch.setattr(_scan, "any_strict_dominator", lambda *a: scans.append(1) or scan(*a))
+    half = Linear(0.5, 0.5)
+    grid = Grid(6, (1.0, 1.0))
+    profile = StrategyProfile(1.0, 1.0, 1.0, 1.0)
+
+    def slices_scanned(pay):
+        scans.clear()
+        pareto_check(pay, profile, grid)
+        return len(scans)
+
+    linear = game_payoffs(HedonicGame(half, half, MultiplicativeIncome(half)))
+    tabulated = HedonicGame(half, half, TabulatedIncome(np.ones((2, 2, 2, 2)), (1.0, 1.0)))
+
+    class Shifted(Linear):
+        def evaluate(self, s1, s2):
+            return super().evaluate(s1, s2) - 0.25
+
+    beliefs = BeliefSystem(lambda_=0.0, gamma=0.2, loyalty1=0.5, loyalty2=0.5)
+    shifted = Shifted(0.5, 0.5)
+    assert slices_scanned(linear) == 0
+    for pay in (
+        bare(linear),
+        game_payoffs(tabulated),
+        modified_game(linear.game, beliefs),
+        # a benefit family the corner argument knows nothing about, as a
+        # user's benefit or as the activity
+        game_payoffs(HedonicGame(shifted, half, AdditiveFeesIncome())),
+        game_payoffs(HedonicGame(half, half, MultiplicativeIncome(shifted))),
+    ):
+        assert slices_scanned(pay) > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(), extra=st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_verdicts_monotone_in_eps(case, extra):
+    game, grid, profile = case
+    pay = game_payoffs(game)
+    eps = sorted(set(EPS) | set(extra) | set(boundary_eps(pay, profile, grid)))
+    checks = (
+        lambda e: epsilon_nash_check(pay, profile, grid, e),
+        lambda e: weak_dominance_check(pay, 1, profile.s1, grid, e),
+        lambda e: weak_dominance_check(pay, 2, profile.s2, grid, e),
+        lambda e: pareto_check(pay, profile, grid, e),
+        lambda e: pareto_check(bare(pay), profile, grid, e),
+    )
+    for check in checks:
+        verdicts = [check(e) for e in eps]
+        assert verdicts == sorted(verdicts)  # once true, true at every larger eps
 
 
 # ---------------------------------------------------------------------------
