@@ -42,7 +42,6 @@ from .hedonic import (
     TabulatedIncome,
     benefit_strictly_increasing,
     benefit_weakly_increasing,
-    default_eps,
     full_extraction_fees,
     game_payoffs,
     gated_income,
@@ -94,7 +93,6 @@ __all__ = [
     "benefit_weakly_increasing",
     "best_fee_response",
     "boundary_curve",
-    "default_eps",
     "dump_scenario",
     "emit_results",
     "epsilon_nash_check",

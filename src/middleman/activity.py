@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import BeliefSystem, loyalty_fees
+from .ambiguity import BeliefSystem, _require_threshold_domain, loyalty_fees
 from .hedonic import HedonicGame, MultiplicativeIncome
 
 
@@ -30,10 +30,7 @@ def activity_full_exploitation_condition(game: HedonicGame, beliefs: BeliefSyste
     """
     if not isinstance(game.income, MultiplicativeIncome):
         raise TypeError("ratio condition requires the multiplicative income family")
-    if beliefs.gamma >= 1.0:
-        raise ValueError("ratio condition requires gamma < 1")
-    if beliefs.loyalty1 >= 1.0 or beliefs.loyalty2 >= 1.0:
-        raise ValueError("ratio condition requires loyalty levels < 1")
+    _require_threshold_domain(beliefs)
 
     f_hat = float(game.f1(1.0, 1.0)) + float(game.f2(1.0, 1.0))
     phi = loyalty_fees(game, beliefs)
@@ -67,13 +64,6 @@ class BenchmarkPoint:
 class RegionSample:
     point: BenchmarkPoint
     full_exploitation: bool
-
-    @property
-    def outside_threshold_domain(self) -> bool:
-        """Endpoint samples (gamma = 1 or sigma = 1) fall outside the
-        hypotheses of the threshold test; their verdicts read the benchmark
-        inequality formally."""
-        return self.point.gamma == 1.0 or self.point.sigma == 1.0
 
 
 def benchmark_full_exploitation_condition(point: BenchmarkPoint) -> bool:
@@ -131,7 +121,8 @@ def region_sample(resolution: int) -> RegionMap:
     One broadcast of the benchmark inequality with the same float operations
     as :func:`benchmark_full_exploitation_condition`, so every verdict is
     bit-identical to the per-point test. Endpoints gamma = 1 and sigma = 1
-    are included; see :attr:`RegionSample.outside_threshold_domain`.
+    are included, though they fall outside the threshold test's hypotheses;
+    their verdicts read the benchmark inequality formally.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
         raise TypeError("resolution must be an integer")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .game import GamePayoffs, Grid, StrategyProfile, Value
 from .hedonic import (
+    FieldError,
     HedonicGame,
     _as_scalar,
     full_extraction_fees,
@@ -26,28 +27,43 @@ from .hedonic import (
 from .oracles import epsilon_nash_check
 
 
-class BeliefError(ValueError):
+class BeliefError(FieldError):
     """A belief-system check failed; ``row`` is the flat C-order index of the
     first offending entry of the (broadcast) fields, 0 for scalar fields."""
 
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
+    def __init__(self, field: str | None, problem: str, row: int):
+        super().__init__(field, problem)
         self.row = row
 
 
 def _raise_first(shape: tuple, checks: list) -> None:
     """Raise the error a row-by-row loop over ``shape`` (C order) meets first.
 
-    ``checks`` lists ``(bad, message)`` in the order one row is checked:
-    ``bad`` is a boolean array broadcastable to ``shape`` and ``message``
-    is the error text, or a function of the flat row index giving it.
+    ``checks`` lists ``(bad, field, problem)`` in the order one row is
+    checked: ``bad`` is a boolean array broadcastable to ``shape``, ``field``
+    the :class:`FieldError` field and ``problem`` its text, or a function of
+    the flat row index giving it.
     """
-    if not any(np.count_nonzero(bad) for bad, _ in checks):
+    if not any(np.count_nonzero(bad) for bad, _, _ in checks):
         return
-    bad = np.stack([np.broadcast_to(b, shape) for b, _ in checks]).reshape(len(checks), -1)
+    bad = np.stack([np.broadcast_to(b, shape) for b, _, _ in checks]).reshape(len(checks), -1)
     row = int(np.argmax(bad.any(axis=0)))
-    _, message = checks[int(np.argmax(bad[:, row]))]
-    raise BeliefError(message if isinstance(message, str) else message(row), row)
+    _, field, problem = checks[int(np.argmax(bad[:, row]))]
+    raise BeliefError(field, problem if isinstance(problem, str) else problem(row), row)
+
+
+def _require_threshold_domain(beliefs: BeliefSystem) -> None:
+    """The threshold test's hypotheses on the beliefs: gamma < 1 and loyalty
+    levels < 1, checked entry by entry in C order."""
+    gamma = np.asarray(beliefs.gamma)
+    l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
+    _raise_first(
+        beliefs.shape,
+        [
+            (gamma >= 1.0, None, "threshold test requires gamma < 1"),
+            ((l1 >= 1.0) | (l2 >= 1.0), None, "threshold test requires loyalty levels < 1"),
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -71,10 +87,11 @@ class BeliefSystem:
         checks = []
         for name in ("lambda_", "gamma", "loyalty1", "loyalty2"):
             v = np.asarray(getattr(self, name))
-            checks.append((~((v >= 0.0) & (v <= 1.0)), f"{name} must lie in [0, 1]"))
+            checks.append((~((v >= 0.0) & (v <= 1.0)), name, "must lie in [0, 1]"))
         total = np.add(self.lambda_, self.gamma)
         checks.append((
             total > 1.0,
+            None,
             lambda row: "properness violated: lambda_ + gamma = "
             f"{float(np.broadcast_to(total, shape).flat[row]):g} exceeds 1",
         ))
@@ -190,16 +207,10 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
     have the belief system's shape, and a domain error names the first
     offending entry in C order. Scalar beliefs give float/bool fields.
     """
+    _require_threshold_domain(beliefs)
     shape = beliefs.shape
     gamma = np.asarray(beliefs.gamma)
     l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
-    _raise_first(
-        shape,
-        [
-            (gamma >= 1.0, "threshold test requires gamma < 1"),
-            ((l1 >= 1.0) | (l2 >= 1.0), "threshold test requires loyalty levels < 1"),
-        ],
-    )
     F = full_extraction_fees(game)
     phi = loyalty_fees(game, beliefs)
     delta = np.asarray(game.income(F[0], F[1], 1.0, 1.0)) - game.income(phi[0], phi[1], 1.0, 1.0)

@@ -21,6 +21,17 @@ from .game import GamePayoffs, Grid, StrategyProfile, Value
 STRICT_TOL = 1e-12
 
 
+class FieldError(ValueError):
+    """A constructor rejected a value. ``field`` names the offending
+    constructor field, or is None for a rule over several fields;
+    ``problem`` is the text after that name."""
+
+    def __init__(self, field: str | None, problem: str):
+        super().__init__(f"{field} {problem}" if field else problem)
+        self.field = field
+        self.problem = problem
+
+
 def _as_scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
@@ -43,8 +54,9 @@ class CobbDouglas(BenefitSpec):
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("Cobb-Douglas exponents must be positive")
+        for name in ("alpha", "beta"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, "must be > 0")
 
     def evaluate(self, s1, s2):
         return _as_scalar(np.asarray(s1) ** self.alpha * np.asarray(s2) ** self.beta)
@@ -58,11 +70,26 @@ class Linear(BenefitSpec):
     w2: float
 
     def __post_init__(self):
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError("linear weights must be nonnegative")
+        for name in ("w1", "w2"):
+            if not getattr(self, name) >= 0:
+                raise FieldError(name, "must be >= 0")
 
     def evaluate(self, s1, s2):
         return _as_scalar(self.w1 * np.asarray(s1) + self.w2 * np.asarray(s2))
+
+
+def _node_table(values, ndim: int) -> np.ndarray:
+    """``values`` as a float table of ``ndim`` axes, each with at least 2
+    nodes, every entry finite and nonnegative."""
+    try:
+        v = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FieldError("values", "must be a rectangular table of numbers") from None
+    if v.ndim != ndim or any(n < 2 for n in v.shape):
+        raise FieldError("values", f"must be a {ndim}-D table, at least 2 nodes per axis")
+    if not np.all((v >= 0) & (v < np.inf)):
+        raise FieldError("values", "must be finite and nonnegative")
+    return v
 
 
 def _node_coords(x, size):
@@ -79,12 +106,7 @@ class TabulatedBenefit(BenefitSpec):
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-            raise ValueError("tabulated benefit needs a 2-D table, at least 2x2")
-        if not np.all((v >= 0) & (v < np.inf)):
-            raise ValueError("tabulated benefit values must be finite and nonnegative")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _node_table(self.values, 2))
 
     def __eq__(self, other):
         return isinstance(other, TabulatedBenefit) and np.array_equal(
@@ -146,15 +168,12 @@ class TabulatedIncome(IncomeSpec):
     fee_bounds: tuple[float, float]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 4 or any(n < 2 for n in v.shape):
-            raise ValueError("tabulated income needs a 4-D table, at least 2 nodes per axis")
-        if not np.all((v >= 0) & (v < np.inf)):
-            raise ValueError("tabulated income values must be finite and nonnegative")
+        object.__setattr__(self, "values", _node_table(self.values, 4))
         bounds = tuple(float(b) for b in self.fee_bounds)
-        if len(bounds) != 2 or not all(0 < b < np.inf for b in bounds):
-            raise ValueError("tabulated income fee_bounds must be a positive finite pair")
-        object.__setattr__(self, "values", v)
+        if len(bounds) != 2:
+            raise FieldError("fee_bounds", "must be a pair")
+        if not all(0 < b < np.inf for b in bounds):
+            raise FieldError("fee_bounds", "must be > 0 and finite")
         object.__setattr__(self, "fee_bounds", bounds)
 
     def __eq__(self, other):
@@ -200,7 +219,7 @@ class HedonicGame:
 
     def __post_init__(self):
         if self.tag not in ("benchmark", "externality"):
-            raise ValueError("tag must be 'benchmark' or 'externality'")
+            raise FieldError("tag", f"must be 'benchmark' or 'externality', got {self.tag!r}")
 
 
 def capped_surplus(benefit: Value, rho: Value) -> np.ndarray:
@@ -314,30 +333,3 @@ def income_weakly_increasing(income: IncomeSpec, grid: Grid) -> bool:
             prev = cur
     return True
 
-
-def default_eps(game: HedonicGame, grid: Grid) -> float:
-    """Suggested oracle tolerance: 1e-9 for analytic families, a Lipschitz
-    slack (max node slope times grid step) when any component is tabulated."""
-    slack = 1e-9
-    tables = []
-    for spec in (game.f1, game.f2):
-        if isinstance(spec, TabulatedBenefit):
-            tables.append((spec.values, (1.0, 1.0)))
-    if isinstance(game.income, TabulatedIncome):
-        tables.append((game.income.values, game.income.fee_bounds + (1.0, 1.0)))
-    elif isinstance(game.income, MultiplicativeIncome) and isinstance(
-        game.income.activity, TabulatedBenefit
-    ):
-        tables.append((game.income.activity.values, (1.0, 1.0)))
-    for values, spans in tables:
-        for axis in range(values.ndim):
-            diffs = np.abs(np.diff(values, axis=axis))
-            if diffs.size == 0:
-                continue
-            node_spacing = spans[axis] / (values.shape[axis] - 1)
-            if node_spacing == 0:
-                continue
-            slope = float(diffs.max()) / node_spacing
-            step = spans[axis] / grid.steps
-            slack = max(slack, slope * step)
-    return slack

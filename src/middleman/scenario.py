@@ -19,9 +19,12 @@ Scenarios are YAML documents (schema_version 1)::
       eps: 1.0e-9                       # default 1e-9
       s_lo: 0.0                         # default 0
 
-Unknown fields are rejected, every validation error names the offending
-field, and emission is byte-stable: identical inputs give identical output
-documents. Numeric results are fixed at six decimals.
+The parser checks the document (mappings, unknown and missing fields,
+finite numbers) and the grid, for which no object exists at parse time.
+Value ranges are checked by the game and belief constructors alone, and
+their field errors are reported at the scenario path, so every validation
+error names the offending field. Emission is byte-stable: identical inputs
+give identical output documents. Numeric results are fixed at six decimals.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .hedonic import (
     AdditiveFeesIncome,
     BenefitSpec,
     CobbDouglas,
+    FieldError,
     HedonicGame,
     IncomeSpec,
     Linear,
@@ -79,7 +83,7 @@ def _reject_unknown(mapping, allowed, path):
             _fail(f"{path}.{key}" if path else str(key), "unknown field")
 
 
-def _number(mapping, key, path, *, lo=None, hi=None, lo_open=False, default=None):
+def _number(mapping, key, path, *, lo=None, default=None):
     if key not in mapping:
         if default is not None:
             return default
@@ -93,11 +97,34 @@ def _number(mapping, key, path, *, lo=None, hi=None, lo_open=False, default=None
         v = math.inf
     if not math.isfinite(v):
         _fail(f"{path}.{key}", "must be finite")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        _fail(f"{path}.{key}", f"must be {'>' if lo_open else '>='} {lo:g}")
-    if hi is not None and v > hi:
-        _fail(f"{path}.{key}", f"must be <= {hi:g}")
+    if lo is not None and v < lo:
+        _fail(f"{path}.{key}", f"must be >= {lo:g}")
     return v
+
+
+def _pair(mapping, key, path, names):
+    """A two-number field, each entry checked as one value at ``path.key``."""
+    if key not in mapping:
+        _fail(f"{path}.{key}", "missing required field")
+    pair = mapping[key]
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        _fail(f"{path}.{key}", f"expected a pair [{names}]")
+    return tuple(_number({key: v}, key, path) for v in pair)
+
+
+# Constructor fields whose scenario key differs; a rule over several fields
+# (field None) is reported at the section itself.
+_FIELD_KEYS = {"lambda_": "lambda", "loyalty1": "loyalty", "loyalty2": "loyalty"}
+
+
+def _build(cls, path, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with a constructor's field error reported at
+    the field's scenario path; the ranges live in the constructors alone."""
+    try:
+        return cls(*args, **kwargs)
+    except FieldError as exc:
+        key = _FIELD_KEYS.get(exc.field, exc.field)
+        _fail(f"{path}.{key}" if key else path, exc.problem)
 
 
 def _benefit(spec, path) -> BenefitSpec:
@@ -105,24 +132,17 @@ def _benefit(spec, path) -> BenefitSpec:
     family = spec.get("family")
     if family == "cobb_douglas":
         _reject_unknown(spec, {"family", "alpha", "beta"}, path)
-        return CobbDouglas(
-            alpha=_number(spec, "alpha", path, lo=0.0, lo_open=True),
-            beta=_number(spec, "beta", path, lo=0.0, lo_open=True),
+        return _build(
+            CobbDouglas, path, alpha=_number(spec, "alpha", path), beta=_number(spec, "beta", path)
         )
     if family == "linear":
         _reject_unknown(spec, {"family", "w1", "w2"}, path)
-        return Linear(
-            w1=_number(spec, "w1", path, lo=0.0),
-            w2=_number(spec, "w2", path, lo=0.0),
-        )
+        return _build(Linear, path, w1=_number(spec, "w1", path), w2=_number(spec, "w2", path))
     if family == "tabulated":
         _reject_unknown(spec, {"family", "values"}, path)
         if "values" not in spec:
             _fail(f"{path}.values", "missing required field")
-        try:
-            return TabulatedBenefit(spec["values"])
-        except ValueError as exc:
-            _fail(f"{path}.values", str(exc))
+        return _build(TabulatedBenefit, path, spec["values"])
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 
@@ -139,42 +159,20 @@ def _income(spec, path) -> IncomeSpec:
         return AdditiveFeesIncome()
     if family == "tabulated":
         _reject_unknown(spec, {"family", "values", "fee_bounds"}, path)
-        for key in ("values", "fee_bounds"):
-            if key not in spec:
-                _fail(f"{path}.{key}", "missing required field")
-        bounds = spec["fee_bounds"]
-        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-            _fail(f"{path}.fee_bounds", "expected a pair [bound1, bound2]")
-        bounds = tuple(
-            _number({"fee_bounds": b}, "fee_bounds", path, lo=0.0, lo_open=True) for b in bounds
-        )
-        try:
-            return TabulatedIncome(spec["values"], bounds)
-        except (TypeError, ValueError) as exc:
-            _fail(f"{path}.values", str(exc))
+        if "values" not in spec:
+            _fail(f"{path}.values", "missing required field")
+        bounds = _pair(spec, "fee_bounds", path, "bound1, bound2")
+        return _build(TabulatedIncome, path, spec["values"], bounds)
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 
 def _beliefs(section) -> BeliefSystem:
     section = _mapping(section, "beliefs")
     _reject_unknown(section, {"lambda", "gamma", "loyalty"}, "beliefs")
-    gamma = _number(section, "gamma", "beliefs", lo=0.0, hi=1.0)
-    lam = _number(section, "lambda", "beliefs", lo=0.0, hi=1.0, default=0.0)
-    if lam + gamma > 1.0:
-        _fail("beliefs", f"properness violated: lambda + gamma = {lam + gamma:g} exceeds 1")
-    loyalty = section.get("loyalty")
-    if loyalty is None:
-        _fail("beliefs.loyalty", "missing required field")
-    if not isinstance(loyalty, (list, tuple)) or len(loyalty) != 2:
-        _fail("beliefs.loyalty", "expected a pair [loyalty1, loyalty2]")
-    for v in loyalty:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            _fail("beliefs.loyalty", "expected a pair of numbers")
-        if not 0.0 <= v <= 1.0:
-            _fail("beliefs.loyalty", "levels must lie in [0, 1]")
-    return BeliefSystem(
-        lambda_=lam, gamma=gamma, loyalty1=float(loyalty[0]), loyalty2=float(loyalty[1])
-    )
+    gamma = _number(section, "gamma", "beliefs")
+    lam = _number(section, "lambda", "beliefs", default=0.0)
+    loyalty = _pair(section, "loyalty", "beliefs", "loyalty1, loyalty2")
+    return _build(BeliefSystem, "beliefs", lam, gamma, *loyalty)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -205,14 +203,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for key in ("f1", "f2", "income"):
         if key not in game_sec:
             _fail(f"game.{key}", "missing required field")
-    tag = game_sec.get("tag", "benchmark")
-    if tag not in ("benchmark", "externality"):
-        _fail("game.tag", f"must be 'benchmark' or 'externality', got {tag!r}")
-    game = HedonicGame(
+    game = _build(
+        HedonicGame,
+        "game",
         f1=_benefit(game_sec["f1"], "game.f1"),
         f2=_benefit(game_sec["f2"], "game.f2"),
         income=_income(game_sec["income"], "game.income"),
-        tag=tag,
+        tag=game_sec.get("tag", "benchmark"),
     )
 
     beliefs = _beliefs(doc["beliefs"]) if "beliefs" in doc else None

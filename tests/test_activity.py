@@ -94,6 +94,17 @@ def test_ratio_condition_requires_multiplicative_income():
         activity_full_exploitation_condition(game, beliefs_at(0.5))
 
 
+@pytest.mark.parametrize("gamma,loyalty", [(1.0, (0.5, 0.5)), (0.5, (0.5, 1.0))])
+def test_ratio_condition_shares_the_threshold_domain(gamma, loyalty):
+    game, beliefs = sigma_benchmark_game(), beliefs_at(gamma, loyalty)
+    with pytest.raises(ValueError) as ratio:
+        activity_full_exploitation_condition(game, beliefs)
+    with pytest.raises(ValueError) as difference:
+        full_exploitation_verdict(game, beliefs)
+    assert str(ratio.value) == str(difference.value)
+    assert str(ratio.value).startswith("threshold test requires")
+
+
 def test_ratio_condition_matches_difference_form():
     rng = np.random.default_rng(424242)
     compared = 0
@@ -211,19 +222,12 @@ def test_region_monotone_toward_the_origin():
     assert np.all(grid[:, 1:] <= grid[:, :-1])
 
 
-def test_region_endpoint_flagging():
-    samples = region_sample(2)
-    flags = {(s.point.gamma, s.point.sigma): s.outside_threshold_domain for s in samples}
-    assert flags[(1.0, 0.5)] and flags[(0.5, 1.0)] and flags[(1.0, 1.0)]
-    assert not flags[(0.5, 0.5)]
-
-
 def test_region_sample_matches_pointwise_condition_and_boundary():
     samples = region_sample(50)
     assert len(samples) == 51 * 51
     for s in samples:
         assert s.full_exploitation == benchmark_full_exploitation_condition(s.point)
-        if not s.outside_threshold_domain:
+        if s.point.gamma < 1.0 and s.point.sigma < 1.0:  # the threshold test's domain
             assert s.full_exploitation == (s.point.gamma <= boundary_curve(s.point.sigma))
 
 

@@ -14,7 +14,6 @@ from middleman import (
     TabulatedBenefit,
     TabulatedIncome,
     benefit_strictly_increasing,
-    default_eps,
     IncomeSpec,
     full_extraction_fees,
     gated_income,
@@ -250,19 +249,3 @@ def test_game_tag_validated():
     with pytest.raises(ValueError):
         HedonicGame(cd, cd, AdditiveFeesIncome(), tag="nonsense")
 
-
-# ---------------------------------------------------------------------------
-# eps defaults
-# ---------------------------------------------------------------------------
-
-
-def test_default_eps_analytic_families():
-    game = product_game()
-    assert default_eps(game, Grid(50)) == 1e-9
-
-
-def test_default_eps_tabulated_lipschitz_slack():
-    # steepest node slope 1 per unit, grid step 0.1 -> slack 0.1
-    tab = TabulatedBenefit([[0.0, 1.0], [1.0, 2.0]])
-    game = HedonicGame(tab, tab, AdditiveFeesIncome())
-    assert default_eps(game, Grid(10)) == pytest.approx(0.1)

@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from middleman import (
+    AdditiveFeesIncome,
     BeliefSystem,
     CobbDouglas,
     HedonicGame,
@@ -112,10 +116,12 @@ TABULATED_INCOME = (
          "    family: tabulated\n"
          f"    values: {TABLE_4D.format(x='1')}\n"
          "    fee_bounds: [.inf, 1.0]\n", "game.income.fee_bounds"),
+        ("loyalty: [0.5, 0.5]", "loyalty: [.nan, 0.5]", "beliefs.loyalty"),
+        ("loyalty: [0.5, 0.5]", "loyalty: [0.5, -.inf]", "beliefs.loyalty"),
     ],
     ids=["linear-nan", "linear-overflow", "alpha-nan", "beta-inf", "gamma-nan",
          "eps-nan", "s_lo-inf", "benefit-table-nan", "income-table-nan",
-         "fee-bound-inf"],
+         "fee-bound-inf", "loyalty-nan", "loyalty-inf"],
 )
 def test_nonfinite_number_names_the_field(old, new, field):
     doc = COBB_DOUGLAS_DOC.replace(old, new, 1)
@@ -138,6 +144,24 @@ def test_tabulated_fee_bounds_errors_name_the_field(bounds, problem):
         1,
     )
     with pytest.raises(ScenarioError, match=f"^game.income.fee_bounds: {problem}"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "values", ["[[1, 2], [3]]", "abc", "{a: 1}"], ids=["ragged", "non-numeric", "mapping"]
+)
+@pytest.mark.parametrize("section", ["benefit", "income"])
+def test_unconvertible_table_names_the_field(section, values):
+    if section == "benefit":
+        old = "{family: cobb_douglas, alpha: 1.0, beta: 1.0}"
+        new, field = f"{{family: tabulated, values: {values}}}", "game.f1.values"
+    else:
+        old = TABULATED_INCOME
+        new = f"    family: tabulated\n    values: {values}\n    fee_bounds: [1.0, 1.0]\n"
+        field = "game.income.values"
+    doc = COBB_DOUGLAS_DOC.replace(old, new, 1)
+    assert doc != COBB_DOUGLAS_DOC
+    with pytest.raises(ScenarioError, match=f"^{field}: "):
         parse_scenario(doc)
 
 
@@ -197,6 +221,95 @@ def test_round_trip_tabulated_benefit():
         TabulatedBenefit(values), Linear(0.2, 0.8), MultiplicativeIncome(Linear(1.0, 1.0))
     )
     config = ScenarioConfig(game=game, steps=40, eps=1e-6)
+    assert round_trip(config) == config
+
+
+# Finite numbers on and around the edges of every range, in and out of it.
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, -1.0, 5e-324, 1.0000000000000002]),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Values inside each field's own range; lambda + gamma may still exceed 1.
+IN_RANGE = {
+    "alpha": st.floats(0.1, 3.0), "beta": st.floats(0.1, 3.0),
+    "w1": st.floats(0.0, 2.0), "w2": st.floats(0.0, 2.0),
+    "tag": st.sampled_from(["benchmark", "externality"]),
+    "lambda": st.floats(0.0, 1.0), "gamma": st.floats(0.0, 1.0),
+    "loyalty1": st.floats(0.0, 1.0), "loyalty2": st.floats(0.0, 1.0),
+}
+BELIEF_PATHS = {"lambda_": "beliefs.lambda", "gamma": "beliefs.gamma",
+                "loyalty1": "beliefs.loyalty", "loyalty2": "beliefs.loyalty", None: "beliefs"}
+
+
+@st.composite
+def scenario_values(draw):
+    """In-range values, except that each field takes, about one time in
+    eight, any number (any string for ``tag``)."""
+    return {
+        name: draw((st.text(max_size=12) if name == "tag" else NUMBERS)
+                   if draw(st.integers(0, 7)) == 0 else in_range)
+        for name, in_range in IN_RANGE.items()
+    }
+
+
+def build_directly(v, income, with_beliefs, grid):
+    """The config the constructors build, in the parser's order, or the
+    scenario path of the first field they reject."""
+    try:
+        f1 = CobbDouglas(v["alpha"], v["beta"])
+    except ValueError as exc:
+        return None, f"game.f1.{exc.field}"
+    try:
+        f2 = Linear(v["w1"], v["w2"])
+    except ValueError as exc:
+        return None, f"game.f2.{exc.field}"
+    try:
+        game = HedonicGame(f1, f2, income, v["tag"])
+    except ValueError:
+        return None, "game.tag"
+    beliefs = None
+    if with_beliefs:
+        try:
+            beliefs = BeliefSystem(v["lambda"], v["gamma"], v["loyalty1"], v["loyalty2"])
+        except ValueError as exc:
+            return None, BELIEF_PATHS[exc.field]
+    return ScenarioConfig(game, beliefs, *grid), None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    v=scenario_values(),
+    multiplicative=st.booleans(),
+    with_beliefs=st.booleans(),
+    grid=st.tuples(
+        st.integers(2, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True)
+    ),
+)
+def test_parser_accepts_exactly_what_the_constructors_accept(v, multiplicative, with_beliefs, grid):
+    income = MultiplicativeIncome(Linear(0.5, 0.5)) if multiplicative else AdditiveFeesIncome()
+    doc = {
+        "game": {
+            "f1": {"family": "cobb_douglas", "alpha": v["alpha"], "beta": v["beta"]},
+            "f2": {"family": "linear", "w1": v["w1"], "w2": v["w2"]},
+            "income": ({"family": "multiplicative",
+                        "activity": {"family": "linear", "w1": 0.5, "w2": 0.5}}
+                       if multiplicative else {"family": "additive_fees"}),
+            "tag": v["tag"],
+        },
+        "grid": dict(zip(("steps", "eps", "s_lo"), grid)),
+    }
+    if with_beliefs:
+        doc["beliefs"] = {"lambda": v["lambda"], "gamma": v["gamma"],
+                          "loyalty": [v["loyalty1"], v["loyalty2"]]}
+    expected, path = build_directly(v, income, with_beliefs, grid)
+    if path is not None:
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(yaml.safe_dump(doc))
+        assert str(excinfo.value).startswith(f"{path}: ")
+        return
+    config = parse_scenario(yaml.safe_dump(doc))
+    assert config == expected
     assert round_trip(config) == config
 
 
