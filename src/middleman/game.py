@@ -47,6 +47,16 @@ def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
     return pts
 
 
+def _float_pair(values) -> tuple[float, float] | None:
+    """``values`` as a pair of floats, or None unless it is a sequence of two
+    numbers (a string or a mapping is not)."""
+    try:
+        pair = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return (float(pair[0]), float(pair[1])) if pair.shape == (2,) else None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Deviation lattice with ``steps`` subdivisions per axis.
@@ -67,9 +77,9 @@ class Grid:
             raise TypeError("steps must be an integer")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-        bounds = tuple(float(b) for b in self.fee_bounds)
-        if len(bounds) != 2:
-            raise ValueError("fee_bounds must be a pair")
+        bounds = _float_pair(self.fee_bounds)
+        if bounds is None:
+            raise ValueError("fee_bounds must be a pair of numbers")
         if not all(0.0 <= b < np.inf for b in bounds):
             raise ValueError("fee_bounds must be finite and nonnegative")
         object.__setattr__(self, "fee_bounds", bounds)

@@ -3,18 +3,19 @@ participation-gated middleman income, and monotonicity checkers.
 
 Users receive their gross benefit minus the access fee while the fee stays
 affordable, and nothing once overcharged. The middleman earns her net income
-only while neither user is overcharged.
+only while neither user is overcharged. Each rule has one implementation:
+:func:`capped_surplus` and :func:`gated_income`; both tabulated families
+interpolate through one multilinear routine.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .game import GamePayoffs, Grid, StrategyProfile, Value
+from .game import GamePayoffs, Grid, StrategyProfile, Value, _float_pair
 
 # Strictness margin for monotonicity checks: adjacent lattice values closer
 # than this are treated as ties.
@@ -99,6 +100,21 @@ def _node_coords(x, size):
     return i, t - i
 
 
+def _multilinear(values: np.ndarray, coords) -> Value:
+    """Multilinear interpolation of a node table at one position in [0, 1]
+    per axis: the weighted sum over the corners of each point's cell."""
+    nodes = [_node_coords(x, n) for x, n in zip(coords, values.shape)]
+    out = 0.0
+    for corner in product((0, 1), repeat=values.ndim):
+        w = 1.0
+        sel = []
+        for (i, f), bit in zip(nodes, corner):
+            sel.append(i + bit)
+            w = w * (f if bit else 1 - f)
+        out = out + values[tuple(sel)] * w
+    return _as_scalar(out)
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedBenefit(BenefitSpec):
     """Bilinear interpolation of a nonnegative node table on [0, 1]^2."""
@@ -114,16 +130,7 @@ class TabulatedBenefit(BenefitSpec):
         )
 
     def evaluate(self, s1, s2):
-        v = self.values
-        i, fx = _node_coords(s1, v.shape[0])
-        j, fy = _node_coords(s2, v.shape[1])
-        out = (
-            v[i, j] * (1 - fx) * (1 - fy)
-            + v[i + 1, j] * fx * (1 - fy)
-            + v[i, j + 1] * (1 - fx) * fy
-            + v[i + 1, j + 1] * fx * fy
-        )
-        return _as_scalar(out)
+        return _multilinear(self.values, (s1, s2))
 
 
 class IncomeSpec:
@@ -169,9 +176,9 @@ class TabulatedIncome(IncomeSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "values", _node_table(self.values, 4))
-        bounds = tuple(float(b) for b in self.fee_bounds)
-        if len(bounds) != 2:
-            raise FieldError("fee_bounds", "must be a pair")
+        bounds = _float_pair(self.fee_bounds)
+        if bounds is None:
+            raise FieldError("fee_bounds", "must be a pair of numbers")
         if not all(0 < b < np.inf for b in bounds):
             raise FieldError("fee_bounds", "must be > 0 and finite")
         object.__setattr__(self, "fee_bounds", bounds)
@@ -184,23 +191,13 @@ class TabulatedIncome(IncomeSpec):
         )
 
     def evaluate(self, rho1, rho2, s1, s2):
-        v = self.values
         coords = (
             np.clip(np.asarray(rho1) / self.fee_bounds[0], 0.0, 1.0),
             np.clip(np.asarray(rho2) / self.fee_bounds[1], 0.0, 1.0),
-            np.asarray(s1),
-            np.asarray(s2),
+            s1,
+            s2,
         )
-        nodes = [_node_coords(x, n) for x, n in zip(coords, v.shape)]
-        out = 0.0
-        for corner in product((0, 1), repeat=4):
-            w = 1.0
-            sel = []
-            for (i, f), bit in zip(nodes, corner):
-                sel.append(i + bit)
-                w = w * (f if bit else 1 - f)
-            out = out + v[tuple(sel)] * w
-        return _as_scalar(out)
+        return _multilinear(self.values, coords)
 
 
 @dataclass(frozen=True)
@@ -239,25 +236,8 @@ def user_payoff(game: HedonicGame, i: int, profile: StrategyProfile) -> Value:
 def gated_income(game: HedonicGame, rho1: Value, rho2: Value, s1: Value, s2: Value) -> Value:
     """Net income at participation (s1, s2) while both fees stay affordable
     there (the cap binds at equality), 0 otherwise."""
-    # Income before the mask, then gated in place when only this frame holds
-    # it (numpy's own test for reusing a temporary): with np.where's second
-    # full-size array a pareto_check slice outgrows glibc's heap trim
-    # threshold, and re-faulting the trimmed pages made it up to 3x slower.
-    b1 = game.f1(s1, s2)
-    b2 = game.f2(s1, s2)
-    income = game.income(rho1, rho2, s1, s2)
-    affordable = (np.asarray(rho1) <= b1) & (np.asarray(rho2) <= b2)
-    if (
-        type(income) is np.ndarray
-        and income.flags.owndata
-        and income.flags.writeable
-        and income.dtype == np.float64
-        and income.shape == affordable.shape
-        and sys.getrefcount(income) == 2
-    ):
-        np.copyto(income, 0.0, where=~affordable)
-        return income
-    return _as_scalar(np.where(affordable, income, 0.0))
+    affordable = (np.asarray(rho1) <= game.f1(s1, s2)) & (np.asarray(rho2) <= game.f2(s1, s2))
+    return _as_scalar(np.where(affordable, game.income(rho1, rho2, s1, s2), 0.0))
 
 
 def middleman_payoff(game: HedonicGame, profile: StrategyProfile) -> Value:
@@ -308,28 +288,22 @@ def benefit_weakly_increasing(f: BenefitSpec, grid: Grid) -> bool:
 def income_weakly_increasing(income: IncomeSpec, grid: Grid) -> bool:
     """True iff income is nondecreasing in each of its four arguments on the lattice.
 
-    Evaluation streams one hyperplane at a time, so large grids never
-    materialise the full 4-D tensor.
+    Evaluation streams one rho1 hyperplane, a (rho2, s1, s2) block, at a
+    time, so large grids never materialise the full 4-D tensor. Each block is
+    compared along its own three axes and with the block before it, so every
+    adjacent pair of lattice values is compared once.
     """
-    r1 = grid.fee_axis(1)
-    r2 = grid.fee_axis(2)
+    r2 = grid.fee_axis(2)[:, None, None]
     s = grid.participation_axis()
-    axes = (r1, r2, s, s)
-
-    for k, axis in enumerate(axes):
-        shapes = []
-        for pos, other in enumerate(axes):
-            if pos == k:
-                continue
-            shape = [1, 1, 1]
-            shape[len(shapes)] = other.size
-            shapes.append(other.reshape(shape))
-        prev = None
-        for value in axis:
-            args = shapes[:k] + [value] + shapes[k:]
-            cur = np.asarray(income(*args))
-            if prev is not None and np.any(cur < prev - STRICT_TOL):
-                return False
-            prev = cur
+    shape = (r2.size, s.size, s.size)
+    prev = None
+    for rho1 in grid.fee_axis(1):
+        cur = np.broadcast_to(income(rho1, r2, s[:, None], s), shape)
+        pairs = [(cur[1:], cur[:-1]), (cur[:, 1:], cur[:, :-1]), (cur[:, :, 1:], cur[:, :, :-1])]
+        if prev is not None:
+            pairs.append((cur, prev))
+        if any(np.any(later < earlier - STRICT_TOL) for later, earlier in pairs):
+            return False
+        prev = cur
     return True
 

@@ -202,8 +202,6 @@ def pareto_check(
     r2 = grid.fee_axis(2)[None, None, :]
     for s1 in s_axis:
         slice_profile = StrategyProfile(s1, s2, r1, r2)
-        # No slice array outlives its scan, so each slice reuses the same heap
-        # blocks (see the note in hedonic.gated_income).
         if _scan.any_strict_dominator(
             game.payoff_user1(slice_profile),
             game.payoff_user2(slice_profile),

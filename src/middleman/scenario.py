@@ -195,7 +195,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError("missing game section")
 
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # type first: True and 1.0 both compare equal to 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         _fail("schema_version", f"unsupported value {version!r} (expected {SCHEMA_VERSION})")
 
     game_sec = _mapping(doc["game"], "game")
@@ -214,23 +215,25 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     beliefs = _beliefs(doc["beliefs"]) if "beliefs" in doc else None
 
-    steps, eps, s_lo = 100, 1e-9, 0.0
+    # only the grid fields the document sets; ScenarioConfig holds the defaults
+    grid = {}
     if "grid" in doc:
         grid_sec = _mapping(doc["grid"], "grid")
         _reject_unknown(grid_sec, {"steps", "eps", "s_lo"}, "grid")
         if "steps" in grid_sec:
-            raw = grid_sec["steps"]
-            if isinstance(raw, bool) or not isinstance(raw, int):
+            steps = grid_sec["steps"]
+            if isinstance(steps, bool) or not isinstance(steps, int):
                 _fail("grid.steps", "expected an integer")
-            if raw < 2:
+            if steps < 2:
                 _fail("grid.steps", "must be >= 2")
-            steps = raw
-        eps = _number(grid_sec, "eps", "grid", lo=0.0, default=1e-9)
-        s_lo = _number(grid_sec, "s_lo", "grid", lo=0.0, default=0.0)
-        if s_lo >= 1.0:
+            grid["steps"] = steps
+        for key in ("eps", "s_lo"):
+            if key in grid_sec:
+                grid[key] = _number(grid_sec, key, "grid", lo=0.0)
+        if "s_lo" in grid and grid["s_lo"] >= 1.0:
             _fail("grid.s_lo", "must be < 1")
 
-    return ScenarioConfig(game=game, beliefs=beliefs, steps=steps, eps=eps, s_lo=s_lo)
+    return ScenarioConfig(game=game, beliefs=beliefs, **grid)
 
 
 def _benefit_doc(spec: BenefitSpec) -> dict:

@@ -29,6 +29,23 @@ grid:
 
 IMPROPER_DOC = BENCHMARK_DOC.replace("gamma: 0.5", "gamma: 0.5\n  lambda: 0.8")
 
+# Tabulated income, which no exact path covers: pareto and ambiguity-eq scan
+# the payoff lattice and gate the income on slice-size arrays.
+TABULATED_DOC = """
+schema_version: 1
+game:
+  f1: {family: linear, w1: 0.5, w2: 0.5}
+  f2: {family: linear, w1: 0.5, w2: 0.5}
+  income:
+    family: tabulated
+    values: [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.3], [0.3, 1.0]]],
+             [[[0.0, 0.3], [0.3, 1.0]], [[0.0, 0.6], [0.6, 2.0]]]]
+    fee_bounds: [1.0, 1.0]
+beliefs:
+  gamma: 0.8
+  loyalty: [0.5, 0.5]
+"""
+
 
 def run_cli(*argv):
     return subprocess.run(
@@ -42,6 +59,13 @@ def run_cli(*argv):
 def scenario(tmp_path):
     path = tmp_path / "benchmark.yaml"
     path.write_text(BENCHMARK_DOC)
+    return str(path)
+
+
+@pytest.fixture
+def tabulated_scenario(tmp_path):
+    path = tmp_path / "tabulated.yaml"
+    path.write_text(TABULATED_DOC)
     return str(path)
 
 
@@ -299,12 +323,24 @@ GOLDEN_SHA256 = [
     (("pareto", "--scenario", "{root}/scenarios/cobb_douglas_loyalty.yaml",
       "--profile", "1,0.5,0.1,0.3", "--format", "machine"),
      "4ed8c0f782ba1230ed273f565c43b3a7e6f232d5e602b277c8095b0f7e917c9f"),
+    # tabulated income: an efficient profile, one that higher participation
+    # dominates, and the belief-modified Nash check with its best fee pair
+    (("pareto", "--scenario", "{tabulated}", "--profile", "1,1,1,1", "--steps", "12"),
+     "cdf2ea51c9a2d1ae478c039b1792b1ff2e3a47ff0bce5454587b57d5a0af786d"),
+    (("pareto", "--scenario", "{tabulated}", "--profile", "0.5,0.5,0.5,0.5",
+      "--steps", "12"),
+     "17c0390207479ad07571d681d06c4cf6d8fd3036e7aea6a0dc2112ab11e2c230"),
+    (("ambiguity-eq", "--scenario", "{tabulated}", "--profile", "1,1,0.5,0.5",
+      "--steps", "12"),
+     "af6b62204188edb63195718a8f0b7f5268b03546d8d686cbc0253329cd12053f"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_SHA256)
-def test_map_output_golden_bytes(scenario, argv, digest):
-    result = run_cli(*(a.format(scenario=scenario, root=ROOT) for a in argv))
+def test_map_output_golden_bytes(scenario, tabulated_scenario, argv, digest):
+    result = run_cli(
+        *(a.format(scenario=scenario, tabulated=tabulated_scenario, root=ROOT) for a in argv)
+    )
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 

@@ -65,10 +65,20 @@ def test_grid_rejects_negative_fee_bound():
         Grid(10, (-0.1, 1.0))
 
 
-@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
-def test_grid_rejects_nonfinite_fee_bound(bound):
-    with pytest.raises(ValueError, match="fee_bounds must be finite"):
-        Grid(10, (bound, 1.0))
+@pytest.mark.parametrize(
+    "bounds,problem",
+    [
+        ((float("nan"), 1.0), "must be finite"),
+        ((float("inf"), 1.0), "must be finite"),
+        # two characters or two keys are not two numbers
+        ("12", "must be a pair of numbers"),
+        ({1: 2, 3: 4}, "must be a pair of numbers"),
+    ],
+    ids=["nan", "inf", "string", "mapping"],
+)
+def test_grid_rejects_nonfinite_fee_bound(bounds, problem):
+    with pytest.raises(ValueError, match=f"^fee_bounds {problem}"):
+        Grid(10, bounds)
 
 
 def test_profile_validates_ranges():

@@ -21,6 +21,7 @@ from middleman import (
     middleman_payoff,
     user_payoff,
 )
+from middleman.hedonic import STRICT_TOL, FieldError
 
 
 def product_game(income=None):
@@ -156,11 +157,46 @@ def test_constant_income_weakly_increasing():
     assert income_weakly_increasing(income, Grid(8))
 
 
-def test_decreasing_income_cell_detected():
+@pytest.mark.parametrize("axis", range(4), ids=["rho1", "rho2", "s1", "s2"])
+def test_decreasing_income_cell_detected(axis):
     values = np.ones((2, 2, 2, 2))
-    values[1, 0, 0, 0] = 0.5  # drops as rho1 rises
+    node = [0, 0, 0, 0]
+    node[axis] = 1
+    values[tuple(node)] = 0.5  # drops as this argument rises
     income = TabulatedIncome(values, (1.0, 1.0))
     assert not income_weakly_increasing(income, Grid(8))
+
+
+def lattice_weakly_increasing(income, grid):
+    """Reference: every np.diff of the full 4-D lattice tensor, at once."""
+    r1, r2, s = grid.fee_axis(1), grid.fee_axis(2), grid.participation_axis()
+    full = income(r1[:, None, None, None], r2[:, None, None], s[:, None], s)
+    return all(bool((np.diff(full, axis=k) >= -STRICT_TOL).all()) for k in range(4))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_income_weakly_increasing_matches_full_tensor_reference(seed):
+    # node counts whose nodes all lie on the Grid(6) lattice, so a drop
+    # planted at a node is a drop between adjacent lattice points
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.choice([2, 3, 4, 7], size=4))
+    values = rng.uniform(0.1, 1.0, shape)
+    for axis in range(4):
+        values = np.cumsum(values, axis=axis)
+    bounds = tuple(rng.uniform(0.5, 2.0, 2))
+    grid = Grid(6, bounds)
+    monotone = TabulatedIncome(values, bounds)
+    assert income_weakly_increasing(monotone, grid)
+    assert lattice_weakly_increasing(monotone, grid)
+
+    for axis in range(4):
+        # raising the nodes at index k - 1 on one axis by more than any step
+        # plants a drop at k along that axis alone
+        k = int(rng.integers(1, shape[axis]))
+        ridge = (np.arange(shape[axis]) == k - 1).reshape([-1 if a == axis else 1 for a in range(4)])
+        dropped = TabulatedIncome(values + values.max() * ridge, bounds)
+        assert not income_weakly_increasing(dropped, grid)
+        assert not lattice_weakly_increasing(dropped, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +258,9 @@ def test_tabulated_benefit_interpolates_bilinear_exactly():
     nodes = np.linspace(0, 1, 5)
     values = 0.3 * nodes[:, None] + 0.7 * nodes[None, :]
     tab = TabulatedBenefit(values)
+    assert np.array_equal(tab(nodes[:, None], nodes[None, :]), values)
+    for (i, j), v in np.ndenumerate(values):
+        assert tab(nodes[i], nodes[j]) == v
     rng = np.random.default_rng(3)
     for _ in range(50):
         s1, s2 = rng.uniform(0, 1, 2)
@@ -242,6 +281,16 @@ def test_tabulated_income_interpolates_multilinear_exactly():
         assert income(rho1, rho2, s1, s2) == pytest.approx(
             (rho1 + rho2) * (s1 + s2), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "bounds", ["12", {1: 2, 3: 4}, (1.0,), (1.0, 2.0, 3.0)],
+    ids=["string", "mapping", "single", "triple"],
+)
+def test_tabulated_income_fee_bounds_must_be_a_pair(bounds):
+    with pytest.raises(FieldError, match="^fee_bounds must be a pair of numbers$") as info:
+        TabulatedIncome(np.ones((2, 2, 2, 2)), bounds)
+    assert info.value.field == "fee_bounds"
 
 
 def test_game_tag_validated():

@@ -172,9 +172,11 @@ def test_missing_loyalty_names_the_field():
 
 
 def test_bad_schema_version_rejected():
-    doc = COBB_DOUGLAS_DOC.replace("schema_version: 1", "schema_version: 2")
-    with pytest.raises(ScenarioError, match="schema_version"):
-        parse_scenario(doc)
+    # true and 1.0 compare equal to 1 but are not the integer 1
+    for version in ("2", "true", "1.0", "'1'"):
+        doc = COBB_DOUGLAS_DOC.replace("schema_version: 1", f"schema_version: {version}")
+        with pytest.raises(ScenarioError, match="^schema_version: unsupported value"):
+            parse_scenario(doc)
 
 
 def test_malformed_yaml_reports_location():
@@ -183,9 +185,9 @@ def test_malformed_yaml_reports_location():
 
 
 def test_grid_section_validated():
-    doc = COBB_DOUGLAS_DOC + "\ngrid: {steps: 1}\n"
-    with pytest.raises(ScenarioError, match="grid.steps"):
-        parse_scenario(doc)
+    for grid, problem in (("{steps: 1}", "grid.steps"), ("{s_lo: 1.0}", "grid.s_lo: must be < 1")):
+        with pytest.raises(ScenarioError, match=problem):
+            parse_scenario(COBB_DOUGLAS_DOC + f"\ngrid: {grid}\n")
 
 
 def test_unknown_output_rejected():
