@@ -7,9 +7,13 @@ default) and ``svg`` for ``region``, ``csv`` (the default) and ``machine``
 for ``sweep``. Only the verdict reports take ``--assert``.
 
 Exit codes: 0 on success, 1 when ``--assert`` is given and the analysis
-verdict is false, 2 on usage or validation errors, including grids and
-lattices whose largest array would exceed :data:`MAX_POINTS` points, and 3
-on any other error, whose traceback goes to stderr.
+verdict is false, 2 on usage or validation errors, including lattices and
+grid checks over :data:`MAX_POINTS` points, and 3 on any other error, a
+``TypeError`` included, whose traceback goes to stderr. A grid check counts
+the points it evaluates: ``(steps + 1)^2`` for ``verify-nash`` and
+``ambiguity-eq``, ``(steps + 1)^3`` for ``pareto`` on the exact corner path
+and per participation slice of ``dominance``, and ``(steps + 1)^4`` for
+``pareto`` on a game the corner path cannot decide, which it scans.
 """
 
 from __future__ import annotations
@@ -33,13 +37,12 @@ from .ambiguity import (
 )
 from .game import Grid, StrategyProfile
 from .hedonic import full_extraction_fees, game_payoffs
-from .oracles import epsilon_nash_check, pareto_check, weak_dominance_check
+from .oracles import _fee_monotone, epsilon_nash_check, pareto_check, weak_dominance_check
 from .scenario import ScenarioError, emit_results, parse_scenario, sweep_csv, sweep_machine
 
 SWEEPABLE_FIELDS = ("gamma", "lambda", "loyalty1", "loyalty2")
-# Region and sweep lattices, and the largest array of each grid check, are
-# built whole; larger ones are refused before any allocation rather than
-# risking memory exhaustion.
+# Larger lattices and grid checks are refused before any allocation rather
+# than risking memory exhaustion or a run of minutes.
 MAX_POINTS = 10_000_000
 
 
@@ -101,16 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    for name, help_text, handler, profile in (
+    for name, help_text, build, profile in (
         ("verify-nash", "check a profile for unilateral grid deviations",
-         _cmd_verify_nash, True),
+         _build_verify_nash, True),
         ("dominance", "check the profile's participation levels for weak dominance",
-         _cmd_dominance, True),
-        ("pareto", "check a profile for grid Pareto efficiency", _cmd_pareto, True),
-        ("ambiguity-eq", "Nash check of the belief-modified game", _cmd_ambiguity_eq, True),
-        ("threshold", "full-exploitation threshold verdict", _cmd_threshold, False),
+         _build_dominance, True),
+        ("pareto", "check a profile for grid Pareto efficiency", _build_pareto, True),
+        ("ambiguity-eq", "Nash check of the belief-modified game", _build_ambiguity_eq, True),
+        ("threshold", "full-exploitation threshold verdict", _build_threshold, False),
     ):
-        report = add(name, help_text, handler, ("text", "machine"), profile=profile)
+        report = add(name, help_text, _cmd_report, ("text", "machine"), profile=profile)
+        report.set_defaults(build=build)
         report.add_argument(
             "--assert",
             dest="assert_",
@@ -136,12 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(args):
-    return parse_scenario(Path(args.scenario).read_text())
-
-
 def _grid_and_eps(config, args, dims):
-    """Grid and tolerance of a check whose largest array spans ``dims`` axes."""
+    """Grid and tolerance of a check that counts ``(steps + 1)^dims`` points
+    against :data:`MAX_POINTS`."""
     steps, source = (config.steps, "grid.steps") if args.steps is None else (args.steps, "--steps")
     eps = config.eps if args.eps is None else args.eps
     grid = Grid(steps, full_extraction_fees(config.game), config.s_lo)
@@ -167,91 +168,72 @@ def _deliver(text, args):
         sys.stdout.write(text)
 
 
-def _emit_report(entries, args, verdict_key):
+def _cmd_report(args):
+    """Run a verdict report. The subcommand's ``_build_*`` function, set as
+    ``args.build``, takes the parsed scenario and returns the verdict and the
+    report entries; a false verdict under ``--assert`` exits 1."""
+    config = parse_scenario(Path(args.scenario).read_text())
+    verdict, entries = args.build(config, args)
     _deliver(emit_results(entries, args.format), args)
-    return 1 if args.assert_ and not entries[verdict_key] else 0
+    return 1 if args.assert_ and not verdict else 0
 
 
-def _cmd_verify_nash(args):
-    config = _load_scenario(args)
+def _build_verify_nash(config, args):
     grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = epsilon_nash_check(game_payoffs(config.game), profile, grid, eps)
-    return _emit_report(
-        {"check": "verify-nash", "verdict": verdict, "profile": args.profile},
-        args,
-        "verdict",
-    )
+    return verdict, {"check": "verify-nash", "verdict": verdict, "profile": args.profile}
 
 
-def _cmd_dominance(args):
-    config = _load_scenario(args)
+def _build_dominance(config, args):
     grid, eps = _grid_and_eps(config, args, 3)
     payoffs = game_payoffs(config.game)
     s1, s2 = args.profile[0], args.profile[1]
     v1 = weak_dominance_check(payoffs, 1, s1, grid, eps)
     v2 = weak_dominance_check(payoffs, 2, s2, grid, eps)
-    return _emit_report(
-        {
-            "check": "dominance",
-            "verdict": v1 and v2,
-            "verdict_user1": v1,
-            "verdict_user2": v2,
-            "candidates": (s1, s2),
-        },
-        args,
-        "verdict",
-    )
+    verdict = v1 and v2
+    return verdict, {
+        "check": "dominance",
+        "verdict": verdict,
+        "verdict_user1": v1,
+        "verdict_user2": v2,
+        "candidates": (s1, s2),
+    }
 
 
-def _cmd_pareto(args):
-    config = _load_scenario(args)
-    grid, eps = _grid_and_eps(config, args, 3)
-    profile = StrategyProfile(*args.profile)
-    verdict = pareto_check(game_payoffs(config.game), profile, grid, eps)
-    return _emit_report(
-        {"check": "pareto", "verdict": verdict, "profile": args.profile},
-        args,
-        "verdict",
-    )
+def _build_pareto(config, args):
+    payoffs = game_payoffs(config.game)
+    # points evaluated: (steps + 1)^3 on the corner path, (steps + 1)^4 on the scan
+    grid, eps = _grid_and_eps(config, args, 3 if _fee_monotone(payoffs) else 4)
+    verdict = pareto_check(payoffs, StrategyProfile(*args.profile), grid, eps)
+    return verdict, {"check": "pareto", "verdict": verdict, "profile": args.profile}
 
 
-def _cmd_ambiguity_eq(args):
-    config = _load_scenario(args)
+def _build_ambiguity_eq(config, args):
     beliefs = _require_beliefs(config)
     grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = ambiguity_equilibrium_check(config.game, beliefs, profile, grid, eps)
-    best = best_fee_response(config.game, beliefs, grid)
-    return _emit_report(
-        {
-            "check": "ambiguity-eq",
-            "verdict": verdict,
-            "profile": args.profile,
-            "best_fee_response": best,
-        },
-        args,
-        "verdict",
-    )
+    return verdict, {
+        "check": "ambiguity-eq",
+        "verdict": verdict,
+        "profile": args.profile,
+        "best_fee_response": best_fee_response(config.game, beliefs, grid),
+    }
 
 
-def _cmd_threshold(args):
-    config = _load_scenario(args)
+def _build_threshold(config, args):
     beliefs = _require_beliefs(config)
     verdict = full_exploitation_verdict(config.game, beliefs)
-    return _emit_report(
-        {
-            "full_exploitation": verdict.full_exploitation,
-            "delta": verdict.delta,
-            "rhs": verdict.rhs,
-            "gamma": beliefs.gamma,
-            "lambda": beliefs.lambda_,
-            "loyalty_fees": loyalty_fees(config.game, beliefs),
-            "full_extraction_fees": full_extraction_fees(config.game),
-        },
-        args,
-        "full_exploitation",
-    )
+    return verdict.full_exploitation, {
+        "full_exploitation": verdict.full_exploitation,
+        "delta": verdict.delta,
+        "rhs": verdict.rhs,
+        "gamma": beliefs.gamma,
+        "lambda": beliefs.lambda_,
+        "loyalty_fees": loyalty_fees(config.game, beliefs),
+        "full_extraction_fees": full_extraction_fees(config.game),
+    }
 
 
 def _cmd_region(args):
@@ -262,7 +244,7 @@ def _cmd_region(args):
 
 
 def _cmd_sweep(args):
-    config = _load_scenario(args)
+    config = parse_scenario(Path(args.scenario).read_text())
     beliefs = _require_beliefs(config)
     names = [name for name, *_ in args.sweeps]
     if len(set(names)) != len(names):
@@ -311,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (TypeError, ValueError, OSError) as exc:  # ScenarioError is a ValueError
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -47,11 +47,21 @@ def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
     return pts
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float64 array. An integer beyond the float range makes
+    every entry infinite: it is the non-finite number it would round to, and
+    callers only reject such an array."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return np.full(np.shape(values), np.inf)
+
+
 def _float_pair(values) -> tuple[float, float] | None:
     """``values`` as a pair of floats, or None unless it is a sequence of two
     numbers (a string or a mapping is not)."""
     try:
-        pair = np.asarray(values, dtype=np.float64)
+        pair = _float_array(values)
     except (TypeError, ValueError):
         return None
     return (float(pair[0]), float(pair[1])) if pair.shape == (2,) else None

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .game import GamePayoffs, Grid, StrategyProfile, Value, _float_pair
+from .game import GamePayoffs, Grid, StrategyProfile, Value, _float_array, _float_pair
 
 # Strictness margin for monotonicity checks: adjacent lattice values closer
 # than this are treated as ties.
@@ -83,7 +83,7 @@ def _node_table(values, ndim: int) -> np.ndarray:
     """``values`` as a float table of ``ndim`` axes, each with at least 2
     nodes, every entry finite and nonnegative."""
     try:
-        v = np.asarray(values, dtype=np.float64)
+        v = _float_array(values)
     except (TypeError, ValueError):
         raise FieldError("values", "must be a rectangular table of numbers") from None
     if v.ndim != ndim or any(n < 2 for n in v.shape):

@@ -271,15 +271,16 @@ def test_nonfinite_scenario_number_exits_2(tmp_path, old, new, field):
     assert result.stdout == ""
 
 
-def test_unexpected_error_exits_3(scenario, monkeypatch, capsys):
-    def crash(args):
-        raise RuntimeError("boom")
+@pytest.mark.parametrize("error", [RuntimeError, TypeError])
+def test_unexpected_error_exits_3(scenario, monkeypatch, capsys, error):
+    def crash(config, args):
+        raise error("boom")
 
-    monkeypatch.setattr(cli, "_cmd_threshold", crash)
+    monkeypatch.setattr(cli, "_build_threshold", crash)
     assert cli.main(["threshold", "--scenario", scenario]) == 3
     err = capsys.readouterr().err
     assert err.startswith("Traceback")
-    assert "RuntimeError: boom" in err
+    assert f"{error.__name__}: boom" in err
 
 
 # SHA-256 of stdout, captured from the per-point implementation of the
@@ -371,12 +372,19 @@ def test_steps_zero_rejected(scenario):
         (("pareto", "--scenario", "{scenario}", "--profile", "1,1,1,1",
           "--steps", "300"), "--steps"),
         (("pareto", "--scenario", "{large_grid}", "--profile", "1,1,1,1"), "grid.steps"),
+        # a game the corner path cannot decide is scanned: (steps + 1)^4 points
+        (("pareto", "--scenario", "{tabulated}", "--profile", "1,1,1,1"), "grid.steps"),
+        (("pareto", "--scenario", "{tabulated}", "--profile", "1,1,1,1",
+          "--steps", "56"), "--steps"),
     ],
 )
-def test_over_budget_lattice_rejected(scenario, tmp_path, argv, flag):
+def test_over_budget_lattice_rejected(scenario, tabulated_scenario, tmp_path, argv, flag):
     large_grid = tmp_path / "large_grid.yaml"
     large_grid.write_text(BENCHMARK_DOC.replace("steps: 20", "steps: 300"))
-    result = run_cli(*(a.format(scenario=scenario, large_grid=large_grid) for a in argv))
+    result = run_cli(*(
+        a.format(scenario=scenario, tabulated=tabulated_scenario, large_grid=large_grid)
+        for a in argv
+    ))
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {flag}: ")
     assert "limit" in result.stderr

@@ -70,11 +70,12 @@ def test_grid_rejects_negative_fee_bound():
     [
         ((float("nan"), 1.0), "must be finite"),
         ((float("inf"), 1.0), "must be finite"),
+        ((10**400, 1.0), "must be finite"),
         # two characters or two keys are not two numbers
         ("12", "must be a pair of numbers"),
         ({1: 2, 3: 4}, "must be a pair of numbers"),
     ],
-    ids=["nan", "inf", "string", "mapping"],
+    ids=["nan", "inf", "overflow", "string", "mapping"],
 )
 def test_grid_rejects_nonfinite_fee_bound(bounds, problem):
     with pytest.raises(ValueError, match=f"^fee_bounds {problem}"):

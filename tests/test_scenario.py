@@ -101,6 +101,13 @@ TABULATED_INCOME = (
          "{family: linear, w1: .nan, w2: 0.5}", "game.f1.w1"),
         ("{family: cobb_douglas, alpha: 1.0, beta: 1.0}",
          "{family: linear, w1: 1" + "0" * 400 + ", w2: 0.5}", "game.f1.w1"),
+        ("{family: cobb_douglas, alpha: 1.0, beta: 1.0}",
+         "{family: tabulated, values: [[0.0, 0.5], [0.5, 1" + "0" * 400 + "]]}",
+         "game.f1.values"),
+        (TABULATED_INCOME,
+         "    family: tabulated\n"
+         f"    values: {TABLE_4D.format(x='1' + '0' * 400)}\n"
+         "    fee_bounds: [1.0, 1.0]\n", "game.income.values"),
         ("alpha: 1.0", "alpha: .nan", "game.f1.alpha"),
         ("beta: 1.0", "beta: .inf", "game.f1.beta"),
         ("gamma: 0.5", "gamma: .nan", "beliefs.gamma"),
@@ -119,9 +126,9 @@ TABULATED_INCOME = (
         ("loyalty: [0.5, 0.5]", "loyalty: [.nan, 0.5]", "beliefs.loyalty"),
         ("loyalty: [0.5, 0.5]", "loyalty: [0.5, -.inf]", "beliefs.loyalty"),
     ],
-    ids=["linear-nan", "linear-overflow", "alpha-nan", "beta-inf", "gamma-nan",
-         "eps-nan", "s_lo-inf", "benefit-table-nan", "income-table-nan",
-         "fee-bound-inf", "loyalty-nan", "loyalty-inf"],
+    ids=["linear-nan", "linear-overflow", "benefit-table-overflow", "income-table-overflow",
+         "alpha-nan", "beta-inf", "gamma-nan", "eps-nan", "s_lo-inf", "benefit-table-nan",
+         "income-table-nan", "fee-bound-inf", "loyalty-nan", "loyalty-inf"],
 )
 def test_nonfinite_number_names_the_field(old, new, field):
     doc = COBB_DOUGLAS_DOC.replace(old, new, 1)
