@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import BeliefSystem, _require_threshold_domain, loyalty_fees
-from .hedonic import HedonicGame, MultiplicativeIncome
+from .hedonic import HedonicGame, MultiplicativeIncome, full_extraction_fees
 
 
 class PessimisticIncomeZeroError(ZeroDivisionError):
@@ -32,7 +32,7 @@ def activity_full_exploitation_condition(game: HedonicGame, beliefs: BeliefSyste
         raise TypeError("ratio condition requires the multiplicative income family")
     _require_threshold_domain(beliefs)
 
-    f_hat = float(game.f1(1.0, 1.0)) + float(game.f2(1.0, 1.0))
+    f_hat = sum(full_extraction_fees(game))
     phi = loyalty_fees(game, beliefs)
     phi_hat = phi[0] + phi[1]
     g = game.income.activity

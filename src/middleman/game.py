@@ -48,13 +48,21 @@ def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def _float_array(values) -> np.ndarray:
-    """``values`` as a float64 array. An integer beyond the float range makes
-    every entry infinite: it is the non-finite number it would round to, and
-    callers only reject such an array."""
+    """``values`` as a float64 array. Every entry must be an int or a float;
+    a boolean, a string, a ragged row or a mapping raises TypeError. An
+    integer beyond the float range makes every entry infinite: it is the
+    non-finite number it would round to, and callers only reject such an
+    array."""
+    items = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if items.dtype.kind not in "iuf" and not all(
+        isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+        for x in items.flat
+    ):
+        raise TypeError("expected numbers")
     try:
-        return np.asarray(values, dtype=np.float64)
+        return items.astype(np.float64)
     except OverflowError:
-        return np.full(np.shape(values), np.inf)
+        return np.full(items.shape, np.inf)
 
 
 def _float_pair(values) -> tuple[float, float] | None:

@@ -6,6 +6,9 @@ treat improvements of at most ``eps`` as ties, so verdicts are monotone in
 ``eps``. The brute-force scans are the reference: they stream one
 participation slice at a time, keeping memory flat even at high
 resolutions, and reduce each slice with the numpy comparisons in ``_scan``.
+``epsilon_nash_check`` checks its three deviation sets in order (user 1,
+user 2, the middleman), and ``weak_dominance_check`` evaluates the
+candidate as the last row of each slice.
 
 ``pareto_check`` takes an exact O(n^3) path instead of the O(n^4) scan for
 the bundles ``hedonic.game_payoffs`` builds when the game's income is
@@ -67,34 +70,24 @@ def epsilon_nash_check(
 ) -> bool:
     """True iff no player gains more than ``eps`` by a unilateral grid deviation.
 
-    Users deviate in their own participation level only; the middleman
-    deviates in the fee pair jointly over the full fee-pair lattice.
+    The three deviation sets are checked in order, stopping at the first
+    gain: user 1 and then user 2 over their own participation axis, then the
+    middleman jointly over the full fee-pair lattice.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
     s_axis = grid.participation_axis()
-
-    base = game.payoff_user1(profile)
-    alts = game.payoff_user1(
-        StrategyProfile(s_axis, profile.s2, profile.rho1, profile.rho2)
+    r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
+    s1, s2, rho1, rho2 = profile.s1, profile.s2, profile.rho1, profile.rho2
+    deviations = (
+        (game.payoff_user1, (s_axis, s2, rho1, rho2)),
+        (game.payoff_user2, (s1, s_axis, rho1, rho2)),
+        (game.payoff_middleman, (s1, s2, r1[:, None], r2[None, :])),
     )
-    if _scan.any_improvement(alts, base, eps):
-        return False
-
-    base = game.payoff_user2(profile)
-    alts = game.payoff_user2(
-        StrategyProfile(profile.s1, s_axis, profile.rho1, profile.rho2)
-    )
-    if _scan.any_improvement(alts, base, eps):
-        return False
-
-    r1 = grid.fee_axis(1)
-    r2 = grid.fee_axis(2)
-    base = game.payoff_middleman(profile)
-    alts = game.payoff_middleman(
-        StrategyProfile(profile.s1, profile.s2, r1[:, None], r2[None, :])
-    )
-    return not _scan.any_improvement(alts, base, eps)
+    for pay, fields in deviations:
+        if _scan.any_improvement(pay(StrategyProfile(*fields)), pay(profile), eps):
+            return False
+    return True
 
 
 def weak_dominance_check(
@@ -103,7 +96,8 @@ def weak_dominance_check(
     """True iff ``candidate`` weakly dominates every grid strategy of user ``player``.
 
     For every grid profile of the other two players, the candidate's payoff
-    must be at least every alternative's payoff minus ``eps``.
+    must be at least every alternative's payoff minus ``eps``. Each such
+    context is one payoff call, with the candidate as the last row.
     """
     if player not in (1, 2):
         raise ValueError("player must be user 1 or user 2")
@@ -115,16 +109,13 @@ def weak_dominance_check(
     s_axis = grid.participation_axis()
     r1 = grid.fee_axis(1)[:, None]
     r2 = grid.fee_axis(2)[None, :]
-
-    own = s_axis[:, None, None]
+    own = np.append(s_axis, candidate)[:, None, None]
     for s_other in s_axis:
-        if player == 1:
-            alts = pay(StrategyProfile(own, s_other, r1, r2))
-            cand = pay(StrategyProfile(candidate, s_other, r1, r2))
-        else:
-            alts = pay(StrategyProfile(s_other, own, r1, r2))
-            cand = pay(StrategyProfile(s_other, candidate, r1, r2))
-        if _scan.any_dominance_gap(alts, cand, eps):
+        s = (own, s_other) if player == 1 else (s_other, own)
+        pays = pay(StrategyProfile(*s, r1, r2))
+        if np.shape(pays)[:1] != own.shape[:1]:  # a payoff that ignores the own level
+            pays = np.broadcast_to(pays, np.broadcast_shapes(np.shape(pays), own.shape))
+        if _scan.any_dominance_gap(pays[:-1], pays[-1], eps):
             return False
     return True
 

@@ -16,6 +16,7 @@ from middleman import (
     Linear,
     MultiplicativeIncome,
     StrategyProfile,
+    TabulatedBenefit,
     TabulatedIncome,
     epsilon_nash_check,
     full_extraction_fees,
@@ -74,8 +75,11 @@ def test_grid_rejects_negative_fee_bound():
         # two characters or two keys are not two numbers
         ("12", "must be a pair of numbers"),
         ({1: 2, 3: 4}, "must be a pair of numbers"),
+        # a string or a boolean entry is not a number either
+        (("1", 1.0), "must be a pair of numbers"),
+        ((True, 1.0), "must be a pair of numbers"),
     ],
-    ids=["nan", "inf", "overflow", "string", "mapping"],
+    ids=["nan", "inf", "overflow", "string", "mapping", "string-entry", "boolean-entry"],
 )
 def test_grid_rejects_nonfinite_fee_bound(bounds, problem):
     with pytest.raises(ValueError, match=f"^fee_bounds {problem}"):
@@ -293,20 +297,21 @@ benefits = st.one_of(
     st.builds(Linear, st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
     st.builds(CobbDouglas, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
 )
-incomes = st.one_of(st.builds(MultiplicativeIncome, benefits), st.just(AdditiveFeesIncome()))
+tables = st.lists(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3), min_size=3,
+                  max_size=3).map(TabulatedBenefit)
 EPS = (0.0, 1e-9, 1e-3, 0.05, 0.3)
 
 
 @st.composite
-def pareto_cases(draw):
-    """A fee-monotone game, a grid whose fee bounds reach full extraction or
-    beyond, and a profile at full extraction, on the grid, or anywhere in the
-    strategy box."""
+def pareto_cases(draw, benefits=benefits, steps=st.integers(2, 10)):
+    """A game over ``benefits`` (fee-monotone by default), a grid whose fee
+    bounds reach full extraction or beyond, and a profile at full extraction,
+    on the grid, or anywhere in the strategy box."""
+    incomes = st.one_of(st.builds(MultiplicativeIncome, benefits), st.just(AdditiveFeesIncome()))
     game = HedonicGame(draw(benefits), draw(benefits), draw(incomes))
     F = full_extraction_fees(game)
     scale = draw(st.sampled_from((1.0, 1.5)))
-    grid = Grid(draw(st.integers(2, 10)), (F[0] * scale, F[1] * scale),
-                draw(st.sampled_from((0.0, 0.1))))
+    grid = Grid(draw(steps), (F[0] * scale, F[1] * scale), draw(st.sampled_from((0.0, 0.1))))
     s = grid.participation_axis()
     axes = (s, s, grid.fee_axis(1), grid.fee_axis(2))
     kind = draw(st.sampled_from(("full", "grid", "grid", "off")))
@@ -407,6 +412,85 @@ def test_verdicts_monotone_in_eps(case, extra):
     for check in checks:
         verdicts = [check(e) for e in eps]
         assert verdicts == sorted(verdicts)  # once true, true at every larger eps
+
+
+def nash_pairs(pay, p, grid):
+    """(deviation payoff, payoff at p) for every unilateral grid deviation,
+    each deviation evaluated on its own as a scalar profile."""
+    s = grid.participation_axis().tolist()
+    r1, r2 = grid.fee_axis(1).tolist(), grid.fee_axis(2).tolist()
+    deviations = (
+        (pay.payoff_user1, [(x, p.s2, p.rho1, p.rho2) for x in s]),
+        (pay.payoff_user2, [(p.s1, x, p.rho1, p.rho2) for x in s]),
+        (pay.payoff_middleman, [(p.s1, p.s2, a, b) for a in r1 for b in r2]),
+    )
+    return [(f(StrategyProfile(*d)), f(p)) for f, devs in deviations for d in devs]
+
+
+def dominance_pairs(pay, player, candidate, grid):
+    """(alternative's payoff, candidate's payoff) for every grid strategy of
+    user ``player`` in every grid context, one scalar profile each."""
+    s = grid.participation_axis().tolist()
+    r1, r2 = grid.fee_axis(1).tolist(), grid.fee_axis(2).tolist()
+    f = pay.payoff_user1 if player == 1 else pay.payoff_user2
+
+    def at(own, other, a, b):
+        return f(StrategyProfile(own, other, a, b) if player == 1 else
+                 StrategyProfile(other, own, a, b))
+
+    pairs = []
+    for other in s:
+        for a in r1:
+            for b in r2:
+                cand = at(candidate, other, a, b)
+                pairs += [(at(x, other, a, b), cand) for x in s]
+    return pairs
+
+
+def holds(pairs, eps):
+    """The oracles' comparison on reference pairs: no alternative beats its
+    reference by more than ``eps``."""
+    return not any(alt > ref + eps for alt, ref in pairs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(st.one_of(benefits, tables), st.integers(2, 4)), data=st.data())
+def test_brute_force_oracles_match_a_per_profile_reference(case, data):
+    # the reference makes the oracles' comparison one deviation at a time; eps
+    # also sits at each check's largest gain and its float neighbours, where
+    # a single ulp of a payoff flips the verdict
+    game, grid, profile = case
+    pay = game_payoffs(game)
+    s = grid.participation_axis()
+    candidate = st.one_of(st.sampled_from(s.tolist()), st.floats(s[0], 1.0))
+    checks = [
+        (lambda e: epsilon_nash_check(pay, profile, grid, e), nash_pairs(pay, profile, grid)),
+    ]
+    for player in (1, 2):
+        c = data.draw(candidate, label=f"candidate{player}")
+        checks.append((lambda e, i=player, c=c: weak_dominance_check(pay, i, c, grid, e),
+                       dominance_pairs(pay, player, c, grid)))
+    for check, pairs in checks:
+        top = max(0.0, max(alt - ref for alt, ref in pairs))
+        for eps in (*EPS, top, float(np.nextafter(top, 0.0)), float(np.nextafter(top, np.inf))):
+            assert check(eps) == holds(pairs, eps), eps
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [lambda p: 1.0, lambda p: 2.0 - p.rho1 - p.rho2,
+     lambda p: np.where(p.s1 < 0.5, 1.0 - p.rho1, 0.0)],
+    ids=["constant", "fees-only", "user-1-level"],
+)
+def test_dominance_of_payoffs_that_ignore_the_own_level(payoff):
+    # such a payoff comes back without the own-participation axis, so the
+    # candidate is not its last row until the check broadcasts it
+    pay = GamePayoffs(payoff, payoff, lambda p: 0.0)
+    grid = Grid(4)
+    for player in (1, 2):
+        for candidate in (0.25, 1.0):
+            want = holds(dominance_pairs(pay, player, candidate, grid), 1e-9)
+            assert weak_dominance_check(pay, player, candidate, grid) == want
 
 
 # ---------------------------------------------------------------------------

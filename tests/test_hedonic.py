@@ -284,8 +284,9 @@ def test_tabulated_income_interpolates_multilinear_exactly():
 
 
 @pytest.mark.parametrize(
-    "bounds", ["12", {1: 2, 3: 4}, (1.0,), (1.0, 2.0, 3.0)],
-    ids=["string", "mapping", "single", "triple"],
+    "bounds",
+    ["12", {1: 2, 3: 4}, (1.0,), (1.0, 2.0, 3.0), ("1", 1.0), (True, 1.0), np.array([True, True])],
+    ids=["string", "mapping", "single", "triple", "string-entry", "boolean-entry", "boolean-array"],
 )
 def test_tabulated_income_fee_bounds_must_be_a_pair(bounds):
     with pytest.raises(FieldError, match="^fee_bounds must be a pair of numbers$") as info:

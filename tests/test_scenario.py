@@ -155,7 +155,11 @@ def test_tabulated_fee_bounds_errors_name_the_field(bounds, problem):
 
 
 @pytest.mark.parametrize(
-    "values", ["[[1, 2], [3]]", "abc", "{a: 1}"], ids=["ragged", "non-numeric", "mapping"]
+    "values",
+    ["[[1, 2], [3]]", "abc", "{a: 1}", "[['0', '0.5'], ['1', '1e0']]", "[[0, 0.5], [true, 1]]",
+     "[['0', '0.5'], [true, '1e0']]"],
+    # strings and booleans are not numbers, even where float() would read them
+    ids=["ragged", "non-numeric", "mapping", "strings", "booleans", "strings-and-booleans"],
 )
 @pytest.mark.parametrize("section", ["benefit", "income"])
 def test_unconvertible_table_names_the_field(section, values):
@@ -168,7 +172,7 @@ def test_unconvertible_table_names_the_field(section, values):
         field = "game.income.values"
     doc = COBB_DOUGLAS_DOC.replace(old, new, 1)
     assert doc != COBB_DOUGLAS_DOC
-    with pytest.raises(ScenarioError, match=f"^{field}: "):
+    with pytest.raises(ScenarioError, match=f"^{field}: must be a rectangular table of numbers$"):
         parse_scenario(doc)
 
 
