@@ -41,7 +41,6 @@ from .hedonic import (
     TabulatedBenefit,
     TabulatedIncome,
     benefit_strictly_increasing,
-    benefit_weakly_increasing,
     full_extraction_fees,
     game_payoffs,
     gated_income,
@@ -90,7 +89,6 @@ __all__ = [
     "ambiguity_equilibrium_check",
     "benchmark_full_exploitation_condition",
     "benefit_strictly_increasing",
-    "benefit_weakly_increasing",
     "best_fee_response",
     "boundary_curve",
     "dump_scenario",

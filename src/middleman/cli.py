@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import replace
 from math import prod
 from pathlib import Path
 
@@ -29,7 +30,6 @@ import numpy as np
 from .activity import region_sample
 from .ambiguity import (
     BeliefError,
-    BeliefSystem,
     ambiguity_equilibrium_check,
     best_fee_response,
     full_exploitation_verdict,
@@ -40,7 +40,8 @@ from .hedonic import full_extraction_fees, game_payoffs
 from .oracles import _fee_monotone, epsilon_nash_check, pareto_check, weak_dominance_check
 from .scenario import ScenarioError, emit_results, parse_scenario, sweep_csv, sweep_machine
 
-SWEEPABLE_FIELDS = ("gamma", "lambda", "loyalty1", "loyalty2")
+SWEEPABLE_FIELDS = {"gamma": "gamma", "lambda": "lambda_", "loyalty1": "loyalty1",
+                    "loyalty2": "loyalty2"}  # --sweep name -> BeliefSystem field
 # Larger lattices and grid checks are refused before any allocation rather
 # than risking memory exhaustion or a run of minutes.
 MAX_POINTS = 10_000_000
@@ -252,35 +253,23 @@ def _cmd_sweep(args):
     points = prod(count for *_, count in args.sweeps)
     _check_points(points, "--sweep")
 
-    axes = [np.linspace(start, stop, count) for _, start, stop, count in args.sweeps]
-    fields = {
-        "gamma": beliefs.gamma,
-        "lambda": beliefs.lambda_,
-        "loyalty1": beliefs.loyalty1,
-        "loyalty2": beliefs.loyalty2,
+    # a non-finite range gives NaN or infinite rows, which BeliefSystem rejects
+    with np.errstate(invalid="ignore", over="ignore"):
+        axes = [np.linspace(start, stop, count) for _, start, stop, count in args.sweeps]
+    swept = {
+        SWEEPABLE_FIELDS[name]: grid.ravel()
+        for name, grid in zip(names, np.meshgrid(*axes, indexing="ij"))
     }
-    fields.update(
-        (name, grid.ravel()) for name, grid in zip(names, np.meshgrid(*axes, indexing="ij"))
-    )
-    fields = {name: np.broadcast_to(v, (points,)) for name, v in fields.items()}
-
-    def beliefs_for(rows):
-        return BeliefSystem(
-            lambda_=fields["lambda"][rows],
-            gamma=fields["gamma"][rows],
-            loyalty1=fields["loyalty1"][rows],
-            loyalty2=fields["loyalty2"][rows],
-        )
-
     try:
-        sweep_beliefs = beliefs_for(slice(None))
+        sweep_beliefs = replace(beliefs, **swept)
     except BeliefError as exc:
         # rows before the offending one are valid belief systems, and a row
         # failing the threshold test's domain there is met first in row order
-        full_exploitation_verdict(config.game, beliefs_for(slice(exc.row)))
+        prefix = replace(beliefs, **{field: col[:exc.row] for field, col in swept.items()})
+        full_exploitation_verdict(config.game, prefix)
         raise
     verdict = full_exploitation_verdict(config.game, sweep_beliefs)
-    columns = {name: fields[name] for name in names}
+    columns = dict(zip(names, swept.values()))
     columns.update(
         delta=verdict.delta, rhs=verdict.rhs, full_exploitation=verdict.full_exploitation
     )

@@ -112,9 +112,6 @@ class Grid:
             raise ValueError("player must be 1 or 2")
         return _axis(0.0, self.fee_bounds[player - 1], self.steps)
 
-    def with_fee_bounds(self, fee_bounds: tuple[float, float]) -> "Grid":
-        return Grid(self.steps, fee_bounds, self.s_lo)
-
 
 @dataclass(frozen=True)
 class GamePayoffs:

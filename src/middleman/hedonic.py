@@ -268,21 +268,11 @@ def full_extraction_fees(game: HedonicGame) -> tuple[float, float]:
     return (float(game.f1(1.0, 1.0)), float(game.f2(1.0, 1.0)))
 
 
-def _lattice_steps(f: BenefitSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Differences of f between adjacent lattice nodes along s1 and along s2."""
-    ax = grid.participation_axis()
-    vals = np.asarray(f(ax[:, None], ax[None, :]))
-    return np.diff(vals, axis=0), np.diff(vals, axis=1)
-
-
 def benefit_strictly_increasing(f: BenefitSpec, grid: Grid) -> bool:
     """True iff f strictly increases along every grid line in each coordinate."""
-    return all(bool((d > STRICT_TOL).all()) for d in _lattice_steps(f, grid))
-
-
-def benefit_weakly_increasing(f: BenefitSpec, grid: Grid) -> bool:
-    """True iff f is nondecreasing along every grid line in each coordinate."""
-    return all(bool((d >= -STRICT_TOL).all()) for d in _lattice_steps(f, grid))
+    ax = grid.participation_axis()
+    vals = np.asarray(f(ax[:, None], ax[None, :]))
+    return all(bool((np.diff(vals, axis=a) > STRICT_TOL).all()) for a in (0, 1))
 
 
 def income_weakly_increasing(income: IncomeSpec, grid: Grid) -> bool:

@@ -22,6 +22,7 @@ the scan.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -238,6 +239,6 @@ def trivial_equilibria_check(
             max(grid.fee_bounds[1], float(rho2)),
         )
         profile = StrategyProfile(0.0, 0.0, float(rho1), float(rho2))
-        if not epsilon_nash_check(game, profile, grid.with_fee_bounds(bounds), eps):
+        if not epsilon_nash_check(game, profile, replace(grid, fee_bounds=bounds), eps):
             return False
     return True

@@ -9,7 +9,6 @@ from middleman import (
     BeliefSystem,
     BenchmarkPoint,
     CobbDouglas,
-    Grid,
     HedonicGame,
     Linear,
     MultiplicativeIncome,
@@ -17,7 +16,6 @@ from middleman import (
     TabulatedBenefit,
     activity_full_exploitation_condition,
     benchmark_full_exploitation_condition,
-    benefit_weakly_increasing,
     boundary_curve,
     full_exploitation_verdict,
     region_sample,
@@ -27,24 +25,6 @@ from _support import random_benchmark_game, random_proper_beliefs, sigma_benchma
 
 def beliefs_at(gamma, loyalty=(0.5, 0.5)):
     return BeliefSystem(lambda_=0.0, gamma=gamma, loyalty1=loyalty[0], loyalty2=loyalty[1])
-
-
-# ---------------------------------------------------------------------------
-# activity monotonicity
-# ---------------------------------------------------------------------------
-
-
-def test_constant_activity_weakly_increasing():
-    assert benefit_weakly_increasing(TabulatedBenefit(np.ones((2, 2))), Grid(10))
-
-
-def test_product_activity_weakly_increasing():
-    assert benefit_weakly_increasing(CobbDouglas(1.0, 1.0), Grid(10))
-
-
-def test_decreasing_activity_cell_detected():
-    values = np.array([[0.0, 0.5], [0.5, 0.2]])
-    assert not benefit_weakly_increasing(TabulatedBenefit(values), Grid(10))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,12 @@ GOLDEN_SHA256 = [
     (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
       "--sweep", "loyalty1=0:0.75:4", "--format", "machine"),
      "d8c722db8372d8df4818752c23a621c2d334f332082f0dc54562f177912dfbde"),
+    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.6:3",
+      "--sweep", "lambda=0:0.3:2", "--sweep", "loyalty1=0.1:0.7:4"),
+     "41d30601312ccfb5ba2d05f2e7aeef18108685608076022de6e00b5afdbcbfcc"),
+    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.6:3",
+      "--sweep", "lambda=0:0.3:2", "--sweep", "loyalty1=0.1:0.7:4", "--format", "machine"),
+     "1f3e98bc672b6fa3c5c6e6083475fba07b1384d00c16b04e749865c4f1d23627"),
     (("verify-nash", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5"),
      "95dbc9e9954132b3286365b6954fd290c66300aa346987e1125e104f6a8815fd"),
     (("dominance", "--scenario", "{scenario}", "--profile", "1,1,0,0"),
@@ -405,6 +411,23 @@ def test_sweep_reports_first_failing_row(scenario):
     )
     assert domain_first.returncode == 2
     assert domain_first.stderr == "error: threshold test requires gamma < 1\n"
+    # three axes: row 4 (gamma 1) fails only the threshold domain, row 10
+    # (lambda 0.5, gamma 1) is the first improper one
+    later_line = run_cli(
+        "sweep", "--scenario", scenario, "--sweep", "lambda=0:0.5:2", "--sweep", "gamma=0:1:2",
+        "--sweep", "loyalty1=0:0.5:3",
+    )
+    assert later_line.returncode == 2
+    assert later_line.stderr == "error: threshold test requires gamma < 1\n"
+
+
+@pytest.mark.parametrize("spec", ["gamma=0:inf:3", "gamma=-inf:0:1", "gamma=-1e308:1e308:3"])
+def test_sweep_nonfinite_range_rejected(scenario, capsys, spec):
+    # in process, so a numpy warning would fail the test
+    assert cli.main(["sweep", "--scenario", scenario, "--sweep", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: gamma must lie in [0, 1]\n"
 
 
 def test_sweep_format_checked_before_the_sweep(scenario):

@@ -24,7 +24,7 @@ from middleman import (
     parse_scenario,
     region_sample,
 )
-from middleman.scenario import region_svg, report_machine, sweep_csv
+from middleman.scenario import region_svg, report_machine, sweep_csv, sweep_machine
 
 COBB_DOUGLAS_DOC = """
 schema_version: 1
@@ -391,6 +391,20 @@ def test_sweep_csv_layout():
     assert lines[0] == "gamma,delta,rhs,full_exploitation"
     assert lines[1] == "0.000000,1.000000,0.000000,true"
     assert lines[2].endswith(",false")
+
+
+def test_sweep_float_spellings():
+    # the spellings any faster formatting of the map writers must keep
+    values = [5e-06, -1e-07, 1e-07, 0.5, 123456.7654321, float("nan"), float("inf")]
+    csv_rows = sweep_csv({"x": values}).split("\n")[1:-1]
+    assert csv_rows == [
+        "0.000005", "-0.000000", "0.000000", "0.500000", "123456.765432", "nan", "inf"
+    ]
+    machine = sweep_machine({"x": values})
+    assert machine == (
+        '[{"x": 5e-06}, {"x": -0.0}, {"x": 0.0}, {"x": 0.5}, {"x": 123456.765432}, '
+        '{"x": NaN}, {"x": Infinity}]\n'
+    )
 
 
 def test_emit_rejects_mismatched_formats():
