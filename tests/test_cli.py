@@ -297,12 +297,6 @@ GOLDEN_SHA256 = [
     (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
       "--sweep", "loyalty1=0:0.75:4", "--format", "machine"),
      "d8c722db8372d8df4818752c23a621c2d334f332082f0dc54562f177912dfbde"),
-    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.6:3",
-      "--sweep", "lambda=0:0.3:2", "--sweep", "loyalty1=0.1:0.7:4"),
-     "41d30601312ccfb5ba2d05f2e7aeef18108685608076022de6e00b5afdbcbfcc"),
-    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.6:3",
-      "--sweep", "lambda=0:0.3:2", "--sweep", "loyalty1=0.1:0.7:4", "--format", "machine"),
-     "1f3e98bc672b6fa3c5c6e6083475fba07b1384d00c16b04e749865c4f1d23627"),
     (("verify-nash", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5"),
      "95dbc9e9954132b3286365b6954fd290c66300aa346987e1125e104f6a8815fd"),
     (("dominance", "--scenario", "{scenario}", "--profile", "1,1,0,0"),
@@ -340,6 +334,13 @@ GOLDEN_SHA256 = [
     (("ambiguity-eq", "--scenario", "{tabulated}", "--profile", "1,1,0.5,0.5",
       "--steps", "12"),
      "af6b62204188edb63195718a8f0b7f5268b03546d8d686cbc0253329cd12053f"),
+    # a three-axis sweep, in CSV and machine format
+    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.6:3",
+      "--sweep", "lambda=0:0.3:2", "--sweep", "loyalty1=0.1:0.7:4"),
+     "41d30601312ccfb5ba2d05f2e7aeef18108685608076022de6e00b5afdbcbfcc"),
+    (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.6:3",
+      "--sweep", "lambda=0:0.3:2", "--sweep", "loyalty1=0.1:0.7:4", "--format", "machine"),
+     "1f3e98bc672b6fa3c5c6e6083475fba07b1384d00c16b04e749865c4f1d23627"),
 ]
 
 
