@@ -248,8 +248,9 @@ def _cmd_sweep(args):
     config = parse_scenario(Path(args.scenario).read_text())
     beliefs = _require_beliefs(config)
     names = [name for name, *_ in args.sweeps]
-    if len(set(names)) != len(names):
-        raise ScenarioError("sweep: duplicate field")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ScenarioError(f"--sweep: duplicate field {name}")
     points = prod(count for *_, count in args.sweeps)
     _check_points(points, "--sweep")
 

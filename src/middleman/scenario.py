@@ -24,7 +24,10 @@ finite numbers) and the grid, for which no object exists at parse time.
 Value ranges are checked by the game and belief constructors alone, and
 their field errors are reported at the scenario path, so every validation
 error names the offending field. Emission is byte-stable: identical inputs
-give identical output documents. Numeric results are fixed at six decimals.
+give identical output documents. CSV and text output spell each number fixed
+at six decimals (``f"{v:.6f}"``); ``machine`` output spells it as
+``json.dumps(round(v, 6))``, the shortest form of the rounded value
+(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``).
 """
 
 from __future__ import annotations
@@ -310,13 +313,12 @@ def report_machine(entries: dict) -> str:
 
 
 def region_csv(region: RegionMap) -> str:
-    labels = [f"{x:.6f}" for x in region.axis.tolist()]
-    cells = {True: [f"{x},true" for x in labels], False: [f"{x},false" for x in labels]}
-    lines = ["gamma,sigma,full_exploitation"]
-    for gamma, row in zip(labels, region.full_exploitation.tolist()):
-        prefix = gamma + ","
-        lines.append("\n".join(prefix + cells[v][j] for j, v in enumerate(row)))
-    return "\n".join(lines) + "\n"
+    labels = _spell(region.axis, machine=False).tolist()
+    cells = np.array([[f"{x},false" for x in labels], [f"{x},true" for x in labels]], dtype=object)
+    # row i holds the cell of sigma j for its verdict, each line led by gamma
+    grid = cells[region.full_exploitation.astype(np.intp), np.arange(len(labels))]
+    rows = (f"{g}," + f"\n{g},".join(row) + "\n" for g, row in zip(labels, grid.tolist()))
+    return "gamma,sigma,full_exploitation\n" + "".join(rows)
 
 
 def region_svg(region: RegionMap) -> str:
@@ -343,46 +345,100 @@ def region_svg(region: RegionMap) -> str:
     )
 
 
-# Sweep columns hold floats or bools; these are the per-value rules of
-# _format_value and _jsonable, applied a column at a time and returning text.
-def _csv_column(column) -> list[str]:
-    if column.dtype == bool:
-        return ["true" if v else "false" for v in column.tolist()]
-    return [f"{v:.6f}" for v in column.tolist()]
-
-
-def _json_column(column) -> list[str]:
-    values = column.tolist() if column.dtype == bool else [round(v, 6) for v in column.tolist()]
-    # one encoder call spells each value as json.dumps would on its own
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
-# Rows are converted a block at a time, so the per-value Python objects of a
-# large sweep never exist all at once; only the output text grows with it.
+# Map text is spelled a block of rows and a column at a time. Each distinct
+# float bit pattern is spelled once (np.unique over the int64 view keeps -0.0
+# apart from 0.0), given its column's separators, and gathered back through
+# an object array; each block of rows is one object grid of cells, joined once.
 _SWEEP_BLOCK_ROWS = 1 << 16
+# code points of "000" .. "999", and the powers 10 .. 10**7
+_TRIPLES = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint32)
+_POW10 = 10 ** np.arange(1, 8)
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
 
 
-def _row_blocks(columns: dict, convert):
+def _spell(values: np.ndarray, machine: bool) -> np.ndarray:
+    """Object array of the text of each float: ``_format_value(v)``, or with
+    ``machine`` ``json.dumps(_jsonable(v))``.
+
+    For finite ``|v| < 1e7`` the product ``x = |v| * 1e6`` is off the exact
+    one by at most ``x * 2**-53``. Where ``x`` lies more than ``x * 2**-50``
+    from a rounding tie, ``rint(x)`` is therefore the rounding that ``%.6f``
+    prints, and the digits are made here. JSON drops the trailing fraction
+    zeros, which is ``repr(round(v, 6))`` for 0 and for rounded magnitudes
+    of at least 1e-4. Every other value goes through the per-value rule.
+    """
+    mag = np.abs(values)
+    fast = mag < 1e7  # False for NaN and infinities
+    scaled = np.where(fast, mag, 0.0) * 1e6
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
+    units = np.rint(scaled).astype(np.int64)
+    if machine:
+        fast &= (units == 0) | (units >= 100)
+    whole, frac = np.divmod(units, 10**6)
+    # nine integer digits, ".", six decimals, with "-" over the zero before
+    # the first integer digit and blanks over the zeros before that
+    parts = np.stack([whole // 10**6, whole // 1000 % 1000, whole % 1000,
+                      frac // 1000, frac % 1000], axis=1)
+    layout = np.insert(_TRIPLES[parts].reshape(len(values), 15), 9, ord("."), axis=1)
+    width = 1 + np.searchsorted(_POW10, whole, side="right")  # integer digits
+    negative = np.signbit(values)
+    rows = np.flatnonzero(negative)
+    layout[rows, 8 - width[rows]] = ord("-")
+    column = np.arange(16)
+    layout[column < (9 - width - negative)[:, None]] = ord(" ")
+    if machine:
+        # one fraction digit, and one more per nonzero remainder mod 10 ..
+        # 10**5; the NULs after them end the string
+        kept = 1 + (frac[:, None] % _POW10[:5] != 0).sum(axis=1)
+        layout[column > 9 + kept[:, None]] = 0
+    text = np.char.lstrip(layout.view("U16")[:, 0]).astype(object)
+    slow = np.flatnonzero(~fast)
+    rule = (lambda v: json.dumps(_jsonable(v))) if machine else _format_value
+    text[slow] = [rule(v) for v in values[slow].tolist()]
+    return text
+
+
+def _column_text(column: np.ndarray, machine: bool, head: str, tail: str) -> np.ndarray:
+    """Object array of each value's text between ``head`` and ``tail``."""
+    if column.dtype == bool:
+        text, index = _BOOL_TEXT, column.astype(np.intp)
+    else:
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        text = _spell(bits.view(np.float64), machine)
+    return (head + text + tail)[index]
+
+
+def _row_text(columns: dict, machine: bool, heads: list, tails: list, row_sep: str):
+    """Text of the rows, a block at a time: each cell between its column's
+    head and tail, and rows after the first led by ``row_sep``."""
     arrays = [np.asarray(c) for c in columns.values()]
+    arrays = [a if a.dtype == bool else a.astype(np.float64, copy=False) for a in arrays]
+    heads = [row_sep + heads[0], *heads[1:]]
     for lo in range(0, len(arrays[0]), _SWEEP_BLOCK_ROWS):
-        yield zip(*(convert(a[lo:lo + _SWEEP_BLOCK_ROWS]) for a in arrays))
+        grid = np.stack([_column_text(a[lo:lo + _SWEEP_BLOCK_ROWS], machine, head, tail)
+                         for a, head, tail in zip(arrays, heads, tails)], axis=1)
+        if lo == 0:
+            grid[0, 0] = grid[0, 0][len(row_sep):]
+        yield "".join(grid.ravel().tolist())
 
 
 def sweep_csv(columns: dict) -> str:
-    """CSV of equal-length result columns, one row per index, in mapping order."""
-    blocks = ("".join(f"{','.join(row)}\n" for row in rows)
-              for rows in _row_blocks(columns, _csv_column))
-    return ",".join(columns) + "\n" + "".join(blocks)
+    """CSV of equal-length float or bool columns, one row per index, in
+    mapping order."""
+    heads = [""] * len(columns)
+    tails = [","] * (len(columns) - 1) + ["\n"]
+    return ",".join(columns) + "\n" + "".join(_row_text(columns, False, heads, tails, ""))
 
 
 def sweep_machine(columns: dict) -> str:
-    """JSON list of one object per row of equal-length result columns."""
+    """JSON list of one object per row of equal-length float or bool columns."""
     names = sorted(columns)
-    # json.dumps(..., sort_keys=True) of each row's dict, as a template
-    row = "{" + ", ".join(json.dumps(n).replace("%", "%%") + ": %s" for n in names) + "}"
-    blocks = (", ".join(map(row.__mod__, rows))
-              for rows in _row_blocks({n: columns[n] for n in names}, _json_column))
-    return "[" + ", ".join(blocks) + "]\n"
+    # json.dumps(..., sort_keys=True) of each row's dict
+    keys = [json.dumps(n) + ": " for n in names]
+    heads = ["{" + keys[0]] + [", " + k for k in keys[1:]]
+    tails = [""] * (len(names) - 1) + ["}"]
+    sorted_columns = {n: columns[n] for n in names}
+    return "[" + "".join(_row_text(sorted_columns, True, heads, tails, ", ")) + "]\n"
 
 
 def emit_results(result, fmt: str = "text") -> str:

@@ -1,4 +1,7 @@
-"""Shared generators for the randomised tests."""
+"""Shared generators for the randomised tests, and per-value references of
+the map writers."""
+
+import json
 
 import numpy as np
 
@@ -37,3 +40,41 @@ def sigma_benchmark_game():
     loyalty (t, t) puts the residual activity level at t."""
     half = Linear(0.5, 0.5)
     return HedonicGame(half, half, MultiplicativeIncome(half))
+
+
+def _rows(columns):
+    return zip(*(np.asarray(c).tolist() for c in columns.values()))
+
+
+def reference_sweep_csv(columns):
+    """``sweep_csv`` spelled a value at a time: ``f"{v:.6f}"`` per float."""
+    def cell(v):
+        return ("true" if v else "false") if isinstance(v, bool) else f"{v:.6f}"
+
+    lines = (",".join(map(cell, row)) + "\n" for row in _rows(columns))
+    return ",".join(columns) + "\n" + "".join(lines)
+
+
+def reference_sweep_machine(columns):
+    """``sweep_machine`` spelled a row at a time: ``json.dumps(round(v, 6))``
+    per float, keys sorted."""
+    rows = (
+        json.dumps(
+            {k: v if isinstance(v, bool) else round(v, 6) for k, v in zip(columns, row)},
+            sort_keys=True,
+        )
+        for row in _rows(columns)
+    )
+    return "[" + ", ".join(rows) + "]\n"
+
+
+def first_difference(text, reference):
+    """``None`` when the texts are equal, else the offset of the first
+    difference and the text around it in each. A failing ``==`` on large
+    texts would make pytest diff megabytes."""
+    if text == reference:
+        return None
+    pairs = enumerate(zip(text, reference))
+    i = next((i for i, (a, b) in pairs if a != b), min(len(text), len(reference)))
+    lo = max(i - 30, 0)
+    return i, text[lo:i + 30], reference[lo:i + 30]

@@ -4,11 +4,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from middleman import cli
+from middleman import cli, full_exploitation_verdict, parse_scenario
+from middleman.scenario import _SWEEP_BLOCK_ROWS
+from _support import first_difference, reference_sweep_csv, reference_sweep_machine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -429,6 +433,34 @@ def test_sweep_nonfinite_range_rejected(scenario, capsys, spec):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: gamma must lie in [0, 1]\n"
+
+
+def test_sweep_duplicate_field_rejected(scenario, capsys):
+    argv = ["sweep", "--scenario", scenario, "--sweep", "gamma=0:0.5:2",
+            "--sweep", "loyalty1=0:0.5:2", "--sweep", "gamma=0:0.9:3"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --sweep: duplicate field gamma\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "machine"])
+def test_sweep_across_row_blocks_matches_reference(scenario, tmp_path, fmt):
+    # 270 x 270 rows fill more than one block of the writers, so the text
+    # where two blocks meet and the last line are checked too
+    axis = np.linspace(0, 0.99, 270)
+    gamma, loyalty1 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    assert gamma.size > _SWEEP_BLOCK_ROWS
+    config = parse_scenario(Path(scenario).read_text())
+    beliefs = replace(config.beliefs, gamma=gamma, loyalty1=loyalty1)
+    verdict = full_exploitation_verdict(config.game, beliefs)
+    columns = {"gamma": gamma, "loyalty1": loyalty1, "delta": verdict.delta,
+               "rhs": verdict.rhs, "full_exploitation": verdict.full_exploitation}
+    out = tmp_path / "sweep.txt"
+    assert cli.main(["sweep", "--scenario", scenario, "--sweep", "gamma=0:0.99:270",
+                     "--sweep", "loyalty1=0:0.99:270", "--format", fmt, "--out", str(out)]) == 0
+    reference = reference_sweep_csv if fmt == "csv" else reference_sweep_machine
+    assert first_difference(out.read_text(), reference(columns)) is None
 
 
 def test_sweep_format_checked_before_the_sweep(scenario):

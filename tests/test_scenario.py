@@ -24,7 +24,8 @@ from middleman import (
     parse_scenario,
     region_sample,
 )
-from middleman.scenario import region_svg, report_machine, sweep_csv, sweep_machine
+from middleman.scenario import region_csv, region_svg, report_machine, sweep_csv, sweep_machine
+from _support import first_difference, reference_sweep_csv, reference_sweep_machine
 
 COBB_DOUGLAS_DOC = """
 schema_version: 1
@@ -394,17 +395,54 @@ def test_sweep_csv_layout():
 
 
 def test_sweep_float_spellings():
-    # the spellings any faster formatting of the map writers must keep
-    values = [5e-06, -1e-07, 1e-07, 0.5, 123456.7654321, float("nan"), float("inf")]
+    # the spellings any faster formatting of the map writers must keep: an
+    # exact tie (0.0078125) rounds half to even, 999999.9999996 carries
+    values = [5e-06, -1e-07, 1e-07, 0.5, 123456.7654321, float("nan"), float("inf"),
+              0.0078125, 1e-4, 9.9e-05, 999999.9999996, 1e7]
     csv_rows = sweep_csv({"x": values}).split("\n")[1:-1]
     assert csv_rows == [
-        "0.000005", "-0.000000", "0.000000", "0.500000", "123456.765432", "nan", "inf"
+        "0.000005", "-0.000000", "0.000000", "0.500000", "123456.765432", "nan", "inf",
+        "0.007812", "0.000100", "0.000099", "1000000.000000", "10000000.000000",
     ]
     machine = sweep_machine({"x": values})
     assert machine == (
         '[{"x": 5e-06}, {"x": -0.0}, {"x": 0.0}, {"x": 0.5}, {"x": 123456.765432}, '
-        '{"x": NaN}, {"x": Infinity}]\n'
+        '{"x": NaN}, {"x": Infinity}, {"x": 0.007812}, {"x": 0.0001}, {"x": 9.9e-05}, '
+        '{"x": 1000000.0}, {"x": 10000000.0}]\n'
     )
+
+
+def _near_tie(k, sign):
+    # k + 0.5 millionths, as close to a six-decimal rounding tie as a float gets
+    return sign * (k + 0.5) / 1e6
+
+
+_SPELLED_FLOATS = st.one_of(
+    st.floats(),  # NaN, infinities, signed zeros, subnormals, huge values
+    st.floats(-1e8, 1e8),
+    st.builds(_near_tie, st.integers(0, 10**13), st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_SPELLED_FLOATS, min_size=1, max_size=40))
+def test_sweep_writers_match_per_value_reference(values):
+    columns = {"x": values, "positive": [v > 0 for v in values], "neg": [-v for v in values]}
+    assert sweep_csv(columns) == reference_sweep_csv(columns)
+    assert sweep_machine(columns) == reference_sweep_machine(columns)
+
+
+@pytest.mark.parametrize("resolution", [2, 7, 100, 333])
+def test_region_csv_matches_per_cell_reference(resolution):
+    region = region_sample(resolution)
+    axis = region.axis.tolist()
+    cells = (
+        f"{g:.6f},{s:.6f},{'true' if v else 'false'}\n"
+        for g, row in zip(axis, region.full_exploitation.tolist())
+        for s, v in zip(axis, row)
+    )
+    reference = "gamma,sigma,full_exploitation\n" + "".join(cells)
+    assert first_difference(region_csv(region), reference) is None
 
 
 def test_emit_rejects_mismatched_formats():
