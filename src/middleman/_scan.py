@@ -1,6 +1,7 @@
 """Deviation-scan reductions behind the grid oracles.
 
-Each reduction answers whether any entry of a payoff slice beats its
+Each reduction answers whether any entry of a block of payoffs (one payoff
+call of an oracle, covering one or more participation levels) beats its
 reference by more than ``eps``; a gain of exactly ``eps`` is a tie. All
 functions accept arbitrary broadcast-compatible array arguments.
 """

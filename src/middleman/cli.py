@@ -12,8 +12,10 @@ grid checks over :data:`MAX_POINTS` points, and 3 on any other error, a
 ``TypeError`` included, whose traceback goes to stderr. A grid check counts
 the points it evaluates: ``(steps + 1)^2`` for ``verify-nash`` and
 ``ambiguity-eq``, ``(steps + 1)^3`` for ``pareto`` on the exact corner path
-and per participation slice of ``dominance``, and ``(steps + 1)^4`` for
-``pareto`` on a game the corner path cannot decide, which it scans.
+and per level of the other user in ``dominance``, and ``(steps + 1)^4`` for
+``pareto`` on a game the corner path cannot decide, which it scans. These
+counts are points evaluated, not payoff calls, so they do not change with how
+many levels an oracle evaluates per call.
 """
 
 from __future__ import annotations

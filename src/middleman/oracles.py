@@ -3,17 +3,18 @@ zero-participation equilibrium family.
 
 All oracles discretise deviations on a :class:`~middleman.game.Grid` and
 treat improvements of at most ``eps`` as ties, so verdicts are monotone in
-``eps``. The brute-force scans are the reference: they stream one
-participation slice at a time, keeping memory flat even at high
-resolutions, and reduce each slice with the numpy comparisons in ``_scan``.
-``epsilon_nash_check`` checks its three deviation sets in order (user 1,
-user 2, the middleman), and ``weak_dominance_check`` evaluates the
-candidate as the last row of each slice.
+``eps``. The brute-force scans are the reference. Dominance, the Pareto scan
+and its corner path make one payoff call per block of an outer participation
+axis: one level first, so an early witness exits early, then as many levels
+as keep the payoffs within ``_BLOCK_ELEMENTS`` elements, so memory stays flat
+at any resolution; ``_scan`` reduces each block. ``epsilon_nash_check`` checks
+its three deviation sets in order (user 1, user 2, the middleman), and
+``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
 ``pareto_check`` takes an exact O(n^3) path instead of the O(n^4) scan for
 the bundles ``hedonic.game_payoffs`` builds when the game's income is
 multiplicative or additive over nonnegative benefit families: there gated
-income never falls as a fee rises inside the affordable box, so each slice
+income never falls as a fee rises inside the affordable box, so each (s1, s2)
 needs only the corner of the box where every user keeps its payoff. Tabulated
 income (whose interpolation can break that monotonicity at the ulp level),
 other income families and plain :class:`~middleman.game.GamePayoffs` keep
@@ -46,6 +47,21 @@ from .hedonic import (
 # nonnegative floats round monotonically).
 _NONNEGATIVE_BENEFITS = (CobbDouglas, Linear, TabulatedBenefit)
 _FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
+# Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
+_BLOCK_ELEMENTS = 2**14
+
+
+def _blocks(levels, payoffs):
+    """Yield ``(block, payoffs(block))`` over consecutive runs of ``levels``'
+    first axis: one level, then as many as keep the largest array of the tuple
+    ``payoffs`` returns within ``_BLOCK_ELEMENTS`` (at least one)."""
+    start, size = 0, 1
+    while start < len(levels):
+        block = levels[start:start + size]
+        out = payoffs(block)
+        yield block, out
+        start += len(block)
+        size = max(1, _BLOCK_ELEMENTS * len(block) // max(map(np.size, out)))
 
 
 def _validate_eps(eps):
@@ -97,8 +113,8 @@ def weak_dominance_check(
     """True iff ``candidate`` weakly dominates every grid strategy of user ``player``.
 
     For every grid profile of the other two players, the candidate's payoff
-    must be at least every alternative's payoff minus ``eps``. Each such
-    context is one payoff call, with the candidate as the last row.
+    must be at least every alternative's payoff minus ``eps``: one payoff call
+    per block of the other user's levels, with the candidate as the last row.
     """
     if player not in (1, 2):
         raise ValueError("player must be user 1 or user 2")
@@ -110,12 +126,16 @@ def weak_dominance_check(
     s_axis = grid.participation_axis()
     r1 = grid.fee_axis(1)[:, None]
     r2 = grid.fee_axis(2)[None, :]
-    own = np.append(s_axis, candidate)[:, None, None]
-    for s_other in s_axis:
-        s = (own, s_other) if player == 1 else (s_other, own)
+    own = np.append(s_axis, candidate)[:, None, None, None]
+
+    def payoffs(other):
+        s = (own, other) if player == 1 else (other, own)
         pays = pay(StrategyProfile(*s, r1, r2))
-        if np.shape(pays)[:1] != own.shape[:1]:  # a payoff that ignores the own level
+        if np.ndim(pays) < own.ndim:  # a payoff that ignores the own level
             pays = np.broadcast_to(pays, np.broadcast_shapes(np.shape(pays), own.shape))
+        return (pays,)
+
+    for _, (pays,) in _blocks(s_axis[:, None, None], payoffs):
         if _scan.any_dominance_gap(pays[:-1], pays[-1], eps):
             return False
     return True
@@ -144,17 +164,21 @@ def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) 
     C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
     p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
     smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric. Every
-    payoff is the expression the scan evaluates, on (n+1)^2 arrays.
+    payoff is the expression the scan evaluates, on (block, n+1, n+1) arrays.
     """
     s_axis = grid.participation_axis()
-    s2 = s_axis[:, None]  # rows: s2; columns: a fee
+    s2 = s_axis[:, None]  # axes: a block of s1 levels, s2, a fee
     r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
     rows = np.arange(s_axis.size)
-    for s1 in s_axis:
+
+    def payoffs(s1):
         b1, b2 = game.f1(s1, s2), game.f2(s1, s2)
-        p1, p2 = capped_surplus(b1, r1), capped_surplus(b2, r2)
-        c1 = np.minimum((p1 >= t1).sum(1), (r1 <= b1).sum(1)) - 1
-        c2 = np.minimum((p2 >= t2).sum(1), (r2 <= b2).sum(1)) - 1
+        return b1, b2, capped_surplus(b1, r1), capped_surplus(b2, r2)
+
+    for s1, (b1, b2, p1, p2) in _blocks(s_axis[:, None, None], payoffs):
+        block = rows[:len(s1), None]
+        c1 = np.minimum((p1 >= t1).sum(-1), (r1 <= b1).sum(-1)) - 1
+        c2 = np.minimum((p2 >= t2).sum(-1), (r2 <= b2).sum(-1)) - 1
         has_corner = (c1 >= 0) & (c2 >= 0)
         c1, c2 = np.maximum(c1, 0), np.maximum(c2, 0)
         # Income along the corner's edges (r1, C_2) and (C_1, r2). Fees up to
@@ -162,11 +186,11 @@ def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) 
         # fee reaching t3 lies there wherever p3(C) >= t3.
         along1 = game.income(r1, r2[c2, None], s1, s2)
         along2 = game.income(r1[c1, None], r2, s1, s2)
-        p3 = along1[rows, c1]
+        p3 = along1[block, rows, c1]
         gain = (
             (p3 > t3 + eps)
-            | (p1[rows, (along1 >= t3).argmax(1)] > t1 + eps)
-            | (p2[rows, (along2 >= t3).argmax(1)] > t2 + eps)
+            | (p1[block, rows, (along1 >= t3).argmax(-1)] > t1 + eps)
+            | (p2[block, rows, (along2 >= t3).argmax(-1)] > t2 + eps)
         )
         if np.any(has_corner & (p3 >= t3) & gain):
             return True
@@ -192,14 +216,13 @@ def pareto_check(
     s2 = s_axis[:, None, None]
     r1 = grid.fee_axis(1)[None, :, None]
     r2 = grid.fee_axis(2)[None, None, :]
-    for s1 in s_axis:
-        slice_profile = StrategyProfile(s1, s2, r1, r2)
-        if _scan.any_strict_dominator(
-            game.payoff_user1(slice_profile),
-            game.payoff_user2(slice_profile),
-            game.payoff_middleman(slice_profile),
-            t1, t2, t3, eps,
-        ):
+
+    def payoffs(s1):
+        block = StrategyProfile(s1, s2, r1, r2)
+        return game.payoff_user1(block), game.payoff_user2(block), game.payoff_middleman(block)
+
+    for _, (p1, p2, p3) in _blocks(s_axis[:, None, None, None], payoffs):
+        if _scan.any_strict_dominator(p1, p2, p3, t1, t2, t3, eps):
             return False
     return True
 

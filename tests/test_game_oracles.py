@@ -1,6 +1,8 @@
 """Grid-oracle tests: Nash deviations, weak dominance, Pareto efficiency, and
 the zero-participation equilibrium family."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from middleman import (
     trivial_equilibria_check,
     weak_dominance_check,
 )
-from middleman import _scan
+from middleman import _scan, oracles
 from _support import random_benchmark_game
 
 
@@ -491,6 +493,153 @@ def test_dominance_of_payoffs_that_ignore_the_own_level(payoff):
         for candidate in (0.25, 1.0):
             want = holds(dominance_pairs(pay, player, candidate, grid), 1e-9)
             assert weak_dominance_check(pay, player, candidate, grid) == want
+
+
+@pytest.mark.parametrize("budget", [1, 64, 300, 2**20])
+@pytest.mark.parametrize(
+    "payoff",
+    [lambda p: 1.0, lambda p: 2.0 - p.rho1 - p.rho2,
+     lambda p: np.where(p.s1 < 0.5, 1.0 - p.rho1, 0.0),
+     lambda p: p.s1 * (1.0 - p.rho1) + p.s2 * p.rho2 - p.s1 * p.s2 * p.rho1],
+    ids=["constant", "fees-only", "user-1-level", "full"],
+)
+def test_dominance_blocks_broadcast_every_payoff_shape(payoff, budget):
+    # "full" uses both levels and both fees: a (6, block, 5, 5) result on
+    # Grid(4); the others come back without some axes, so blocks of 1, 2 or
+    # several levels of each are broadcast against the candidate rows
+    pay = GamePayoffs(payoff, payoff, lambda p: 0.0)
+    grid = Grid(4)
+    for player in (1, 2):
+        for candidate in (0.25, 0.6, 1.0):
+            want = holds(dominance_pairs(pay, player, candidate, grid), 1e-9)
+            with small_blocks(budget):
+                assert weak_dominance_check(pay, player, candidate, grid) == want
+
+
+# ---------------------------------------------------------------------------
+# blocks: several participation levels per payoff call
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def small_blocks(budget):
+    """Run the oracles with ``_BLOCK_ELEMENTS`` set to ``budget``; yields the
+    list of block lengths they go on to visit, in order."""
+    sizes = []
+    blocks = oracles._blocks
+
+    def recorded(levels, payoffs):
+        for block, out in blocks(levels, payoffs):
+            sizes.append(len(block))
+            yield block, out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_BLOCK_ELEMENTS", budget)
+        mp.setattr(oracles, "_blocks", recorded)
+        yield sizes
+
+
+def layout(n, k):
+    """Block lengths over ``n`` levels: one level, then runs of ``k``."""
+    return [1] + [k] * ((n - 1) // k) + ([(n - 1) % k] if (n - 1) % k else [])
+
+
+@pytest.mark.parametrize(
+    "shape,budget,want",
+    [((3,), 12, [1, 4, 4, 1]), ((5,), 12, [1, 2, 2, 2, 2, 1]), ((3, 3), 12, [1] * 10),
+     ((3, 3), 5, [1] * 10)],
+)
+def test_blocks_cover_the_levels_in_order(shape, budget, want):
+    # the budget caps the largest array a block returns, here (block, *shape)
+    levels = np.arange(10.0)[:, None]
+    with small_blocks(budget) as sizes:
+        blocks = [b for b, _ in oracles._blocks(
+            levels, lambda b: (np.zeros(2), np.zeros((len(b), *shape))))]
+    assert sizes == want
+    assert np.array_equal(np.concatenate(blocks), levels)
+
+
+def test_blocks_size_by_what_the_payoffs_return():
+    # an array without the block axis does not grow with the block, so each
+    # block may hold more levels than the one before
+    with small_blocks(12) as sizes:
+        list(oracles._blocks(np.arange(10.0), lambda b: (np.zeros(4),)))
+    assert sizes == [1, 3, 6]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(steps=st.integers(4, 10)), k=st.integers(2, 3),
+       eps=st.one_of(st.sampled_from(EPS), st.integers(0, 8)))
+def test_fee_monotone_pareto_path_matches_the_scan_across_blocks(case, k, eps):
+    # k levels a block after the first: with n = steps + 1, the corner path
+    # returns n^2 elements per level and the scan's middleman payoff n^3
+    game, grid, profile = case
+    pay = game_payoffs(game)
+    n = grid.steps + 1
+    if isinstance(eps, int):
+        eps = boundary_eps(pay, profile, grid)[eps]
+    with small_blocks(k * n * n) as corner_sizes:
+        corner = pareto_check(pay, profile, grid, eps)
+    with small_blocks(k * n**3) as scan_sizes:
+        scan = pareto_check(bare(pay), profile, grid, eps)
+    assert corner == scan
+    if corner:  # no dominator: every block was visited
+        assert corner_sizes == scan_sizes == layout(n, k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(st.one_of(benefits, tables), st.integers(4, 6)),
+       k=st.integers(2, 3), data=st.data())
+def test_dominance_matches_a_per_profile_reference_across_blocks(case, k, data):
+    # a hedonic user payoff ignores the other fee: (s.size + 1) x s.size
+    # elements per level of the other user, the candidate's row included
+    game, grid, _ = case
+    pay = game_payoffs(game)
+    s = grid.participation_axis()
+    for player in (1, 2):
+        c = data.draw(st.one_of(st.sampled_from(s.tolist()), st.floats(s[0], 1.0)),
+                      label=f"candidate{player}")
+        pairs = dominance_pairs(pay, player, c, grid)
+        top = max(0.0, max(alt - ref for alt, ref in pairs))
+        for eps in (*EPS, top, float(np.nextafter(top, 0.0)), float(np.nextafter(top, np.inf))):
+            with small_blocks(k * (s.size + 1) * s.size) as sizes:
+                verdict = weak_dominance_check(pay, player, c, grid, eps)
+            assert verdict == holds(pairs, eps), eps
+            if verdict:
+                assert sizes == layout(s.size, k)
+
+
+def test_witnesses_planted_at_block_edges():
+    # steps 8 at three levels a block: [0], [1, 2, 3], [4, 5, 6], [7, 8]. A
+    # witness at level 1 opens the second block; one at level 8 closes the last.
+    grid = Grid(8, (1.0, 1.0))
+    s = grid.participation_axis()
+    n = s.size
+    half = Linear(0.5, 0.5)
+    hedonic = game_payoffs(HedonicGame(half, half, MultiplicativeIncome(half)))
+    for level, visited in ((1, [1, 3]), (8, [1, 3, 3, 2])):
+        # an alternative to full participation gains only against s[level]
+        def gap(own, other):
+            return np.where((other == s[level]) & (own < 1.0), 1.0, 0.0)
+
+        pay = GamePayoffs(lambda p: gap(p.s1, p.s2), lambda p: gap(p.s2, p.s1), lambda p: 0.0)
+        for player in (1, 2):
+            with small_blocks(3 * (n + 1)) as sizes:  # (n+1, block, 1, 1) payoffs
+                assert not weak_dominance_check(pay, player, 1.0, grid)
+            assert sizes == visited
+        # the scan: only the middleman gains, and only at s1 = s[level]
+        pay = GamePayoffs(lambda p: 0.0, lambda p: 0.0,
+                          lambda p: np.where(p.s1 == s[level], 1.0, 0.0))
+        with small_blocks(3) as sizes:  # (block, 1, 1, 1) payoffs
+            assert not pareto_check(pay, StrategyProfile(0.0, 0.0, 0.0, 0.0), grid)
+        assert sizes == visited
+        # the corner path: every player gains by raising s1 at fixed fees and
+        # nobody can gain from a lower s1, so the first dominator is at s[level]
+        profile = StrategyProfile(s[level - 1], 1.0, 0.25, 0.25)
+        with small_blocks(3 * n * n) as sizes:
+            assert not pareto_check(hedonic, profile, grid)
+        assert sizes == visited
+        assert not pareto_check(bare(hedonic), profile, grid)
 
 
 # ---------------------------------------------------------------------------
