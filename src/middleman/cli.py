@@ -15,7 +15,9 @@ the points it evaluates: ``(steps + 1)^2`` for ``verify-nash`` and
 and per level of the other user in ``dominance``, and ``(steps + 1)^4`` for
 ``pareto`` on a game the corner path cannot decide, which it scans. These
 counts are points evaluated, not payoff calls, so they do not change with how
-many levels an oracle evaluates per call.
+many levels an oracle evaluates per call. The corner path keeps its
+``(steps + 1)^3`` budget although its bisection evaluates O(n^2 log n)
+points, so ``pareto --steps 300`` is still refused.
 """
 
 from __future__ import annotations
@@ -206,7 +208,8 @@ def _build_dominance(config, args):
 
 def _build_pareto(config, args):
     payoffs = game_payoffs(config.game)
-    # points evaluated: (steps + 1)^3 on the corner path, (steps + 1)^4 on the scan
+    # points budgeted: (steps + 1)^3 on the corner path (which evaluates
+    # O(n^2 log n) of them), (steps + 1)^4 on the scan
     grid, eps = _grid_and_eps(config, args, 3 if _fee_monotone(payoffs) else 4)
     verdict = pareto_check(payoffs, StrategyProfile(*args.profile), grid, eps)
     return verdict, {"check": "pareto", "verdict": verdict, "profile": args.profile}

@@ -11,14 +11,18 @@ at any resolution; ``_scan`` reduces each block. ``epsilon_nash_check`` checks
 its three deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
-``pareto_check`` takes an exact O(n^3) path instead of the O(n^4) scan for
-the bundles ``hedonic.game_payoffs`` builds when the game's income is
-multiplicative or additive over nonnegative benefit families: there gated
+``pareto_check`` takes an exact O(n^2 log n) path instead of the O(n^4)
+scan for the bundles ``hedonic.game_payoffs`` builds when the game's income
+is multiplicative or additive over nonnegative benefit families: there gated
 income never falls as a fee rises inside the affordable box, so each (s1, s2)
-needs only the corner of the box where every user keeps its payoff. Tabulated
-income (whose interpolation can break that monotonicity at the ulp level),
-other income families and plain :class:`~middleman.game.GamePayoffs` keep
-the scan.
+needs only the corner of the box where every user keeps its payoff. Every
+index that argument reads off a fee axis ends a prefix of that sorted axis
+(affordability, a user keeping its payoff, income below the middleman's), so
+``_prefix_len`` finds it by bisection, evaluating the scan's own payoff
+expressions at O(log n) fees per (s1, s2); no value is approximated, so the
+verdict is the scan's. Tabulated income (whose interpolation can break that
+monotonicity at the ulp level), other income families and plain
+:class:`~middleman.game.GamePayoffs` keep the scan.
 """
 
 from __future__ import annotations
@@ -154,6 +158,25 @@ def _fee_monotone(game: GamePayoffs) -> bool:
     )
 
 
+def _prefix_len(holds, stop):
+    """For each point, the length of the true prefix of ``range(stop)`` of a
+    predicate that is true and then false along it.
+
+    A bisection over all points at once: each round tries to extend every
+    point's prefix by the next smaller power of two, calling ``holds(k)`` once
+    with an index array ``k`` shaped like ``stop`` (every entry below
+    ``max(stop)``), so there are ``max(stop).bit_length()`` rounds.
+    """
+    top = int(np.max(stop, initial=0))
+    length = np.zeros_like(stop)
+    step = (1 << top.bit_length()) >> 1  # the largest power of two <= top, or 0
+    while step:
+        longer = length + step
+        length = np.where((longer <= stop) & holds(np.minimum(longer, top) - 1), longer, length)
+        step >>= 1
+    return length
+
+
 def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) -> bool:
     """True iff some grid profile Pareto-dominates the payoffs (t1, t2, t3).
 
@@ -163,36 +186,44 @@ def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) 
     [0, aff_1] x [0, aff_2] and is 0 outside it. At the corner
     C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
     p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
-    smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric. Every
-    payoff is the expression the scan evaluates, on (block, n+1, n+1) arrays.
+    smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric.
+
+    Each of these indices ends a prefix of a sorted fee axis, so it is found
+    by bisection in O(log n) per (s1, s2): the affordable fees r_i <= b_i are
+    ``searchsorted``'s count, the user's prefix is searched inside them, and,
+    only where C is a weak dominator, the first fee reaching t3 on each edge
+    ends the prefix of income < t3 in [0, C_i). Every payoff is the
+    expression the scan evaluates, on the same floats, so the verdict is
+    exact; the largest array per level has n + 1 elements.
     """
     s_axis = grid.participation_axis()
-    s2 = s_axis[:, None]  # axes: a block of s1 levels, s2, a fee
     r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
-    rows = np.arange(s_axis.size)
 
-    def payoffs(s1):
-        b1, b2 = game.f1(s1, s2), game.f2(s1, s2)
-        return b1, b2, capped_surplus(b1, r1), capped_surplus(b2, r2)
+    def benefits(s1):  # axes: a block of s1 levels, s2
+        return game.f1(s1, s_axis), game.f2(s1, s_axis)
 
-    for s1, (b1, b2, p1, p2) in _blocks(s_axis[:, None, None], payoffs):
-        block = rows[:len(s1), None]
-        c1 = np.minimum((p1 >= t1).sum(-1), (r1 <= b1).sum(-1)) - 1
-        c2 = np.minimum((p2 >= t2).sum(-1), (r2 <= b2).sum(-1)) - 1
-        has_corner = (c1 >= 0) & (c2 >= 0)
-        c1, c2 = np.maximum(c1, 0), np.maximum(c2, 0)
-        # Income along the corner's edges (r1, C_2) and (C_1, r2). Fees up to
-        # C_i are affordable, so it is the gated income there, and the first
-        # fee reaching t3 lies there wherever p3(C) >= t3.
-        along1 = game.income(r1, r2[c2, None], s1, s2)
-        along2 = game.income(r1[c1, None], r2, s1, s2)
-        p3 = along1[block, rows, c1]
-        gain = (
-            (p3 > t3 + eps)
-            | (p1[block, rows, (along1 >= t3).argmax(-1)] > t1 + eps)
-            | (p2[block, rows, (along2 >= t3).argmax(-1)] > t2 + eps)
-        )
-        if np.any(has_corner & (p3 >= t3) & gain):
+    def corner(b, r, t):
+        """C_i per point: the last affordable fee keeping t_i, or -1."""
+        keeps = _prefix_len(lambda k: capped_surplus(b, r[k]) >= t,
+                            np.searchsorted(r, b, side="right"))
+        return keeps - 1
+
+    for s1, (b1, b2) in _blocks(s_axis[:, None], benefits):
+        c1, c2 = corner(b1, r1, t1), corner(b2, r2, t2)
+        # Fees up to C_i are affordable, so the gated income at C and on its
+        # edges (r1, C_2) and (C_1, r2) is the income.
+        p3 = game.income(r1[np.maximum(c1, 0)], r2[np.maximum(c2, 0)], s1, s_axis)
+        weak = (c1 >= 0) & (c2 >= 0) & (p3 >= t3)
+        if np.any(weak & (p3 > t3 + eps)):
+            return True
+        # At the weak corners the first fee reaching t3 on each edge is C_i
+        # or ends the prefix below t3 in [0, C_i).
+        at = np.nonzero(weak)
+        b1, b2, c1, c2, u1, u2 = b1[at], b2[at], c1[at], c2[at], s1[at[0], 0], s_axis[at[1]]
+        first1 = _prefix_len(lambda k: game.income(r1[k], r2[c2], u1, u2) < t3, c1)
+        first2 = _prefix_len(lambda k: game.income(r1[c1], r2[k], u1, u2) < t3, c2)
+        if np.any((capped_surplus(b1, r1[first1]) > t1 + eps)
+                  | (capped_surplus(b2, r2[first2]) > t2 + eps)):
             return True
     return False
 

@@ -330,25 +330,34 @@ def bare(pay):
     return GamePayoffs(pay.payoff_user1, pay.payoff_user2, pay.payoff_middleman)
 
 
-def boundary_eps(pay, profile, grid):
+def weak_maxima(pay, profile, grid):
+    """The payoffs at ``profile``, and each player's largest payoff over the
+    grid profiles that weakly improve all three (-inf where there are none),
+    one s1 level at a time. The scan finds a dominator at ``eps`` iff some
+    player's maximum beats its payoff by more than ``eps``: ``p > t + eps``
+    holds at the maximum if it holds anywhere."""
+    s = grid.participation_axis()
+    shape = (s.size,) * 3
+    t = pay.payoffs(profile)
+    top = np.full(3, -np.inf)
+    for s1 in s:
+        level = StrategyProfile(s1, s[:, None, None], grid.fee_axis(1)[:, None], grid.fee_axis(2))
+        p = [f(level) for f in (pay.payoff_user1, pay.payoff_user2, pay.payoff_middleman)]
+        weak = (p[0] >= t[0]) & (p[1] >= t[1]) & (p[2] >= t[2])
+        top = np.maximum(top, [np.broadcast_to(q, shape).max(where=weak, initial=-np.inf)
+                               for q in p])
+    return np.array(t), top
+
+
+def boundary_eps(pay, profile, grid, maxima=None):
     """Each player's largest gain over the grid profiles that weakly improve
     all three payoffs, and the float neighbours of each: the eps where a
-    player's gain turns from strict to a tie."""
-    s = grid.participation_axis()
-    lattice = StrategyProfile(
-        s[:, None, None, None], s[:, None, None], grid.fee_axis(1)[:, None], grid.fee_axis(2)
-    )
-    shape = (s.size,) * 4
-    gains = np.array([
-        np.broadcast_to(f(lattice), shape) - t
-        for f, t in zip((pay.payoff_user1, pay.payoff_user2, pay.payoff_middleman),
-                        pay.payoffs(profile))
-    ])
-    weak = (gains >= 0).all(axis=0)
+    player's gain turns from strict to a tie. ``maxima`` is what
+    ``weak_maxima`` returns for these arguments, if already known."""
+    t, top = maxima or weak_maxima(pay, profile, grid)
     out = []
-    for gain in gains:
-        top = float(gain.max(where=weak, initial=0.0))
-        out += [top, max(float(np.nextafter(top, 0.0)), 0.0), float(np.nextafter(top, np.inf))]
+    for gain in np.maximum(top - t, 0.0).tolist():
+        out += [gain, max(float(np.nextafter(gain, 0.0)), 0.0), float(np.nextafter(gain, np.inf))]
     return out
 
 
@@ -361,6 +370,47 @@ def test_fee_monotone_pareto_path_matches_the_scan(case, eps):
     if isinstance(eps, int):
         eps = boundary_eps(pay, profile, grid)[eps]
     assert pareto_check(pay, profile, grid, eps) == pareto_check(bare(pay), profile, grid, eps)
+
+
+def benchmark_resolution_cases():
+    """The eight Cobb-Douglas/linear (f1, f2, activity) kinds with
+    multiplicative income and the sigma game, at steps 37 and 60, each at
+    (1, 1, F) and at a planted dominated profile: at (s_k, 1, rho) with
+    affordable fees, (s_(k+1), 1, rho) improves every player."""
+    specs = {"cd": (CobbDouglas(1.2, 0.7), CobbDouglas(0.9, 1.5), CobbDouglas(1.0, 1.0)),
+             "lin": (Linear(0.7, 0.2), Linear(0.25, 0.8), Linear(0.5, 0.5))}
+    games = []
+    for kind in range(8):
+        families = ["cd" if kind >> bit & 1 else "lin" for bit in (2, 1, 0)]
+        f1, f2, g = (specs[f][i] for i, f in enumerate(families))
+        games.append(("/".join(families), HedonicGame(f1, f2, MultiplicativeIncome(g)),
+                      0.1 if "cd" in families[:2] else 0.0))
+    games.append(("sigma", linear_activity_game(), 0.0))
+    cases = []
+    for steps in (37, 60):
+        for label, game, s_lo in games:
+            F = full_extraction_fees(game)
+            grid = Grid(steps, F, s_lo)
+            s = grid.participation_axis()
+            a = s[steps // 2]
+            rho = [grid.fee_axis(i)[int(0.5 * f(a, 1.0) / F[i - 1] * steps)]
+                   for i, f in ((1, game.f1), (2, game.f2))]
+            for where, profile in (("full", StrategyProfile(1.0, 1.0, *F)),
+                                   ("planted", StrategyProfile(a, 1.0, *rho))):
+                cases.append(pytest.param(game, grid, profile, id=f"{label}-{steps}-{where}"))
+    return cases
+
+
+@pytest.mark.parametrize("game,grid,profile", benchmark_resolution_cases())
+def test_fee_monotone_pareto_path_matches_the_scan_at_benchmark_resolution(game, grid, profile):
+    # steps 37 and 60 make the corner path bisect in six rounds; the scan's
+    # verdict at each eps comes from one pass over the lattice (weak_maxima)
+    pay = game_payoffs(game)
+    t, top = maxima = weak_maxima(pay, profile, grid)
+    for eps in (*EPS, *boundary_eps(pay, profile, grid, maxima)):
+        assert pareto_check(pay, profile, grid, eps) == (not np.any(top > t + eps)), eps
+    if grid.steps < 60:  # the reference against the scan itself, where that is cheap
+        assert pareto_check(bare(pay), profile, grid, 1e-9) == (not np.any(top > t + 1e-9))
 
 
 def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
@@ -521,6 +571,31 @@ def test_dominance_blocks_broadcast_every_payoff_shape(payoff, budget):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 37, 61, 100])
+def test_prefix_len_matches_the_first_false_index(n):
+    # a row of n true-then-false flags per prefix length (all-false and
+    # all-true rows included) plus 40 random ones, each searched over
+    # range(stop) for stop 0, 1, n and three random stops; holds is asked
+    # only about valid indices, and never when every stop is 0
+    rng = np.random.default_rng(n)
+    cuts = np.concatenate([np.arange(n + 1), rng.integers(0, n + 1, 40)])
+    flags = np.arange(n) < cuts[:, None]
+    rows = np.arange(cuts.size)[:, None]
+    stops = np.column_stack([np.zeros_like(cuts), np.ones_like(cuts), np.full_like(cuts, n),
+                             rng.integers(0, n + 1, (cuts.size, 3))])
+    asked = []
+
+    def holds(k):
+        asked.append(k)
+        return flags[rows, k]
+
+    want = [[next((k for k in range(stop) if not flags[r, k]), stop) for stop in row]
+            for r, row in enumerate(stops.tolist())]
+    assert oracles._prefix_len(holds, stops).tolist() == want
+    assert all(k.shape == stops.shape and 0 <= k.min() and k.max() < n for k in asked)
+    assert oracles._prefix_len(None, np.zeros_like(stops)).tolist() == np.zeros_like(stops).tolist()
+
+
 @contextmanager
 def small_blocks(budget):
     """Run the oracles with ``_BLOCK_ELEMENTS`` set to ``budget``; yields the
@@ -572,13 +647,14 @@ def test_blocks_size_by_what_the_payoffs_return():
        eps=st.one_of(st.sampled_from(EPS), st.integers(0, 8)))
 def test_fee_monotone_pareto_path_matches_the_scan_across_blocks(case, k, eps):
     # k levels a block after the first: with n = steps + 1, the corner path
-    # returns n^2 elements per level and the scan's middleman payoff n^3
+    # returns the two benefits, n elements per level, and the scan's
+    # middleman payoff n^3
     game, grid, profile = case
     pay = game_payoffs(game)
     n = grid.steps + 1
     if isinstance(eps, int):
         eps = boundary_eps(pay, profile, grid)[eps]
-    with small_blocks(k * n * n) as corner_sizes:
+    with small_blocks(k * n) as corner_sizes:
         corner = pareto_check(pay, profile, grid, eps)
     with small_blocks(k * n**3) as scan_sizes:
         scan = pareto_check(bare(pay), profile, grid, eps)
@@ -636,7 +712,7 @@ def test_witnesses_planted_at_block_edges():
         # the corner path: every player gains by raising s1 at fixed fees and
         # nobody can gain from a lower s1, so the first dominator is at s[level]
         profile = StrategyProfile(s[level - 1], 1.0, 0.25, 0.25)
-        with small_blocks(3 * n * n) as sizes:
+        with small_blocks(3 * n) as sizes:  # (block, n) benefits
             assert not pareto_check(hedonic, profile, grid)
         assert sizes == visited
         assert not pareto_check(bare(hedonic), profile, grid)
