@@ -10,14 +10,15 @@ Exit codes: 0 on success, 1 when ``--assert`` is given and the analysis
 verdict is false, 2 on usage or validation errors, including lattices and
 grid checks over :data:`MAX_POINTS` points, and 3 on any other error, a
 ``TypeError`` included, whose traceback goes to stderr. A grid check counts
-the points it evaluates: ``(steps + 1)^2`` for ``verify-nash`` and
-``ambiguity-eq``, ``(steps + 1)^3`` for ``pareto`` on the exact corner path
-and per level of the other user in ``dominance``, and ``(steps + 1)^4`` for
-``pareto`` on a game the corner path cannot decide, which it scans. These
-counts are points evaluated, not payoff calls, so they do not change with how
-many levels an oracle evaluates per call. The corner path keeps its
-``(steps + 1)^3`` budget although its bisection evaluates O(n^2 log n)
-points, so ``pareto --steps 300`` is still refused.
+the points of the lattice it decides: ``(steps + 1)^2`` for ``verify-nash``
+and ``ambiguity-eq``, ``(steps + 1)^3`` for ``dominance`` and for ``pareto``
+on the exact corner path, and ``(steps + 1)^4`` for ``pareto`` on a game the
+corner path cannot decide, which it scans. These counts are lattice points,
+not payoff calls, so they do not change with how many levels an oracle
+evaluates per call. ``dominance`` and the corner path keep their
+``(steps + 1)^3`` budgets although they now evaluate O(n^2) and O(n^2 log n)
+points, so ``dominance --steps 300`` and ``pareto --steps 300`` are still
+refused.
 """
 
 from __future__ import annotations
@@ -191,6 +192,7 @@ def _build_verify_nash(config, args):
 
 
 def _build_dominance(config, args):
+    # points budgeted: (steps + 1)^3, of which a hedonic game evaluates O(n^2)
     grid, eps = _grid_and_eps(config, args, 3)
     payoffs = game_payoffs(config.game)
     s1, s2 = args.profile[0], args.profile[1]

@@ -10,6 +10,7 @@ interpolate through one multilinear routine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -31,6 +32,22 @@ class FieldError(ValueError):
         super().__init__(f"{field} {problem}" if field else problem)
         self.field = field
         self.problem = problem
+
+
+def _require_fields(spec, names, ok, rule: str):
+    """Raise a :class:`FieldError` for the first of ``names`` on ``spec``
+    that is not finite (an integer beyond the float range is not) or fails
+    ``ok``, whose text is ``rule``."""
+    for name in names:
+        v = getattr(spec, name)
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise FieldError(name, "must be finite")
+        if not ok(v):
+            raise FieldError(name, rule)
 
 
 def _as_scalar(out):
@@ -55,9 +72,7 @@ class CobbDouglas(BenefitSpec):
     beta: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if not getattr(self, name) > 0:
-                raise FieldError(name, "must be > 0")
+        _require_fields(self, ("alpha", "beta"), lambda v: v > 0, "must be > 0")
 
     def evaluate(self, s1, s2):
         return _as_scalar(np.asarray(s1) ** self.alpha * np.asarray(s2) ** self.beta)
@@ -71,9 +86,7 @@ class Linear(BenefitSpec):
     w2: float
 
     def __post_init__(self):
-        for name in ("w1", "w2"):
-            if not getattr(self, name) >= 0:
-                raise FieldError(name, "must be >= 0")
+        _require_fields(self, ("w1", "w2"), lambda v: v >= 0, "must be >= 0")
 
     def evaluate(self, s1, s2):
         return _as_scalar(self.w1 * np.asarray(s1) + self.w2 * np.asarray(s2))

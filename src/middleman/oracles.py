@@ -11,6 +11,14 @@ at any resolution; ``_scan`` reduces each block. ``epsilon_nash_check`` checks
 its three deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
+``weak_dominance_check`` decides the bundles ``hedonic.game_payoffs`` builds
+in O(n^2) instead of O(n^3), whatever their benefit families: a user's
+payoff there ignores the other fee and never falls as its benefit rises, in
+floating point too, so in each context the best alternative pays exactly the
+capped surplus of the largest benefit over the own levels, and a block is the
+benefit table alone. Plain :class:`~middleman.game.GamePayoffs` keep the
+O(n^3) scan.
+
 ``pareto_check`` takes an exact O(n^2 log n) path instead of the O(n^4)
 scan for the bundles ``hedonic.game_payoffs`` builds when the game's income
 is multiplicative or additive over nonnegative benefit families: there gated
@@ -119,6 +127,16 @@ def weak_dominance_check(
     For every grid profile of the other two players, the candidate's payoff
     must be at least every alternative's payoff minus ``eps``: one payoff call
     per block of the other user's levels, with the candidate as the last row.
+
+    A hedonic bundle is decided in O(n^2). Its user payoff
+    ``capped_surplus(b, r_i)``, with ``b = f_i(s_own, s_other)``, ignores the
+    other fee and is weakly increasing in ``b`` in floating point too: it is 0
+    while ``r_i > b`` and ``b - r_i >= 0`` rounds monotonically. So in each
+    context ``(s_other, r_i)`` the best alternative pays exactly
+    ``capped_surplus(max b, r_i)``. A block is then the benefit table, own
+    levels by the block's other levels, and ``np.fmax`` takes its maximum: a
+    NaN benefit pays 0, and ``fmax`` skips it or, over a column of NaNs, gives
+    NaN, which pays 0 too.
     """
     if player not in (1, 2):
         raise ValueError("player must be user 1 or user 2")
@@ -126,11 +144,27 @@ def weak_dominance_check(
     if not grid.s_lo <= candidate <= 1.0:
         raise ValueError("candidate must lie in the participation box")
 
-    pay = game.payoff_user1 if player == 1 else game.payoff_user2
     s_axis = grid.participation_axis()
+    own = np.append(s_axis, candidate)
+    if isinstance(game, HedonicPayoffs):
+        f = game.game.f1 if player == 1 else game.game.f2
+        r = grid.fee_axis(player)
+
+        def benefits(other):  # axes: own levels then the candidate, a block of other levels
+            b = f(own[:, None], other) if player == 1 else f(other, own[:, None])
+            return (np.broadcast_to(b, (own.size, other.size)),)
+
+        for _, (b,) in _blocks(s_axis, benefits):
+            best = np.fmax.reduce(b[:-1], axis=0)
+            if _scan.any_dominance_gap(capped_surplus(best[:, None], r),
+                                       capped_surplus(b[-1, :, None], r), eps):
+                return False
+        return True
+
+    pay = game.payoff_user1 if player == 1 else game.payoff_user2
     r1 = grid.fee_axis(1)[:, None]
     r2 = grid.fee_axis(2)[None, :]
-    own = np.append(s_axis, candidate)[:, None, None, None]
+    own = own[:, None, None, None]
 
     def payoffs(other):
         s = (own, other) if player == 1 else (other, own)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from middleman import (
     AdditiveFeesIncome,
     BeliefSystem,
+    BenefitSpec,
     CobbDouglas,
     GamePayoffs,
     Grid,
@@ -28,7 +29,7 @@ from middleman import (
     trivial_equilibria_check,
     weak_dominance_check,
 )
-from middleman import _scan, oracles
+from middleman import _scan, hedonic, oracles
 from _support import random_benchmark_game
 
 
@@ -667,8 +668,8 @@ def test_fee_monotone_pareto_path_matches_the_scan_across_blocks(case, k, eps):
 @given(case=pareto_cases(st.one_of(benefits, tables), st.integers(4, 6)),
        k=st.integers(2, 3), data=st.data())
 def test_dominance_matches_a_per_profile_reference_across_blocks(case, k, data):
-    # a hedonic user payoff ignores the other fee: (s.size + 1) x s.size
-    # elements per level of the other user, the candidate's row included
+    # a hedonic bundle's block is its benefit table: s.size + 1 elements per
+    # level of the other user, the candidate's row included
     game, grid, _ = case
     pay = game_payoffs(game)
     s = grid.participation_axis()
@@ -678,11 +679,100 @@ def test_dominance_matches_a_per_profile_reference_across_blocks(case, k, data):
         pairs = dominance_pairs(pay, player, c, grid)
         top = max(0.0, max(alt - ref for alt, ref in pairs))
         for eps in (*EPS, top, float(np.nextafter(top, 0.0)), float(np.nextafter(top, np.inf))):
-            with small_blocks(k * (s.size + 1) * s.size) as sizes:
+            with small_blocks(k * (s.size + 1)) as sizes:
                 verdict = weak_dominance_check(pay, player, c, grid, eps)
             assert verdict == holds(pairs, eps), eps
             if verdict:
                 assert sizes == layout(s.size, k)
+
+
+class Holes(BenefitSpec):
+    """``base`` with NaN wherever s1 or s2 is one of the listed levels: a NaN
+    own level pays 0, and a NaN level of the other user makes every own
+    level NaN in that context."""
+
+    def __init__(self, base, s1_holes, s2_holes):
+        self.base, self.holes = base, (s1_holes, s2_holes)
+
+    def evaluate(self, s1, s2):
+        hole = np.isin(s1, self.holes[0]) | np.isin(s2, self.holes[1])
+        return np.where(hole, np.nan, self.base(s1, s2))
+
+
+class Flat(BenefitSpec):
+    """One float, whatever the participation levels."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def evaluate(self, s1, s2):
+        return self.value
+
+
+@st.composite
+def dominance_cases(draw):
+    """A game whose benefits may be NaN at some levels or a bare scalar, a
+    grid whose fee bounds lie below or above the benefits, and a candidate
+    per user, on the grid or off it."""
+    steps, s_lo = draw(st.integers(3, 8)), draw(st.sampled_from((0.0, 0.1)))
+    s = Grid(steps, s_lo=s_lo).participation_axis().tolist()
+    levels = st.lists(st.sampled_from(s), max_size=2)
+    family = st.one_of(benefits, tables, st.builds(Holes, st.one_of(benefits, tables), levels,
+                                                   levels), st.builds(Flat, st.floats(0.0, 1.5)))
+    game = HedonicGame(draw(family), draw(family), AdditiveFeesIncome())
+    grid = Grid(steps, (draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))), s_lo)
+    candidates = [draw(st.one_of(st.sampled_from(s), st.floats(s_lo, 1.0))) for _ in (1, 2)]
+    return game, grid, candidates
+
+
+def dominance_gap(pay, player, candidate, grid):
+    """The largest amount by which an alternative's payoff beats the
+    candidate's in any grid context, or 0, from one call on the lattice."""
+    s = grid.participation_axis()
+    own, other = np.append(s, candidate)[:, None, None, None], s[:, None, None]
+    r1, r2 = grid.fee_axis(1)[:, None], grid.fee_axis(2)
+    f = pay.payoff_user1 if player == 1 else pay.payoff_user2
+    pays = f(StrategyProfile(own, other, r1, r2) if player == 1 else
+             StrategyProfile(other, own, r1, r2))
+    pays = np.broadcast_to(pays, (s.size + 1, s.size, s.size, s.size))
+    return max(0.0, float(np.max(pays[:-1] - pays[-1])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=dominance_cases(), k=st.integers(1, 3))
+def test_hedonic_dominance_path_matches_the_scan_across_blocks(case, k):
+    # k levels a block after the first, on both paths; eps also sits at the
+    # largest gap and its float neighbours, where one ulp flips the verdict
+    game, grid, candidates = case
+    pay = game_payoffs(game)
+    n = grid.steps + 1
+    for player, c in zip((1, 2), candidates):
+        top = dominance_gap(pay, player, c, grid)
+        for eps in (*EPS, top, float(np.nextafter(top, 0.0)), float(np.nextafter(top, np.inf))):
+            with small_blocks(k * (n + 1)) as sizes:
+                verdict = weak_dominance_check(pay, player, c, grid, eps)
+            with small_blocks(k * (n + 1) * n):
+                assert verdict == weak_dominance_check(bare(pay), player, c, grid, eps), eps
+            if verdict:  # no witness: every block was visited
+                assert sizes == layout(n, k)
+
+
+def test_hedonic_bundles_never_call_the_user_payoffs(monkeypatch):
+    games = (HedonicGame(Linear(0.7, 0.2), CobbDouglas(0.9, 1.5), AdditiveFeesIncome()),
+             HedonicGame(Holes(Linear(0.5, 0.5), [0.1], [1.0]), Flat(0.3), AdditiveFeesIncome()))
+    grid = Grid(6, (1.0, 1.0), 0.1)
+    cases = [(game, player, c) for game in games for player in (1, 2) for c in (0.1, 0.55, 1.0)]
+    want = [weak_dominance_check(bare(game_payoffs(game)), *rest, grid) for game, *rest in cases]
+    assert True in want and False in want
+
+    def raises(*args):
+        raise AssertionError("user payoff evaluated")
+
+    monkeypatch.setattr(hedonic, "user_payoff", raises)
+    for (game, player, c), verdict in zip(cases, want):
+        assert weak_dominance_check(game_payoffs(game), player, c, grid) == verdict
+        with pytest.raises(AssertionError, match="user payoff evaluated"):
+            weak_dominance_check(bare(game_payoffs(game)), player, c, grid)
 
 
 def test_witnesses_planted_at_block_edges():

@@ -59,6 +59,26 @@ def test_user_payoff_rejects_bad_index():
         user_payoff(product_game(), 0, StrategyProfile(1.0, 1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 10**400],
+                         ids=["inf", "-inf", "nan", "overflow"])
+@pytest.mark.parametrize("family,field", [(Linear, "w1"), (Linear, "w2"),
+                                          (CobbDouglas, "alpha"), (CobbDouglas, "beta")])
+def test_parametric_benefits_reject_nonfinite_fields(family, field, value):
+    # Linear(inf, 1) is NaN at s1 = 0, which affordability masks and sorted
+    # fee searches read differently
+    fields = dict(zip(family.__dataclass_fields__, (1.0, 1.0)), **{field: value})
+    with pytest.raises(FieldError, match=f"^{field} must be finite$") as info:
+        family(**fields)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("family,field,rule",
+                         [(Linear, "w2", ">= 0"), (CobbDouglas, "beta", "> 0")])
+def test_parametric_benefits_keep_their_range_errors(family, field, rule):
+    with pytest.raises(FieldError, match=f"^{field} must be {rule}$"):
+        family(1.0, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # middleman payoff
 # ---------------------------------------------------------------------------
