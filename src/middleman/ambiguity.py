@@ -203,6 +203,16 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
     and income weakly increasing on the working grid (the caller's
     responsibility, checkable via the monotonicity helpers).
 
+    Two candidates suffice. At full participation ``s = (1, 1)`` the
+    optimistic and the plain payoff coincide, so the modified payoff is
+    ``M(rho) = (1 - gamma) G(rho; 1, 1) + gamma G(rho; l)``, with ``G`` the
+    :func:`gated_income` and ``l`` the loyalty levels. Under the hypotheses
+    above, ``G(rho; l)`` vanishes unless ``rho <= phi`` (the loyalty fees),
+    where both terms increase in ``rho``; elsewhere ``M`` is at most
+    ``(1 - gamma) G(F; 1, 1)``, its value at the full-extraction fees ``F``.
+    So ``M`` peaks at ``phi`` or at ``F``, and ``M(F) >= M(phi)`` is
+    ``delta >= rhs`` after dividing by ``1 - gamma > 0``.
+
     Broadcasts over array-valued belief fields: the verdict's fields then
     have the belief system's shape, and a domain error names the first
     offending entry in C order. Scalar beliefs give float/bool fields.

@@ -150,6 +150,8 @@ def _grid_and_eps(config, args, dims):
     """Grid and tolerance of a check that counts ``(steps + 1)^dims`` points
     against :data:`MAX_POINTS`."""
     steps, source = (config.steps, "grid.steps") if args.steps is None else (args.steps, "--steps")
+    if steps < 2:  # the parser's grid.steps rule, for the flag
+        raise ScenarioError(f"{source}: must be >= 2")
     eps = config.eps if args.eps is None else args.eps
     grid = Grid(steps, full_extraction_fees(config.game), config.s_lo)
     _check_points((steps + 1) ** dims, source)

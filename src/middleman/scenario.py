@@ -19,6 +19,8 @@ Scenarios are YAML documents (schema_version 1)::
       eps: 1.0e-9                       # default 1e-9
       s_lo: 0.0                         # default 0
 
+A component (``f1``, ``f2``, ``income``, ``activity``) is a ``family`` plus
+its constructor's fields, read and written from one table per kind.
 The parser checks the document (mappings, unknown and missing fields,
 finite numbers) and the grid, for which no object exists at parse time.
 Value ranges are checked by the game and belief constructors alone, and
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -43,11 +45,9 @@ from .activity import RegionMap, boundary_curve
 from .ambiguity import BeliefSystem
 from .hedonic import (
     AdditiveFeesIncome,
-    BenefitSpec,
     CobbDouglas,
     FieldError,
     HedonicGame,
-    IncomeSpec,
     Linear,
     MultiplicativeIncome,
     TabulatedBenefit,
@@ -130,43 +130,36 @@ def _build(cls, path, *args, **kwargs):
         _fail(f"{path}.{key}" if key else path, exc.problem)
 
 
-def _benefit(spec, path) -> BenefitSpec:
-    spec = _mapping(spec, path)
-    family = spec.get("family")
-    if family == "cobb_douglas":
-        _reject_unknown(spec, {"family", "alpha", "beta"}, path)
-        return _build(
-            CobbDouglas, path, alpha=_number(spec, "alpha", path), beta=_number(spec, "beta", path)
-        )
-    if family == "linear":
-        _reject_unknown(spec, {"family", "w1", "w2"}, path)
-        return _build(Linear, path, w1=_number(spec, "w1", path), w2=_number(spec, "w2", path))
-    if family == "tabulated":
-        _reject_unknown(spec, {"family", "values"}, path)
-        if "values" not in spec:
-            _fail(f"{path}.values", "missing required field")
-        return _build(TabulatedBenefit, path, spec["values"])
-    _fail(f"{path}.family", f"unknown family {family!r}")
+# A scenario component is ``family`` plus its constructor's fields, so a new
+# family is one more table entry.
+_BENEFITS = {"cobb_douglas": CobbDouglas, "linear": Linear, "tabulated": TabulatedBenefit}
+_INCOMES = {"multiplicative": MultiplicativeIncome, "additive_fees": AdditiveFeesIncome,
+            "tabulated": TabulatedIncome}
 
 
-def _income(spec, path) -> IncomeSpec:
+def _component(spec, path, families):
+    """Read the fields in declaration order: ``activity`` as a nested benefit,
+    ``fee_bounds`` as a pair, ``values`` raw, any other as a number."""
     spec = _mapping(spec, path)
     family = spec.get("family")
-    if family == "multiplicative":
-        _reject_unknown(spec, {"family", "activity"}, path)
-        if "activity" not in spec:
-            _fail(f"{path}.activity", "missing required field")
-        return MultiplicativeIncome(_benefit(spec["activity"], f"{path}.activity"))
-    if family == "additive_fees":
-        _reject_unknown(spec, {"family"}, path)
-        return AdditiveFeesIncome()
-    if family == "tabulated":
-        _reject_unknown(spec, {"family", "values", "fee_bounds"}, path)
-        if "values" not in spec:
-            _fail(f"{path}.values", "missing required field")
-        bounds = _pair(spec, "fee_bounds", path, "bound1, bound2")
-        return _build(TabulatedIncome, path, spec["values"], bounds)
-    _fail(f"{path}.family", f"unknown family {family!r}")
+    cls = families.get(family) if isinstance(family, str) else None
+    if cls is None:
+        _fail(f"{path}.family", f"unknown family {family!r}")
+    names = [f.name for f in fields(cls)]
+    _reject_unknown(spec, {"family", *names}, path)
+    kwargs = {}
+    for name in names:
+        if name not in spec:
+            _fail(f"{path}.{name}", "missing required field")
+        if name == "activity":
+            kwargs[name] = _component(spec[name], f"{path}.{name}", _BENEFITS)
+        elif name == "fee_bounds":
+            kwargs[name] = _pair(spec, name, path, "bound1, bound2")
+        elif name == "values":
+            kwargs[name] = spec[name]
+        else:
+            kwargs[name] = _number(spec, name, path)
+    return _build(cls, path, **kwargs)
 
 
 def _beliefs(section) -> BeliefSystem:
@@ -210,9 +203,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     game = _build(
         HedonicGame,
         "game",
-        f1=_benefit(game_sec["f1"], "game.f1"),
-        f2=_benefit(game_sec["f2"], "game.f2"),
-        income=_income(game_sec["income"], "game.income"),
+        f1=_component(game_sec["f1"], "game.f1", _BENEFITS),
+        f2=_component(game_sec["f2"], "game.f2", _BENEFITS),
+        income=_component(game_sec["income"], "game.income", _INCOMES),
         tag=game_sec.get("tag", "benchmark"),
     )
 
@@ -239,28 +232,18 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(game=game, beliefs=beliefs, **grid)
 
 
-def _benefit_doc(spec: BenefitSpec) -> dict:
-    if isinstance(spec, CobbDouglas):
-        return {"family": "cobb_douglas", "alpha": spec.alpha, "beta": spec.beta}
-    if isinstance(spec, Linear):
-        return {"family": "linear", "w1": spec.w1, "w2": spec.w2}
-    if isinstance(spec, TabulatedBenefit):
-        return {"family": "tabulated", "values": spec.values.tolist()}
-    raise TypeError(f"unsupported benefit spec {type(spec).__name__}")
-
-
-def _income_doc(spec: IncomeSpec) -> dict:
-    if isinstance(spec, MultiplicativeIncome):
-        return {"family": "multiplicative", "activity": _benefit_doc(spec.activity)}
-    if isinstance(spec, AdditiveFeesIncome):
-        return {"family": "additive_fees"}
-    if isinstance(spec, TabulatedIncome):
-        return {
-            "family": "tabulated",
-            "values": spec.values.tolist(),
-            "fee_bounds": list(spec.fee_bounds),
-        }
-    raise TypeError(f"unsupported income spec {type(spec).__name__}")
+def _component_doc(spec, families, kind) -> dict:
+    """``spec`` as its family and its class's fields, each a plain Python
+    value YAML can write (numpy scalars and arrays included)."""
+    family = next((name for name, cls in families.items() if isinstance(spec, cls)), None)
+    if family is None:
+        raise TypeError(f"unsupported {kind} spec {type(spec).__name__}")
+    doc = {"family": family}
+    for f in fields(families[family]):
+        value = getattr(spec, f.name)
+        doc[f.name] = (_component_doc(value, _BENEFITS, "benefit") if f.name == "activity"
+                       else np.asarray(value).tolist())
+    return doc
 
 
 def dump_scenario(config: ScenarioConfig) -> str:
@@ -268,19 +251,18 @@ def dump_scenario(config: ScenarioConfig) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "game": {
-            "f1": _benefit_doc(config.game.f1),
-            "f2": _benefit_doc(config.game.f2),
-            "income": _income_doc(config.game.income),
+            "f1": _component_doc(config.game.f1, _BENEFITS, "benefit"),
+            "f2": _component_doc(config.game.f2, _BENEFITS, "benefit"),
+            "income": _component_doc(config.game.income, _INCOMES, "income"),
             "tag": config.game.tag,
         },
     }
+    # each number as the Python value it holds: YAML cannot write numpy scalars
     if config.beliefs is not None:
-        doc["beliefs"] = {
-            "lambda": config.beliefs.lambda_,
-            "gamma": config.beliefs.gamma,
-            "loyalty": [config.beliefs.loyalty1, config.beliefs.loyalty2],
-        }
-    doc["grid"] = {"steps": config.steps, "eps": config.eps, "s_lo": config.s_lo}
+        lam, gamma, l1, l2 = (np.asarray(getattr(config.beliefs, f.name)).item()
+                              for f in fields(BeliefSystem))
+        doc["beliefs"] = {"lambda": lam, "gamma": gamma, "loyalty": [l1, l2]}
+    doc["grid"] = {k: np.asarray(getattr(config, k)).item() for k in ("steps", "eps", "s_lo")}
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -129,6 +129,10 @@ def test_pure_optimism_ignores_actual_participation():
 
 
 def test_modified_payoff_worked_value():
+    """The neo-additive mix of Chateauneuf, Eichberger & Grant (2007),
+    "Choice under uncertainty with the best and worst in mind: neo-additive
+    capacities", Journal of Economic Theory 137: weight lambda on the best
+    outcome, gamma on the worst, and the rest on the plain payoff."""
     # hand evaluation, independent of the library routines: with every
     # component (s1+s2)/2 and loyalty (0.5, 0.5), fees (0.5, 0.5) at full
     # participation give best = 1, worst = 0.5, plain = 1, so the mix at
@@ -145,6 +149,8 @@ def test_modified_payoff_worked_value():
 
 
 def test_modified_payoff_affine_in_belief_weights():
+    """A neo-additive payoff (Chateauneuf, Eichberger & Grant 2007, Journal of
+    Economic Theory 137) is affine in its optimism and pessimism weights."""
     game = sigma_benchmark_game()
     rng = np.random.default_rng(77)
     profile = StrategyProfile(1.0, 0.8, 0.4, 0.6)

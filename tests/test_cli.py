@@ -364,6 +364,16 @@ def test_steps_zero_rejected(scenario):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("steps", ["1", "-3"])
+def test_steps_below_two_names_the_flag(scenario, steps):
+    # the text the parser gives grid.steps, at the flag
+    result = run_cli("verify-nash", "--scenario", scenario, "--profile", "1,1,1,1",
+                     "--steps", steps)
+    assert result.returncode == 2
+    assert result.stderr == "error: --steps: must be >= 2\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

@@ -1,6 +1,10 @@
 """Scenario parsing, validation, and result emission."""
 
+import itertools
 import json
+import re
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +28,13 @@ from middleman import (
     parse_scenario,
     region_sample,
 )
+from middleman import cli
+from middleman import scenario as scenario_module
 from middleman.scenario import region_csv, region_svg, report_machine, sweep_csv, sweep_machine
 from _support import first_difference, reference_sweep_csv, reference_sweep_machine
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 COBB_DOUGLAS_DOC = """
 schema_version: 1
@@ -458,3 +467,123 @@ def test_report_machine_sorted_and_stable():
     a = report_machine({"b": 1.0, "a": 2.0})
     b = report_machine({"a": 2.0, "b": 1.0})
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# component families
+# ---------------------------------------------------------------------------
+
+# One valid spec per family of each component kind, fields in constructor
+# declaration order; each kind sits at every scenario path that reads it.
+BENEFIT_SPECS = {
+    "cobb_douglas": {"alpha": 1.0, "beta": 2.0},
+    "linear": {"w1": 0.5, "w2": 0.25},
+    "tabulated": {"values": [[0.0, 0.5], [0.5, 1.25]]},
+}
+INCOME_SPECS = {
+    "multiplicative": {"activity": {"family": "linear", "w1": 0.5, "w2": 0.5}},
+    "additive_fees": {},
+    "tabulated": {"values": json.loads(TABLE_4D.format(x="2")), "fee_bounds": [1.0, 2.5]},
+}
+COMPONENT_PATHS = {"game.f1": BENEFIT_SPECS, "game.f2": BENEFIT_SPECS,
+                   "game.income": INCOME_SPECS, "game.income.activity": BENEFIT_SPECS}
+COMPONENTS = [(path, family, fields) for path, specs in COMPONENT_PATHS.items()
+              for family, fields in specs.items()]
+COMPONENT_IDS = [f"{path}-{family}" for path, family, _ in COMPONENTS]
+
+
+def component_doc(path, spec):
+    """A scenario document whose component at ``path`` is ``spec``."""
+    half = {"family": "linear", "w1": 0.5, "w2": 0.5}
+    doc = {"game": {"f1": dict(half), "f2": dict(half),
+                    "income": {"family": "multiplicative", "activity": dict(half)}}}
+    *parents, key = path.split(".")
+    section = doc
+    for name in parents:
+        section = section[name]
+    section[key] = spec
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+def component_at(doc, path):
+    for name in path.split("."):
+        doc = doc[name]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,family,field",
+    [(path, family, field) for path, family, fields in COMPONENTS for field in fields],
+)
+def test_component_missing_field_names_it(path, family, field):
+    fields = {k: v for k, v in COMPONENT_PATHS[path][family].items() if k != field}
+    with pytest.raises(ScenarioError, match=rf"^{path}\.{field}: missing required field$"):
+        parse_scenario(component_doc(path, {"family": family, **fields}))
+
+
+@pytest.mark.parametrize("path,family,fields", COMPONENTS, ids=COMPONENT_IDS)
+def test_component_extra_key_is_unknown(path, family, fields):
+    doc = component_doc(path, {"family": family, **fields, "extra": 1.0})
+    with pytest.raises(ScenarioError, match=rf"^{path}\.extra: unknown field$"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("path", COMPONENT_PATHS)
+def test_unhashable_family_exits_2(tmp_path, capsys, path):
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(component_doc(path, {"family": [1]}))
+    assert cli.main(["threshold", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}.family: unknown family [1]\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("path,family,fields", COMPONENTS, ids=COMPONENT_IDS)
+def test_round_trip_every_family(path, family, fields):
+    config = parse_scenario(component_doc(path, {"family": family, **fields}))
+    dumped = dump_scenario(config)
+    # the family, then its fields in declaration order
+    assert list(component_at(yaml.safe_load(dumped), path).items()) == [
+        ("family", family), *fields.items()
+    ]
+    assert parse_scenario(dumped) == config
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.yaml")))
+def test_round_trip_shipped_scenario(name):
+    config = parse_scenario((SCENARIOS / name).read_text())
+    assert round_trip(config) == config
+
+
+def test_round_trip_numpy_fields():
+    # YAML cannot write numpy scalars; the dump holds the numbers they hold
+    game = HedonicGame(Linear(np.float64(1), 1), CobbDouglas(np.float32(0.5), np.int64(2)),
+                       MultiplicativeIncome(Linear(0.5, np.float64(0.5))))
+    beliefs = BeliefSystem(np.float64(0.125), np.float64(0.5), 0.5, np.float64(0.25))
+    config = ScenarioConfig(game, beliefs, steps=np.int64(40), eps=np.float64(1e-6),
+                            s_lo=np.float64(0.1))
+    assert round_trip(config) == config
+    plain = ScenarioConfig(
+        HedonicGame(Linear(1.0, 1), CobbDouglas(0.5, 2), MultiplicativeIncome(Linear(0.5, 0.5))),
+        BeliefSystem(0.125, 0.5, 0.5, 0.25), steps=40, eps=1e-6, s_lo=0.1,
+    )
+    assert dump_scenario(config) == dump_scenario(plain)
+
+
+def _docstring_example():
+    """The indented YAML block after ``::`` in the scenario module docstring."""
+    block = scenario_module.__doc__.split("::\n\n", 1)[1]
+    lines = itertools.takewhile(lambda line: not line or line.startswith(" "),
+                                block.splitlines())
+    return textwrap.dedent("\n".join(lines))
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(text, id=f"README-{i}") for i, text in
+      enumerate(re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S))),
+    pytest.param(_docstring_example(), id="scenario-docstring"),
+])
+def test_documented_examples_parse(text):
+    config = parse_scenario(text)
+    assert config.beliefs is not None
+    assert round_trip(config) == config
