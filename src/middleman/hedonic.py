@@ -36,14 +36,16 @@ class FieldError(ValueError):
 
 def _require_fields(spec, names, ok, rule: str):
     """Raise a :class:`FieldError` for the first of ``names`` on ``spec``
-    that is not finite (an integer beyond the float range is not) or fails
-    ``ok``, whose text is ``rule``."""
+    that is not a real number, is not finite (an integer beyond the float
+    range is not) or fails ``ok``, whose text is ``rule``."""
     for name in names:
         v = getattr(spec, name)
         try:
             finite = math.isfinite(v)
         except OverflowError:
             finite = False
+        except TypeError:  # a string, a sized array, a complex number, ...
+            raise FieldError(name, "must be a number") from None
         if not finite:
             raise FieldError(name, "must be finite")
         if not ok(v):

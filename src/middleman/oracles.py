@@ -3,34 +3,24 @@ zero-participation equilibrium family.
 
 All oracles discretise deviations on a :class:`~middleman.game.Grid` and
 treat improvements of at most ``eps`` as ties, so verdicts are monotone in
-``eps``. The brute-force scans are the reference. Dominance, the Pareto scan
-and its corner path make one payoff call per block of an outer participation
-axis: one level first, so an early witness exits early, then as many levels
-as keep the payoffs within ``_BLOCK_ELEMENTS`` elements, so memory stays flat
-at any resolution; ``_scan`` reduces each block. ``epsilon_nash_check`` checks
-its three deviation sets in order (user 1, user 2, the middleman), and
+``eps``, a rule ``_scan`` alone applies. The brute-force scans are the
+reference. Dominance and Pareto each run one loop over blocks of an outer
+participation axis, choosing by bundle kind what a block's payoffs are and
+which ``_scan`` rule judges them: one level first, so an early witness exits
+early, then as many levels as keep the payoffs within ``_BLOCK_ELEMENTS``
+elements, so memory stays flat at any resolution. ``epsilon_nash_check``
+checks its three deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
-``weak_dominance_check`` decides the bundles ``hedonic.game_payoffs`` builds
-in O(n^2) instead of O(n^3), whatever their benefit families: a user's
-payoff there ignores the other fee and never falls as its benefit rises, in
-floating point too, so in each context the best alternative pays exactly the
-capped surplus of the largest benefit over the own levels, and a block is the
-benefit table alone. Plain :class:`~middleman.game.GamePayoffs` keep the
-O(n^3) scan.
-
-``pareto_check`` takes an exact O(n^2 log n) path instead of the O(n^4)
-scan for the bundles ``hedonic.game_payoffs`` builds when the game's income
-is multiplicative or additive over nonnegative benefit families: there gated
-income never falls as a fee rises inside the affordable box, so each (s1, s2)
-needs only the corner of the box where every user keeps its payoff. Every
-index that argument reads off a fee axis ends a prefix of that sorted axis
-(affordability, a user keeping its payoff, income below the middleman's), so
-``_prefix_len`` finds it by bisection, evaluating the scan's own payoff
-expressions at O(log n) fees per (s1, s2); no value is approximated, so the
-verdict is the scan's. Tabulated income (whose interpolation can break that
-monotonicity at the ulp level), other income families and plain
-:class:`~middleman.game.GamePayoffs` keep the scan.
+``weak_dominance_check`` decides every bundle ``hedonic.game_payoffs``
+builds in O(n^2) instead of O(n^3), from the largest benefit over the own
+levels. ``pareto_check`` decides those whose income is multiplicative or
+additive over nonnegative benefit families in O(n^2 log n) instead of
+O(n^4), at one corner of each affordable fee box, found by bisection. Both
+paths evaluate the scan's own payoff expressions on the same floats, so each
+verdict is the scan's; their docstrings give the arguments. Every other game
+keeps the scan: tabulated income, for one, because its interpolation can
+break fee monotonicity at the ulp level.
 """
 
 from __future__ import annotations
@@ -45,7 +35,6 @@ from .game import GamePayoffs, Grid, StrategyProfile
 from .hedonic import (
     AdditiveFeesIncome,
     CobbDouglas,
-    HedonicGame,
     HedonicPayoffs,
     Linear,
     MultiplicativeIncome,
@@ -133,10 +122,11 @@ def weak_dominance_check(
     other fee and is weakly increasing in ``b`` in floating point too: it is 0
     while ``r_i > b`` and ``b - r_i >= 0`` rounds monotonically. So in each
     context ``(s_other, r_i)`` the best alternative pays exactly
-    ``capped_surplus(max b, r_i)``. A block is then the benefit table, own
-    levels by the block's other levels, and ``np.fmax`` takes its maximum: a
-    NaN benefit pays 0, and ``fmax`` skips it or, over a column of NaNs, gives
-    NaN, which pays 0 too.
+    ``capped_surplus(max b, r_i)``, and a block is that surplus and the
+    candidate's, each by the block's other levels and ``r_i``. ``np.fmax``
+    takes the maximum over the benefit table's own levels: a NaN benefit pays
+    0, and ``fmax`` skips it or, over a column of NaNs, gives NaN, which pays
+    0 too.
     """
     if player not in (1, 2):
         raise ValueError("player must be user 1 or user 2")
@@ -149,38 +139,33 @@ def weak_dominance_check(
     if isinstance(game, HedonicPayoffs):
         f = game.game.f1 if player == 1 else game.game.f2
         r = grid.fee_axis(player)
+        levels = s_axis
 
-        def benefits(other):  # axes: own levels then the candidate, a block of other levels
+        def payoffs(other):  # axes: a block of other levels, r_i
             b = f(own[:, None], other) if player == 1 else f(other, own[:, None])
-            return (np.broadcast_to(b, (own.size, other.size)),)
-
-        for _, (b,) in _blocks(s_axis, benefits):
+            b = np.broadcast_to(b, (own.size, other.size))
             best = np.fmax.reduce(b[:-1], axis=0)
-            if _scan.any_dominance_gap(capped_surplus(best[:, None], r),
-                                       capped_surplus(b[-1, :, None], r), eps):
-                return False
-        return True
+            return capped_surplus(best[:, None], r), capped_surplus(b[-1, :, None], r)
+    else:
+        pay = game.payoff_user1 if player == 1 else game.payoff_user2
+        r1 = grid.fee_axis(1)[:, None]
+        r2 = grid.fee_axis(2)[None, :]
+        own = own[:, None, None, None]
+        levels = s_axis[:, None, None]
 
-    pay = game.payoff_user1 if player == 1 else game.payoff_user2
-    r1 = grid.fee_axis(1)[:, None]
-    r2 = grid.fee_axis(2)[None, :]
-    own = own[:, None, None, None]
+        def payoffs(other):  # axes: own levels then the candidate, other levels, r1, r2
+            s = (own, other) if player == 1 else (other, own)
+            pays = pay(StrategyProfile(*s, r1, r2))
+            if np.ndim(pays) < own.ndim:  # a payoff that ignores the own level
+                pays = np.broadcast_to(pays, np.broadcast_shapes(np.shape(pays), own.shape))
+            return pays[:-1], pays[-1]
 
-    def payoffs(other):
-        s = (own, other) if player == 1 else (other, own)
-        pays = pay(StrategyProfile(*s, r1, r2))
-        if np.ndim(pays) < own.ndim:  # a payoff that ignores the own level
-            pays = np.broadcast_to(pays, np.broadcast_shapes(np.shape(pays), own.shape))
-        return (pays,)
-
-    for _, (pays,) in _blocks(s_axis[:, None, None], payoffs):
-        if _scan.any_dominance_gap(pays[:-1], pays[-1], eps):
-            return False
-    return True
+    return not any(_scan.any_dominance_gap(alts, cand, eps)
+                   for _, (alts, cand) in _blocks(levels, payoffs))
 
 
 def _fee_monotone(game: GamePayoffs) -> bool:
-    """True iff ``game`` is a hedonic bundle that ``_dominated_at_corner`` decides exactly."""
+    """True iff ``game`` is a hedonic bundle that ``pareto_check``'s corner path decides exactly."""
     if not isinstance(game, HedonicPayoffs):
         return False
     income = game.game.income
@@ -211,16 +196,21 @@ def _prefix_len(holds, stop):
     return length
 
 
-def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) -> bool:
-    """True iff some grid profile Pareto-dominates the payoffs (t1, t2, t3).
+def pareto_check(
+    game: GamePayoffs, profile: StrategyProfile, grid: Grid, eps: float = 1e-9
+) -> bool:
+    """True iff no grid profile weakly improves all three payoffs while
+    strictly improving at least one by more than ``eps``.
 
-    At fixed (s1, s2), user i's payoff ignores the other fee and never rises
-    with its own, so p_i >= t_i holds on a prefix [0, A_i] of its fee axis.
-    Gated income never falls as a fee rises inside the affordable box
-    [0, aff_1] x [0, aff_2] and is 0 outside it. At the corner
-    C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
-    p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
-    smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric.
+    A bundle ``_fee_monotone`` accepts takes the corner path, one block of
+    ``s1`` levels by every ``s2`` level at a time. At fixed (s1, s2), user i's
+    payoff ignores the other fee and never rises with its own, so
+    p_i >= t_i holds on a prefix [0, A_i] of its fee axis. Gated income never
+    falls as a fee rises inside the affordable box [0, aff_1] x [0, aff_2]
+    and is 0 outside it. At the corner C = (min(A_1, aff_1), min(A_2, aff_2))
+    a weak dominator exists iff p3(C) >= t3; the middleman's best among them
+    is p3(C), user 1's is at the smallest r1 with p3(r1, C_2) >= t3, and user
+    2's is symmetric.
 
     Each of these indices ends a prefix of a sorted fee axis, so it is found
     by bisection in O(log n) per (s1, s2): the affordable fees r_i <= b_i are
@@ -230,43 +220,6 @@ def _dominated_at_corner(game: HedonicGame, t1, t2, t3, grid: Grid, eps: float) 
     expression the scan evaluates, on the same floats, so the verdict is
     exact; the largest array per level has n + 1 elements.
     """
-    s_axis = grid.participation_axis()
-    r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
-
-    def benefits(s1):  # axes: a block of s1 levels, s2
-        return game.f1(s1, s_axis), game.f2(s1, s_axis)
-
-    def corner(b, r, t):
-        """C_i per point: the last affordable fee keeping t_i, or -1."""
-        keeps = _prefix_len(lambda k: capped_surplus(b, r[k]) >= t,
-                            np.searchsorted(r, b, side="right"))
-        return keeps - 1
-
-    for s1, (b1, b2) in _blocks(s_axis[:, None], benefits):
-        c1, c2 = corner(b1, r1, t1), corner(b2, r2, t2)
-        # Fees up to C_i are affordable, so the gated income at C and on its
-        # edges (r1, C_2) and (C_1, r2) is the income.
-        p3 = game.income(r1[np.maximum(c1, 0)], r2[np.maximum(c2, 0)], s1, s_axis)
-        weak = (c1 >= 0) & (c2 >= 0) & (p3 >= t3)
-        if np.any(weak & (p3 > t3 + eps)):
-            return True
-        # At the weak corners the first fee reaching t3 on each edge is C_i
-        # or ends the prefix below t3 in [0, C_i).
-        at = np.nonzero(weak)
-        b1, b2, c1, c2, u1, u2 = b1[at], b2[at], c1[at], c2[at], s1[at[0], 0], s_axis[at[1]]
-        first1 = _prefix_len(lambda k: game.income(r1[k], r2[c2], u1, u2) < t3, c1)
-        first2 = _prefix_len(lambda k: game.income(r1[c1], r2[k], u1, u2) < t3, c2)
-        if np.any((capped_surplus(b1, r1[first1]) > t1 + eps)
-                  | (capped_surplus(b2, r2[first2]) > t2 + eps)):
-            return True
-    return False
-
-
-def pareto_check(
-    game: GamePayoffs, profile: StrategyProfile, grid: Grid, eps: float = 1e-9
-) -> bool:
-    """True iff no grid profile weakly improves all three payoffs while
-    strictly improving at least one by more than ``eps``."""
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
     t1, t2, t3 = (
@@ -274,22 +227,51 @@ def pareto_check(
         game.payoff_user2(profile),
         game.payoff_middleman(profile),
     )
-    if _fee_monotone(game):
-        return not _dominated_at_corner(game.game, t1, t2, t3, grid, eps)
-
     s_axis = grid.participation_axis()
-    s2 = s_axis[:, None, None]
-    r1 = grid.fee_axis(1)[None, :, None]
-    r2 = grid.fee_axis(2)[None, None, :]
+    if _fee_monotone(game):
+        g = game.game
+        r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
+        levels = s_axis[:, None]
 
-    def payoffs(s1):
-        block = StrategyProfile(s1, s2, r1, r2)
-        return game.payoff_user1(block), game.payoff_user2(block), game.payoff_middleman(block)
+        def payoffs(s1):  # axes: a block of s1 levels, s2
+            return g.f1(s1, s_axis), g.f2(s1, s_axis)
 
-    for _, (p1, p2, p3) in _blocks(s_axis[:, None, None, None], payoffs):
-        if _scan.any_strict_dominator(p1, p2, p3, t1, t2, t3, eps):
-            return False
-    return True
+        def corner(b, r, t):
+            """C_i per point: the last affordable fee keeping t_i, or -1."""
+            keeps = _prefix_len(lambda k: capped_surplus(b, r[k]) >= t,
+                                np.searchsorted(r, b, side="right"))
+            return keeps - 1
+
+        def dominated(s1, b1, b2):
+            c1, c2 = corner(b1, r1, t1), corner(b2, r2, t2)
+            # Fees up to C_i are affordable, so the gated income at C and on
+            # its edges (r1, C_2) and (C_1, r2) is the income.
+            p3 = g.income(r1[np.maximum(c1, 0)], r2[np.maximum(c2, 0)], s1, s_axis)
+            weak = (c1 >= 0) & (c2 >= 0) & (p3 >= t3)
+            if _scan.any_improvement(p3[weak], t3, eps):
+                return True
+            # At the weak corners the first fee reaching t3 on each edge is
+            # C_i or ends the prefix below t3 in [0, C_i).
+            at = np.nonzero(weak)
+            b1, b2, c1, c2, u1, u2 = b1[at], b2[at], c1[at], c2[at], s1[at[0], 0], s_axis[at[1]]
+            first1 = _prefix_len(lambda k: g.income(r1[k], r2[c2], u1, u2) < t3, c1)
+            first2 = _prefix_len(lambda k: g.income(r1[c1], r2[k], u1, u2) < t3, c2)
+            return (_scan.any_improvement(capped_surplus(b1, r1[first1]), t1, eps)
+                    or _scan.any_improvement(capped_surplus(b2, r2[first2]), t2, eps))
+    else:
+        s2 = s_axis[:, None, None]
+        r1 = grid.fee_axis(1)[None, :, None]
+        r2 = grid.fee_axis(2)[None, None, :]
+        levels = s_axis[:, None, None, None]
+
+        def payoffs(s1):  # axes: a block of s1 levels, s2, r1, r2
+            block = StrategyProfile(s1, s2, r1, r2)
+            return game.payoff_user1(block), game.payoff_user2(block), game.payoff_middleman(block)
+
+        def dominated(s1, p1, p2, p3):
+            return _scan.any_strict_dominator(p1, p2, p3, t1, t2, t3, eps)
+
+    return not any(dominated(block, *out) for block, out in _blocks(levels, payoffs))
 
 
 def trivial_equilibria_check(

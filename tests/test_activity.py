@@ -131,6 +131,12 @@ def test_boundary_curve_spot_values():
     assert boundary_curve(0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("sigma", [1.5, -0.1])
+def test_boundary_curve_rejects_sigma_outside_the_unit_interval(sigma):
+    with pytest.raises(ValueError, match=r"^sigma must lie in \[0, 1\]$"):
+        boundary_curve(sigma)
+
+
 def test_boundary_curve_strictly_decreasing_into_unit_interval():
     sigmas = np.linspace(0.0, 1.0, 201)
     values = np.array([boundary_curve(s) for s in sigmas])

@@ -129,6 +129,28 @@ def test_dominance_rejects_bad_player():
         weak_dominance_check(pay, 3, 1.0, Grid(10))
 
 
+def test_grid_rejects_s_lo_at_one():
+    with pytest.raises(ValueError, match=r"^s_lo must lie in \[0, 1\)$"):
+        Grid(10, s_lo=1.0)
+
+
+def test_fee_axis_rejects_bad_player():
+    with pytest.raises(ValueError, match="^player must be 1 or 2$"):
+        Grid(10).fee_axis(3)
+
+
+def test_profile_below_s_lo_rejected():
+    pay = game_payoffs(linear_activity_game())
+    with pytest.raises(ValueError, match="^profile outside the strategy box: s1 < s_lo$"):
+        epsilon_nash_check(pay, StrategyProfile(0.0, 1.0, 0.0, 0.0), Grid(10, s_lo=0.1))
+
+
+def test_dominance_rejects_candidate_outside_the_box():
+    pay = game_payoffs(linear_activity_game())
+    with pytest.raises(ValueError, match="^candidate must lie in the participation box$"):
+        weak_dominance_check(pay, 1, 0.05, Grid(10, s_lo=0.1))
+
+
 # ---------------------------------------------------------------------------
 # Nash oracle
 # ---------------------------------------------------------------------------
@@ -828,6 +850,24 @@ def test_trivial_equilibria_precondition_rejects_linear_benefits():
 
 def test_trivial_equilibria_vacuous_on_empty_samples():
     assert trivial_equilibria_check(game_payoffs(externality_game()), [], Grid(10))
+
+
+def test_trivial_equilibria_refuted_at_a_sampled_fee_pair():
+    # income 1 only at zero fees and zero participation: at fees (0.5, 0.5)
+    # the middleman gains by dropping both fees to 0
+    cd = CobbDouglas(1.0, 1.0)
+    values = np.zeros((2, 2, 2, 2))
+    values[0, 0, 0, 0] = 1.0
+    pay = game_payoffs(HedonicGame(cd, cd, TabulatedIncome(values, (1.0, 1.0))))
+    grid = Grid(10, (1.0, 1.0))
+    assert trivial_equilibria_check(pay, [(0.0, 0.0)], grid)
+    assert not trivial_equilibria_check(pay, [(0.0, 0.0), (0.5, 0.5)], grid)
+
+
+def test_trivial_equilibria_need_a_grid_reaching_zero():
+    pay = game_payoffs(externality_game())
+    with pytest.raises(ValueError, match="^zero-participation check needs a grid reaching s = 0$"):
+        trivial_equilibria_check(pay, [(0.0, 0.0)], Grid(10, s_lo=0.1))
 
 
 def test_trivial_equilibria_admit_fees_beyond_grid_bounds():

@@ -72,6 +72,24 @@ def test_parametric_benefits_reject_nonfinite_fields(family, field, value):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("value", [np.array([1.0]), np.ones((1, 1)), "1", None, 1j, [1.0]],
+                         ids=["1-d-array", "2-d-array", "str", "none", "complex", "list"])
+@pytest.mark.parametrize("family,field", [(Linear, "w1"), (Linear, "w2"),
+                                          (CobbDouglas, "alpha"), (CobbDouglas, "beta")])
+def test_parametric_benefits_reject_fields_that_are_not_numbers(family, field, value):
+    fields = dict(zip(family.__dataclass_fields__, (1.0, 1.0)), **{field: value})
+    with pytest.raises(FieldError, match=f"^{field} must be a number$") as info:
+        family(**fields)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(2), np.array(0.5)],
+                         ids=["float64", "float32", "int64", "0-d-array"])
+@pytest.mark.parametrize("family", [Linear, CobbDouglas])
+def test_parametric_benefits_take_numpy_scalars(family, value):
+    assert family(value, value)(1.0, 0.5) == family(float(value), float(value))(1.0, 0.5)
+
+
 @pytest.mark.parametrize("family,field,rule",
                          [(Linear, "w2", ">= 0"), (CobbDouglas, "beta", "> 0")])
 def test_parametric_benefits_keep_their_range_errors(family, field, rule):

@@ -587,3 +587,13 @@ def test_documented_examples_parse(text):
     config = parse_scenario(text)
     assert config.beliefs is not None
     assert round_trip(config) == config
+
+
+def test_readme_library_surface_example_runs():
+    # the block ends with an expression and, under it, the repr it prints
+    (block,) = re.findall(r"## Library surface\n\n```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(), re.S)
+    *body, last, shown = block.strip().splitlines()
+    namespace = {}
+    exec("\n".join(body), namespace)
+    assert shown == f"# {eval(last, namespace)!r}"
