@@ -74,7 +74,8 @@ class BeliefSystem:
     weight on the undisturbed game. Fields may hold numpy arrays that
     broadcast together, one belief system per entry; validation then raises
     the error of the first offending entry in C order, exactly as checking
-    the entries one at a time would.
+    the entries one at a time would. A field that is not a number (a boolean
+    is not) fails before any range check.
     """
 
     lambda_: Value
@@ -87,6 +88,8 @@ class BeliefSystem:
         checks = []
         for name in ("lambda_", "gamma", "loyalty1", "loyalty2"):
             v = np.asarray(getattr(self, name))
+            if v.dtype.kind not in "iuf":  # a bool, a string, an object, ...
+                raise BeliefError(name, "must be a number", 0)
             checks.append((~((v >= 0.0) & (v <= 1.0)), name, "must lie in [0, 1]"))
         total = np.add(self.lambda_, self.gamma)
         checks.append((
@@ -130,7 +133,7 @@ class ContestationVerdict:
 def loyalty_fees(game: HedonicGame, beliefs: BeliefSystem) -> tuple[Value, Value]:
     """Fee pair extracting the entire benefit at the loyalty participation levels."""
     l1, l2 = beliefs.loyalty
-    return (_as_scalar(game.f1(l1, l2)), _as_scalar(game.f2(l1, l2)))
+    return (game.f1(l1, l2), game.f2(l1, l2))
 
 
 def optimistic_payoff(game: HedonicGame, rho: tuple[Value, Value]) -> Value:

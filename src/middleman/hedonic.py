@@ -36,10 +36,12 @@ class FieldError(ValueError):
 
 def _require_fields(spec, names, ok, rule: str):
     """Raise a :class:`FieldError` for the first of ``names`` on ``spec``
-    that is not a real number, is not finite (an integer beyond the float
-    range is not) or fails ``ok``, whose text is ``rule``."""
+    that is not a real number (a boolean is not), is not finite (nor is an
+    integer beyond the float range) or fails ``ok``, whose text is ``rule``."""
     for name in names:
         v = getattr(spec, name)
+        if isinstance(v, (bool, np.bool_)):
+            raise FieldError(name, "must be a number")
         try:
             finite = math.isfinite(v)
         except OverflowError:
@@ -57,13 +59,14 @@ def _as_scalar(out):
 
 
 class BenefitSpec:
-    """Base for benefit/activity functions on the unit participation square."""
+    """Base for benefit/activity functions on the unit participation square.
+    A call hands ``evaluate`` numpy arrays and returns a 0-d result as a float."""
 
-    def evaluate(self, s1: Value, s2: Value) -> Value:
+    def evaluate(self, s1: np.ndarray, s2: np.ndarray) -> Value:
         raise NotImplementedError
 
     def __call__(self, s1: Value, s2: Value) -> Value:
-        return self.evaluate(s1, s2)
+        return _as_scalar(self.evaluate(np.asarray(s1), np.asarray(s2)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class CobbDouglas(BenefitSpec):
         _require_fields(self, ("alpha", "beta"), lambda v: v > 0, "must be > 0")
 
     def evaluate(self, s1, s2):
-        return _as_scalar(np.asarray(s1) ** self.alpha * np.asarray(s2) ** self.beta)
+        return s1**self.alpha * s2**self.beta
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class Linear(BenefitSpec):
         _require_fields(self, ("w1", "w2"), lambda v: v >= 0, "must be >= 0")
 
     def evaluate(self, s1, s2):
-        return _as_scalar(self.w1 * np.asarray(s1) + self.w2 * np.asarray(s2))
+        return self.w1 * s1 + self.w2 * s2
 
 
 def _node_table(values, ndim: int) -> np.ndarray:
@@ -110,7 +113,7 @@ def _node_table(values, ndim: int) -> np.ndarray:
 
 def _node_coords(x, size):
     """Lower node index and fractional offset for interpolation on [0, 1]."""
-    t = np.asarray(x) * (size - 1)
+    t = x * (size - 1)
     i = np.clip(np.floor(t).astype(np.intp), 0, size - 2)
     return i, t - i
 
@@ -122,12 +125,10 @@ def _multilinear(values: np.ndarray, coords) -> Value:
     out = 0.0
     for corner in product((0, 1), repeat=values.ndim):
         w = 1.0
-        sel = []
-        for (i, f), bit in zip(nodes, corner):
-            sel.append(i + bit)
+        for (_, f), bit in zip(nodes, corner):
             w = w * (f if bit else 1 - f)
-        out = out + values[tuple(sel)] * w
-    return _as_scalar(out)
+        out = out + values[tuple(i + bit for (i, _), bit in zip(nodes, corner))] * w
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,13 +150,14 @@ class TabulatedBenefit(BenefitSpec):
 
 
 class IncomeSpec:
-    """Base for middleman net-income functions of (rho1, rho2, s1, s2)."""
+    """Base for middleman net-income functions of (rho1, rho2, s1, s2).
+    A call hands ``evaluate`` numpy arrays and returns a 0-d result as a float."""
 
-    def evaluate(self, rho1: Value, rho2: Value, s1: Value, s2: Value) -> Value:
+    def evaluate(self, rho1: np.ndarray, rho2: np.ndarray, s1: np.ndarray, s2: np.ndarray):
         raise NotImplementedError
 
     def __call__(self, rho1, rho2, s1, s2):
-        return self.evaluate(rho1, rho2, s1, s2)
+        return _as_scalar(self.evaluate(*map(np.asarray, (rho1, rho2, s1, s2))))
 
 
 @dataclass(frozen=True)
@@ -165,9 +167,7 @@ class MultiplicativeIncome(IncomeSpec):
     activity: BenefitSpec
 
     def evaluate(self, rho1, rho2, s1, s2):
-        return _as_scalar(
-            (np.asarray(rho1) + np.asarray(rho2)) * self.activity(s1, s2)
-        )
+        return (rho1 + rho2) * self.activity(s1, s2)
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ class AdditiveFeesIncome(IncomeSpec):
     """Fee revenue rho1 + rho2, independent of participation."""
 
     def evaluate(self, rho1, rho2, s1, s2):
-        return _as_scalar(np.asarray(rho1) + np.asarray(rho2))
+        return rho1 + rho2
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +206,8 @@ class TabulatedIncome(IncomeSpec):
         )
 
     def evaluate(self, rho1, rho2, s1, s2):
-        coords = (
-            np.clip(np.asarray(rho1) / self.fee_bounds[0], 0.0, 1.0),
-            np.clip(np.asarray(rho2) / self.fee_bounds[1], 0.0, 1.0),
-            s1,
-            s2,
-        )
-        return _multilinear(self.values, coords)
+        r1, r2 = (np.clip(r / b, 0.0, 1.0) for r, b in zip((rho1, rho2), self.fee_bounds))
+        return _multilinear(self.values, (r1, r2, s1, s2))
 
 
 @dataclass(frozen=True)
@@ -243,8 +238,7 @@ def user_payoff(game: HedonicGame, i: int, profile: StrategyProfile) -> Value:
     """User i's :func:`capped_surplus` at the profile's participation and fee."""
     if i not in (1, 2):
         raise ValueError("user index must be 1 or 2")
-    f = game.f1 if i == 1 else game.f2
-    rho = profile.rho1 if i == 1 else profile.rho2
+    f, rho = (game.f1, profile.rho1) if i == 1 else (game.f2, profile.rho2)
     return _as_scalar(capped_surplus(f(profile.s1, profile.s2), rho))
 
 

@@ -61,6 +61,27 @@ class ScenarioError(ValueError):
     """Parse or validation failure; the message carries the location or field."""
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loading that rejects a key given twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                duplicate = key in seen
+            except TypeError:  # an unhashable key, which the base class reports
+                break
+            if duplicate:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     game: HedonicGame
@@ -174,7 +195,7 @@ def _beliefs(section) -> BeliefSystem:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -267,6 +288,7 @@ def dump_scenario(config: ScenarioConfig) -> str:
 
 
 def _format_value(v) -> str:
+    v = v.item() if isinstance(v, np.generic) else v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -277,6 +299,7 @@ def _format_value(v) -> str:
 
 
 def _jsonable(v):
+    v = v.item() if isinstance(v, np.generic) else v
     if isinstance(v, bool):
         return v
     if isinstance(v, float):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from middleman import (
     BeliefSystem,
@@ -29,6 +31,7 @@ from middleman import (
     parse_scenario,
     pessimistic_payoff,
 )
+from middleman.ambiguity import BeliefError
 from _support import random_benchmark_game, random_proper_beliefs, sigma_benchmark_game
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -59,6 +62,27 @@ def test_properness_enforced():
 def test_belief_fields_bounded(kwargs):
     with pytest.raises(ValueError):
         BeliefSystem(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("lambda_", False),
+        ("gamma", True),
+        ("gamma", np.bool_(False)),
+        ("loyalty1", np.array([True, False])),
+        ("loyalty2", "0.5"),
+        ("loyalty2", np.array([0.5, None])),
+    ],
+    ids=["false", "true", "numpy-bool", "bool-array", "string", "object-array"],
+)
+def test_belief_fields_must_be_numbers(field, value):
+    # checked before every range check: lambda_ = 2 is out of range too
+    fields = dict(lambda_=2.0, gamma=0.5, loyalty1=0.5, loyalty2=0.5)
+    fields[field] = value
+    with pytest.raises(BeliefError, match=f"^{field} must be a number$") as info:
+        BeliefSystem(**fields)
+    assert (info.value.field, info.value.row) == (field, 0)
 
 
 def test_verdict_consistency_enforced():
@@ -267,6 +291,36 @@ def test_threshold_matches_modified_payoff_comparison():
         if abs(diff) > 1e-9:
             verdict = full_exploitation_verdict(game, beliefs)
             assert verdict.full_exploitation == (diff > 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_grid_argmax_lands_on_the_verdicts_candidate(seed):
+    """The two-candidate argument of ``full_exploitation_verdict`` against
+    the grid: the best fee response is within one fee step of the
+    full-extraction fees F when full exploitation holds, of the loyalty fees
+    phi otherwise, and full exploitation makes (1, 1, F) an equilibrium.
+
+    The grid holds phi only as the fee pair below it, whose payoff may fall
+    short of F's although phi's does not; such draws are skipped."""
+    rng = np.random.default_rng(seed)
+    game, s_lo = random_benchmark_game(rng)
+    beliefs = random_proper_beliefs(rng, gamma_hi=0.95)
+    verdict = full_exploitation_verdict(game, beliefs)
+    assume(abs(verdict.delta - verdict.rhs) > 1e-9)
+    F = full_extraction_fees(game)
+    phi = loyalty_fees(game, beliefs)
+    grid = Grid(40, F, s_lo)
+    below_phi = [float(axis[axis <= p][-1]) for axis, p in zip(map(grid.fee_axis, (1, 2)), phi)]
+    payoff = [modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, *rho))
+              for rho in (F, below_phi)]
+    assume((payoff[0] >= payoff[1]) == verdict.full_exploitation)
+    candidate = F if verdict.full_exploitation else phi
+    best = best_fee_response(game, beliefs, grid)
+    for got, want, bound in zip(best, candidate, F):
+        assert abs(got - want) <= bound / 40 * (1 + 1e-9)
+    if verdict.full_exploitation:
+        assert ambiguity_equilibrium_check(game, beliefs, StrategyProfile(1.0, 1.0, *F), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,26 @@ def test_nonfinite_scenario_number_exits_2(tmp_path, old, new, field):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "beliefs,message",
+    [
+        # a repeated key used to keep its last value silently
+        ("{gamma: 0.5, gamma: 0.9, loyalty: [0.5, 0.5]}",
+         "parse error at line 9, column 23: found duplicate key 'gamma'"),
+        ("{[1, 2]: 0.5, gamma: 0.5}", "parse error at line 9, column 11: found unhashable key"),
+    ],
+    ids=["duplicate", "unhashable"],
+)
+def test_bad_scenario_key_exits_2(tmp_path, capsys, beliefs, message):
+    block = "beliefs:\n  gamma: 0.5\n  loyalty: [0.5, 0.5]\n"
+    assert block in BENCHMARK_DOC
+    path = tmp_path / "bad_key.yaml"
+    path.write_text(BENCHMARK_DOC.replace(block, f"beliefs: {beliefs}\n"))
+    assert cli.main(["threshold", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("error", [RuntimeError, TypeError])
 def test_unexpected_error_exits_3(scenario, monkeypatch, capsys, error):
     def crash(config, args):

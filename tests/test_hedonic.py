@@ -5,6 +5,7 @@ import pytest
 
 from middleman import (
     AdditiveFeesIncome,
+    BenefitSpec,
     CobbDouglas,
     Grid,
     HedonicGame,
@@ -90,11 +91,88 @@ def test_parametric_benefits_take_numpy_scalars(family, value):
     assert family(value, value)(1.0, 0.5) == family(float(value), float(value))(1.0, 0.5)
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True)],
+                         ids=["true", "false", "numpy-bool"])
+@pytest.mark.parametrize("family,field", [(Linear, "w1"), (Linear, "w2"),
+                                          (CobbDouglas, "alpha"), (CobbDouglas, "beta")])
+def test_parametric_benefits_reject_booleans(family, field, value):
+    # a scenario dump would write the field as true/false, which no parser reads back
+    fields = dict(zip(family.__dataclass_fields__, (1.0, 1.0)), **{field: value})
+    with pytest.raises(FieldError, match=f"^{field} must be a number$") as info:
+        family(**fields)
+    assert info.value.field == field
+
+
 @pytest.mark.parametrize("family,field,rule",
                          [(Linear, "w2", ">= 0"), (CobbDouglas, "beta", "> 0")])
 def test_parametric_benefits_keep_their_range_errors(family, field, rule):
     with pytest.raises(FieldError, match=f"^{field} must be {rule}$"):
         family(1.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# spec calls: arrays in, a float back at scalar inputs
+# ---------------------------------------------------------------------------
+
+
+BUILT_IN_BENEFITS = [
+    CobbDouglas(0.7, 1.3),
+    Linear(0.6, 0.4),
+    TabulatedBenefit(np.arange(6.0).reshape(2, 3)),
+]
+BUILT_IN_INCOMES = [
+    MultiplicativeIncome(CobbDouglas(0.7, 1.3)),
+    MultiplicativeIncome(TabulatedBenefit(np.arange(6.0).reshape(2, 3))),
+    AdditiveFeesIncome(),
+    TabulatedIncome(np.arange(24.0).reshape(2, 3, 2, 2), (1.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("spec", BUILT_IN_BENEFITS, ids=lambda spec: type(spec).__name__)
+def test_benefit_families_return_a_float_or_the_broadcast_array(spec):
+    assert type(spec(0.5, 1.0)) is float
+    assert type(spec(np.float64(0.5), 1)) is float
+    out = spec(np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 4))
+    assert type(out) is np.ndarray and out.shape == (3, 4)
+
+
+@pytest.mark.parametrize("spec", BUILT_IN_INCOMES, ids=lambda spec: type(spec).__name__)
+def test_income_families_return_a_float_or_the_broadcast_array(spec):
+    assert type(spec(0.5, 0.25, 0.5, 1.0)) is float
+    assert type(spec(np.float64(0.5), 0, 1, np.float64(0.5))) is float
+    # the fees alone span the broadcast shape: additive income reads only them
+    out = spec(np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 2.0, 4), 0.5,
+               np.linspace(0.0, 1.0, 4))
+    assert type(out) is np.ndarray and out.shape == (3, 4)
+
+
+class RecordingBenefit(BenefitSpec):
+    """Records the argument types ``evaluate`` receives; returns ``s1 + s2``
+    as an array, 0-d at scalar inputs."""
+
+    def evaluate(self, s1, s2):
+        self.seen = (type(s1), type(s2))
+        return np.asarray(s1 + s2)
+
+
+class RecordingIncome(IncomeSpec):
+    """The income counterpart of :class:`RecordingBenefit`."""
+
+    def evaluate(self, rho1, rho2, s1, s2):
+        self.seen = tuple(type(v) for v in (rho1, rho2, s1, s2))
+        return np.asarray(rho1 + rho2 + s1 + s2)
+
+
+def test_user_specs_receive_arrays_and_return_a_float_at_scalar_inputs():
+    benefit, income = RecordingBenefit(), RecordingIncome()
+    out = benefit(0.5, 1)
+    assert type(out) is float and out == 1.5
+    assert benefit.seen == (np.ndarray, np.ndarray)
+    out = income(0.25, np.float64(0.5), 1.0, 0)
+    assert type(out) is float and out == 1.75
+    assert income.seen == (np.ndarray,) * 4
+    out = benefit([0.0, 0.5], 1.0)
+    assert type(out) is np.ndarray and out.tolist() == [1.0, 1.5]
 
 
 # ---------------------------------------------------------------------------

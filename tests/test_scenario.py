@@ -205,6 +205,18 @@ def test_malformed_yaml_reports_location():
         parse_scenario("game: [unclosed\nbeliefs: {")
 
 
+def test_merge_keys_are_not_duplicate_keys():
+    # a key merged in from an anchor may be overridden, and only a key given
+    # twice in the mapping itself is an error
+    doc = COBB_DOUGLAS_DOC.replace(
+        "  f2: {family: cobb_douglas, alpha: 1.0, beta: 1.0}",
+        "  f2: {<<: *f1, beta: 1.0}",
+    ).replace("  f1: {", "  f1: &f1 {")
+    assert parse_scenario(doc) == parse_scenario(COBB_DOUGLAS_DOC)
+    with pytest.raises(ScenarioError, match="found duplicate key 'beta'"):
+        parse_scenario(doc.replace("*f1, beta: 1.0}", "*f1, beta: 1.0, beta: 2.0}"))
+
+
 def test_grid_section_validated():
     for grid, problem in (("{steps: 1}", "grid.steps"), ("{s_lo: 1.0}", "grid.s_lo: must be < 1")):
         with pytest.raises(ScenarioError, match=problem):
@@ -359,6 +371,17 @@ def test_verdict_report_six_decimal_text():
     assert "rhs=0.500000\n" in text
     assert "full_exploitation=true\n" in text
     assert "loyalty_fees=0.500000,0.500000\n" in text
+
+
+def test_reports_spell_numpy_scalars_as_the_python_values_they_hold():
+    # 0.0027385 rounds to 0.002739 by Python's round, to 0.002738 by numpy's
+    plain = {"check": "x", "verdict": True, "delta": 0.0027385, "rhs": 0.5, "steps": 3,
+             "fees": (0.25, 1.0)}
+    numpy = {"check": "x", "verdict": np.bool_(True), "delta": np.float64(0.0027385),
+             "rhs": np.float32(0.5), "steps": np.int64(3),
+             "fees": (np.float64(0.25), np.float32(1.0))}
+    for fmt in ("text", "machine"):
+        assert emit_results(numpy, fmt) == emit_results(plain, fmt)
 
 
 def test_verdict_report_machine_round_trips_json():
