@@ -8,6 +8,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,18 +90,24 @@ class RegionMap(Sequence):
 
     ``axis`` holds the n+1 lattice coordinates shared by gamma and sigma;
     ``full_exploitation[i, j]`` is the verdict at gamma = axis[i],
-    sigma = axis[j]. As a sequence it yields :class:`RegionSample` records
+    sigma = axis[j]. The verdict lattice is evaluated on its first read, so
+    a map that draws only the analytic boundary from ``axis`` (the SVG)
+    costs no lattice. As a sequence it yields :class:`RegionSample` records
     in row-major order (gamma outer, sigma inner), built on demand.
     """
 
-    def __init__(self, axis: np.ndarray, full_exploitation: np.ndarray):
+    def __init__(self, axis: np.ndarray):
         axis.setflags(write=False)
-        full_exploitation.setflags(write=False)
         self.axis = axis
-        self.full_exploitation = full_exploitation
+
+    @cached_property
+    def full_exploitation(self) -> np.ndarray:
+        verdicts = _region_verdicts(self.axis)
+        verdicts.setflags(write=False)
+        return verdicts
 
     def __len__(self) -> int:
-        return self.full_exploitation.size
+        return self.axis.size ** 2
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -115,20 +122,28 @@ class RegionMap(Sequence):
         return RegionSample(point, bool(self.full_exploitation[i, j]))
 
 
+def _region_verdicts(axis: np.ndarray) -> np.ndarray:
+    """The benchmark inequality at every (gamma, sigma) of ``axis`` x ``axis``.
+
+    One broadcast with the same float operations as
+    :func:`benchmark_full_exploitation_condition`, so every verdict is
+    bit-identical to the per-point test.
+    """
+    g = axis[:, None]
+    s = axis[None, :]
+    return (1.0 - g) * (1.0 - s) >= g * s * s
+
+
 def region_sample(resolution: int) -> RegionMap:
     """Benchmark verdicts on the (resolution+1)^2 lattice over [0, 1]^2.
 
-    One broadcast of the benchmark inequality with the same float operations
-    as :func:`benchmark_full_exploitation_condition`, so every verdict is
-    bit-identical to the per-point test. Endpoints gamma = 1 and sigma = 1
-    are included, though they fall outside the threshold test's hypotheses;
-    their verdicts read the benchmark inequality formally.
+    The resolution is checked here; the verdicts are evaluated when the
+    map's ``full_exploitation`` is first read. Endpoints gamma = 1 and
+    sigma = 1 are included, though they fall outside the threshold test's
+    hypotheses; their verdicts read the benchmark inequality formally.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
         raise TypeError("resolution must be an integer")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    axis = np.arange(resolution + 1) / resolution
-    g = axis[:, None]
-    s = axis[None, :]
-    return RegionMap(axis, (1.0 - g) * (1.0 - s) >= g * s * s)
+    return RegionMap(np.arange(resolution + 1) / resolution)

@@ -19,13 +19,22 @@ evaluates per call. ``dominance`` and the corner path keep their
 ``(steps + 1)^3`` budgets although they now evaluate O(n^2) and O(n^2 log n)
 points, so ``dominance --steps 300`` and ``pareto --steps 300`` are still
 refused.
+
+Every check that can exit 2 is made before the first byte is written. Map
+output (the ``region`` CSV and both ``sweep`` formats) is then written one
+block of rows at a time, as each is made, so peak memory holds about one
+block whatever the lattice size; ``region --format svg`` draws the analytic
+boundary and evaluates no verdict lattice. After a crash mid-write (exit 3)
+an ``--out`` file may therefore be partial.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
+from contextlib import nullcontext
 from dataclasses import replace
 from math import prod
 from pathlib import Path
@@ -43,7 +52,15 @@ from .ambiguity import (
 from .game import Grid, StrategyProfile
 from .hedonic import full_extraction_fees, game_payoffs
 from .oracles import _fee_monotone, epsilon_nash_check, pareto_check, weak_dominance_check
-from .scenario import ScenarioError, emit_results, parse_scenario, sweep_csv, sweep_machine
+from .scenario import (
+    ScenarioError,
+    _region_csv_blocks,
+    _sweep_csv_blocks,
+    _sweep_machine_blocks,
+    emit_results,
+    parse_scenario,
+    region_svg,
+)
 
 SWEEPABLE_FIELDS = {"gamma": "gamma", "lambda": "lambda_", "loyalty1": "loyalty1",
                     "loyalty2": "loyalty2"}  # --sweep name -> BeliefSystem field
@@ -80,7 +97,11 @@ def _sweep_arg(text):
     return name, start, stop, count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: parsing does
+    not change it, and it names each subcommand's handler and ``_build_*``
+    function, which are looked up when called, so a replaced one is used."""
     parser = argparse.ArgumentParser(
         prog="middleman",
         description="Equilibrium analysis for the two-sided middleman platform game.",
@@ -107,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=formats[0],
             help="output format (default: %(default)s)",
         )
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler.__name__)
         return p
 
     for name, help_text, build, profile in (
@@ -120,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("threshold", "full-exploitation threshold verdict", _build_threshold, False),
     ):
         report = add(name, help_text, _cmd_report, ("text", "machine"), profile=profile)
-        report.set_defaults(build=build)
+        report.set_defaults(build=build.__name__)
         report.add_argument(
             "--assert",
             dest="assert_",
@@ -169,20 +190,20 @@ def _check_points(points, source):
         raise ScenarioError(f"{source}: {points} points exceed the limit of {MAX_POINTS}")
 
 
-def _deliver(text, args):
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _deliver(blocks, args):
+    """Write each text block as it comes, to ``--out`` (opened once, in text
+    mode) or to stdout. Every check that exits 2 is made before this."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(blocks)
 
 
 def _cmd_report(args):
-    """Run a verdict report. The subcommand's ``_build_*`` function, set as
+    """Run a verdict report. The subcommand's ``_build_*`` function, named by
     ``args.build``, takes the parsed scenario and returns the verdict and the
     report entries; a false verdict under ``--assert`` exits 1."""
     config = parse_scenario(Path(args.scenario).read_text())
-    verdict, entries = args.build(config, args)
-    _deliver(emit_results(entries, args.format), args)
+    verdict, entries = globals()[args.build](config, args)
+    _deliver([emit_results(entries, args.format)], args)
     return 1 if args.assert_ and not verdict else 0
 
 
@@ -249,7 +270,8 @@ def _build_threshold(config, args):
 def _cmd_region(args):
     if args.resolution >= 2:  # smaller ones are region_sample's to reject
         _check_points((args.resolution + 1) ** 2, "--resolution")
-    _deliver(emit_results(region_sample(args.resolution), args.format), args)
+    region = region_sample(args.resolution)
+    _deliver(_region_csv_blocks(region) if args.format == "csv" else [region_svg(region)], args)
     return 0
 
 
@@ -283,15 +305,15 @@ def _cmd_sweep(args):
     columns.update(
         delta=verdict.delta, rhs=verdict.rhs, full_exploitation=verdict.full_exploitation
     )
-    _deliver(sweep_csv(columns) if args.format == "csv" else sweep_machine(columns), args)
+    blocks = _sweep_csv_blocks if args.format == "csv" else _sweep_machine_blocks
+    _deliver(blocks(columns), args)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,9 @@ error names the offending field. Emission is byte-stable: identical inputs
 give identical output documents. CSV and text output spell each number fixed
 at six decimals (``f"{v:.6f}"``); ``machine`` output spells it as
 ``json.dumps(round(v, 6))``, the shortest form of the rounded value
-(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``).
+(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Each map writer
+(``region_csv``, ``sweep_csv``, ``sweep_machine``) joins the text blocks of
+one private generator, which the CLI writes a block at a time instead.
 """
 
 from __future__ import annotations
@@ -317,13 +319,23 @@ def report_machine(entries: dict) -> str:
     return json.dumps({k: _jsonable(v) for k, v in entries.items()}, sort_keys=True) + "\n"
 
 
-def region_csv(region: RegionMap) -> str:
+def _region_csv_blocks(region: RegionMap):
+    """The region CSV as text blocks: the header, then groups of gamma rows
+    of about one sweep block's cells each."""
+    yield "gamma,sigma,full_exploitation\n"
     labels = _spell(region.axis, machine=False).tolist()
     cells = np.array([[f"{x},false" for x in labels], [f"{x},true" for x in labels]], dtype=object)
-    # row i holds the cell of sigma j for its verdict, each line led by gamma
-    grid = cells[region.full_exploitation.astype(np.intp), np.arange(len(labels))]
-    rows = (f"{g}," + f"\n{g},".join(row) + "\n" for g, row in zip(labels, grid.tolist()))
-    return "gamma,sigma,full_exploitation\n" + "".join(rows)
+    sigma = np.arange(len(labels))
+    step = max(1, _SWEEP_BLOCK_ROWS // len(labels))
+    for lo in range(0, len(labels), step):
+        # row i holds the cell of sigma j for its verdict, each line led by gamma
+        grid = cells[region.full_exploitation[lo:lo + step].astype(np.intp), sigma]
+        yield "".join(f"{g}," + f"\n{g},".join(row) + "\n"
+                      for g, row in zip(labels[lo:lo + step], grid.tolist()))
+
+
+def region_csv(region: RegionMap) -> str:
+    return "".join(_region_csv_blocks(region))
 
 
 def region_svg(region: RegionMap) -> str:
@@ -331,7 +343,8 @@ def region_svg(region: RegionMap) -> str:
 
     Gamma runs along the x-axis, sigma up the y-axis, on a 500-unit square.
     The shaded polygon and the curve are drawn from the analytic boundary at
-    the sample resolution.
+    the sample resolution: only ``region.axis`` is read, so the map's verdict
+    lattice is never evaluated.
     """
     size = 500
     curve = [(boundary_curve(sig), sig) for sig in region.axis.tolist()]
@@ -427,23 +440,33 @@ def _row_text(columns: dict, machine: bool, heads: list, tails: list, row_sep: s
         yield "".join(grid.ravel().tolist())
 
 
+def _sweep_csv_blocks(columns: dict):
+    heads = [""] * len(columns)
+    tails = [","] * (len(columns) - 1) + ["\n"]
+    yield ",".join(columns) + "\n"
+    yield from _row_text(columns, False, heads, tails, "")
+
+
 def sweep_csv(columns: dict) -> str:
     """CSV of equal-length float or bool columns, one row per index, in
     mapping order."""
-    heads = [""] * len(columns)
-    tails = [","] * (len(columns) - 1) + ["\n"]
-    return ",".join(columns) + "\n" + "".join(_row_text(columns, False, heads, tails, ""))
+    return "".join(_sweep_csv_blocks(columns))
 
 
-def sweep_machine(columns: dict) -> str:
-    """JSON list of one object per row of equal-length float or bool columns."""
+def _sweep_machine_blocks(columns: dict):
     names = sorted(columns)
     # json.dumps(..., sort_keys=True) of each row's dict
     keys = [json.dumps(n) + ": " for n in names]
     heads = ["{" + keys[0]] + [", " + k for k in keys[1:]]
     tails = [""] * (len(names) - 1) + ["}"]
-    sorted_columns = {n: columns[n] for n in names}
-    return "[" + "".join(_row_text(sorted_columns, True, heads, tails, ", ")) + "]\n"
+    yield "["
+    yield from _row_text({n: columns[n] for n in names}, True, heads, tails, ", ")
+    yield "]\n"
+
+
+def sweep_machine(columns: dict) -> str:
+    """JSON list of one object per row of equal-length float or bool columns."""
+    return "".join(_sweep_machine_blocks(columns))
 
 
 def emit_results(result, fmt: str = "text") -> str:

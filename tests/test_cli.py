@@ -10,8 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from middleman import cli, full_exploitation_verdict, parse_scenario
-from middleman.scenario import _SWEEP_BLOCK_ROWS
+from middleman import activity, cli, full_exploitation_verdict, parse_scenario, region_sample
+from middleman import scenario as writers
+from middleman.scenario import (
+    _SWEEP_BLOCK_ROWS,
+    region_csv,
+    region_svg,
+    sweep_csv,
+    sweep_machine,
+)
 from _support import first_difference, reference_sweep_csv, reference_sweep_machine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -300,6 +307,10 @@ def test_unexpected_error_exits_3(scenario, monkeypatch, capsys, error):
     def crash(config, args):
         raise error("boom")
 
+    # the parser is built once per process, so a call before the patch must
+    # not leave the original handler in place for the next one
+    assert cli.main(["threshold", "--scenario", scenario]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(cli, "_build_threshold", crash)
     assert cli.main(["threshold", "--scenario", scenario]) == 3
     err = capsys.readouterr().err
@@ -491,6 +502,75 @@ def test_sweep_across_row_blocks_matches_reference(scenario, tmp_path, fmt):
                      "--sweep", "loyalty1=0:0.99:270", "--format", fmt, "--out", str(out)]) == 0
     reference = reference_sweep_csv if fmt == "csv" else reference_sweep_machine
     assert first_difference(out.read_text(), reference(columns)) is None
+
+
+def _sweep_columns(scenario, **axes):
+    """The columns the sweep subcommand writes for ``axes``, in their order."""
+    grids = np.meshgrid(*axes.values(), indexing="ij")
+    swept = dict(zip(axes, (g.ravel() for g in grids)))
+    config = parse_scenario(Path(scenario).read_text())
+    verdict = full_exploitation_verdict(config.game, replace(config.beliefs, **swept))
+    return {**swept, "delta": verdict.delta, "rhs": verdict.rhs,
+            "full_exploitation": verdict.full_exploitation}
+
+
+@pytest.mark.parametrize("block_rows", [7, _SWEEP_BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "argv,writer",
+    [
+        (("region", "--resolution", "2"), lambda s: region_csv(region_sample(2))),
+        (("region", "--resolution", "7"), lambda s: region_csv(region_sample(7))),
+        (("region", "--resolution", "7", "--format", "svg"),
+         lambda s: region_svg(region_sample(7))),
+        # 20 rows: three blocks of 7 rows, the last one short
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
+          "--sweep", "loyalty1=0:0.75:4"),
+         lambda s: sweep_csv(_sweep_columns(s, gamma=np.linspace(0, 0.8, 5),
+                                            loyalty1=np.linspace(0, 0.75, 4)))),
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
+          "--sweep", "loyalty1=0:0.75:4", "--format", "machine"),
+         lambda s: sweep_machine(_sweep_columns(s, gamma=np.linspace(0, 0.8, 5),
+                                                loyalty1=np.linspace(0, 0.75, 4)))),
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0.3:0.3:1"),
+         lambda s: sweep_csv(_sweep_columns(s, gamma=np.array([0.3])))),
+        (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0.3:0.3:1",
+          "--format", "machine"),
+         lambda s: sweep_machine(_sweep_columns(s, gamma=np.array([0.3])))),
+    ],
+    ids=["region-2", "region-7", "region-7-svg", "sweep-csv", "sweep-machine",
+         "one-row-csv", "one-row-machine"],
+)
+def test_streamed_map_equals_the_string_writer(scenario, tmp_path, capsys, monkeypatch,
+                                               argv, writer, block_rows):
+    # the CLI writes each block as it is made; the bytes on stdout and in
+    # --out are the str writer's at the shipped block size, also where
+    # several smaller blocks meet
+    argv = [a.format(scenario=scenario) for a in argv]
+    expected = writer(scenario)
+    monkeypatch.setattr(writers, "_SWEEP_BLOCK_ROWS", block_rows)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    out = tmp_path / "map.out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_region_svg_evaluates_no_verdict_lattice(monkeypatch, capsys):
+    def no_lattice(axis):
+        raise AssertionError("verdict lattice evaluated")
+
+    monkeypatch.setattr(activity, "_region_verdicts", no_lattice)
+    argv = ("region", "--resolution", "7", "--format", "svg")
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_SHA256)[argv]
+    # the resolution is still checked: too small, and over the point limit
+    assert cli.main(["region", "--resolution", "1", "--format", "svg"]) == 2
+    assert capsys.readouterr() == ("", "error: resolution must be at least 2\n")
+    assert cli.main(["region", "--resolution", "4000", "--format", "svg"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --resolution: 16008001 points exceed the limit of 10000000\n")
 
 
 def test_sweep_format_checked_before_the_sweep(scenario):
