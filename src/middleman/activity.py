@@ -90,15 +90,19 @@ class RegionMap(Sequence):
 
     ``axis`` holds the n+1 lattice coordinates shared by gamma and sigma;
     ``full_exploitation[i, j]`` is the verdict at gamma = axis[i],
-    sigma = axis[j]. The verdict lattice is evaluated on its first read, so
-    a map that draws only the analytic boundary from ``axis`` (the SVG)
-    costs no lattice. As a sequence it yields :class:`RegionSample` records
-    in row-major order (gamma outer, sigma inner), built on demand.
+    sigma = axis[j]. Without a ``full_exploitation`` lattice the map holds
+    the benchmark inequality's, evaluated on its first read, so a map that
+    draws only the analytic boundary from ``axis`` (the SVG) costs no
+    lattice. As a sequence it yields :class:`RegionSample` records in
+    row-major order (gamma outer, sigma inner), built on demand.
     """
 
-    def __init__(self, axis: np.ndarray):
+    def __init__(self, axis: np.ndarray, full_exploitation: np.ndarray | None = None):
         axis.setflags(write=False)
         self.axis = axis
+        if full_exploitation is not None:
+            full_exploitation.setflags(write=False)
+            self.__dict__["full_exploitation"] = full_exploitation  # the cached value
 
     @cached_property
     def full_exploitation(self) -> np.ndarray:

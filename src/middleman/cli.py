@@ -31,7 +31,6 @@ an ``--out`` file may therefore be partial.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import traceback
 from contextlib import nullcontext
@@ -52,15 +51,7 @@ from .ambiguity import (
 from .game import Grid, StrategyProfile
 from .hedonic import full_extraction_fees, game_payoffs
 from .oracles import _fee_monotone, epsilon_nash_check, pareto_check, weak_dominance_check
-from .scenario import (
-    ScenarioError,
-    _region_csv_blocks,
-    _sweep_csv_blocks,
-    _sweep_machine_blocks,
-    emit_results,
-    parse_scenario,
-    region_svg,
-)
+from .scenario import ScenarioError, emit_blocks, emit_results, parse_scenario, sweep_blocks
 
 SWEEPABLE_FIELDS = {"gamma": "gamma", "lambda": "lambda_", "loyalty1": "loyalty1",
                     "loyalty2": "loyalty2"}  # --sweep name -> BeliefSystem field
@@ -97,11 +88,7 @@ def _sweep_arg(text):
     return name, start, stop, count
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared: parsing does
-    not change it, and it names each subcommand's handler and ``_build_*``
-    function, which are looked up when called, so a replaced one is used."""
     parser = argparse.ArgumentParser(
         prog="middleman",
         description="Equilibrium analysis for the two-sided middleman platform game.",
@@ -128,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=formats[0],
             help="output format (default: %(default)s)",
         )
-        p.set_defaults(handler=handler.__name__)
+        p.set_defaults(handler=handler)
         return p
 
     for name, help_text, build, profile in (
@@ -141,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("threshold", "full-exploitation threshold verdict", _build_threshold, False),
     ):
         report = add(name, help_text, _cmd_report, ("text", "machine"), profile=profile)
-        report.set_defaults(build=build.__name__)
+        report.set_defaults(build=build)
         report.add_argument(
             "--assert",
             dest="assert_",
@@ -198,11 +185,12 @@ def _deliver(blocks, args):
 
 
 def _cmd_report(args):
-    """Run a verdict report. The subcommand's ``_build_*`` function, named by
+    """Run a verdict report. The subcommand's ``_build_*`` function, set as
     ``args.build``, takes the parsed scenario and returns the verdict and the
     report entries; a false verdict under ``--assert`` exits 1."""
     config = parse_scenario(Path(args.scenario).read_text())
-    verdict, entries = globals()[args.build](config, args)
+    verdict, entries = args.build(config, args)
+    # one block, through emit_results, so traces still count report emission
     _deliver([emit_results(entries, args.format)], args)
     return 1 if args.assert_ and not verdict else 0
 
@@ -270,8 +258,7 @@ def _build_threshold(config, args):
 def _cmd_region(args):
     if args.resolution >= 2:  # smaller ones are region_sample's to reject
         _check_points((args.resolution + 1) ** 2, "--resolution")
-    region = region_sample(args.resolution)
-    _deliver(_region_csv_blocks(region) if args.format == "csv" else [region_svg(region)], args)
+    _deliver(emit_blocks(region_sample(args.resolution), args.format), args)
     return 0
 
 
@@ -305,15 +292,15 @@ def _cmd_sweep(args):
     columns.update(
         delta=verdict.delta, rhs=verdict.rhs, full_exploitation=verdict.full_exploitation
     )
-    blocks = _sweep_csv_blocks if args.format == "csv" else _sweep_machine_blocks
-    _deliver(blocks(columns), args)
+    _deliver(sweep_blocks(columns, args.format), args)
     return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return globals()[args.handler](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,8 @@ at six decimals (``f"{v:.6f}"``); ``machine`` output spells it as
 ``json.dumps(round(v, 6))``, the shortest form of the rounded value
 (``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Each map writer
 (``region_csv``, ``sweep_csv``, ``sweep_machine``) joins the text blocks of
-one private generator, which the CLI writes a block at a time instead.
+one private generator; :func:`emit_blocks` and :func:`sweep_blocks` hand out
+those blocks instead, for the CLI to write one at a time.
 """
 
 from __future__ import annotations
@@ -469,6 +470,39 @@ def sweep_machine(columns: dict) -> str:
     return "".join(_sweep_machine_blocks(columns))
 
 
+def sweep_blocks(columns: dict, fmt: str = "csv"):
+    """The text of :func:`sweep_csv` (``csv``) or :func:`sweep_machine`
+    (``machine``) as an iterable of blocks, made one at a time as it is
+    read. The format is checked here, before any block is made."""
+    if fmt == "csv":
+        return _sweep_csv_blocks(columns)
+    if fmt == "machine":
+        return _sweep_machine_blocks(columns)
+    raise ValueError(f"unsupported format {fmt!r} for a sweep")
+
+
+def emit_blocks(result, fmt: str = "text"):
+    """The text of :func:`emit_results` as an iterable of blocks.
+
+    A region map's CSV is made one group of gamma rows at a time, as it is
+    read; every other output is one block. The result type and format are
+    checked here, before any block is made.
+    """
+    if isinstance(result, dict):
+        if fmt == "text":
+            return [report_text(result)]
+        if fmt == "machine":
+            return [report_machine(result)]
+        raise ValueError(f"unsupported format {fmt!r} for a verdict report")
+    if isinstance(result, RegionMap):
+        if fmt == "csv":
+            return _region_csv_blocks(result)
+        if fmt == "svg":
+            return [region_svg(result)]
+        raise ValueError(f"unsupported format {fmt!r} for a region map")
+    raise TypeError(f"cannot emit result of type {type(result).__name__}")
+
+
 def emit_results(result, fmt: str = "text") -> str:
     """Serialise a verdict mapping or a region map.
 
@@ -476,16 +510,4 @@ def emit_results(result, fmt: str = "text") -> str:
     returned by ``region_sample``) accepts ``csv`` and ``svg``. Output is
     deterministic for identical inputs.
     """
-    if isinstance(result, dict):
-        if fmt == "text":
-            return report_text(result)
-        if fmt == "machine":
-            return report_machine(result)
-        raise ValueError(f"unsupported format {fmt!r} for a verdict report")
-    if isinstance(result, RegionMap):
-        if fmt == "csv":
-            return region_csv(result)
-        if fmt == "svg":
-            return region_svg(result)
-        raise ValueError(f"unsupported format {fmt!r} for a region map")
-    raise TypeError(f"cannot emit result of type {type(result).__name__}")
+    return "".join(emit_blocks(result, fmt))

@@ -19,6 +19,7 @@ from middleman import (
     HedonicGame,
     Linear,
     MultiplicativeIncome,
+    RegionMap,
     ScenarioConfig,
     ScenarioError,
     TabulatedBenefit,
@@ -484,6 +485,29 @@ def test_emit_rejects_mismatched_formats():
         emit_results(region_sample(2), "text")
     with pytest.raises(TypeError):
         emit_results(42, "text")
+
+
+def test_block_emitters_check_before_any_block():
+    # the format is refused on the call, not on the first block read
+    with pytest.raises(ValueError):
+        scenario_module.emit_blocks(region_sample(2), "machine")
+    with pytest.raises(ValueError):
+        scenario_module.sweep_blocks({"gamma": np.zeros(2)}, "svg")
+    with pytest.raises(TypeError):
+        scenario_module.emit_blocks(42, "text")
+
+
+def test_region_map_holds_a_caller_lattice():
+    axis = np.array([0.0, 0.5, 1.0])
+    verdicts = np.eye(3, dtype=bool)
+    region = RegionMap(axis, verdicts)
+    assert region.full_exploitation is verdicts
+    assert not verdicts.flags.writeable
+    lines = region_csv(region).splitlines()[1:]
+    assert [line.endswith(",true") for line in lines] == verdicts.ravel().tolist()
+    # without one, the map holds the benchmark inequality's
+    assert np.array_equal(RegionMap(axis.copy()).full_exploitation,
+                          region_sample(2).full_exploitation)
 
 
 def test_report_machine_sorted_and_stable():
