@@ -5,22 +5,24 @@ All oracles discretise deviations on a :class:`~middleman.game.Grid` and
 treat improvements of at most ``eps`` as ties, so verdicts are monotone in
 ``eps``, a rule ``_scan`` alone applies. The brute-force scans are the
 reference. Dominance and Pareto each run one loop over blocks of an outer
-participation axis, choosing by bundle kind what a block's payoffs are and
-which ``_scan`` rule judges them: one level first, so an early witness exits
-early, then as many levels as keep the payoffs within ``_BLOCK_ELEMENTS``
-elements, so memory stays flat at any resolution. ``epsilon_nash_check``
-checks its three deviation sets in order (user 1, user 2, the middleman), and
+participation axis, choosing by bundle kind what a block's payoffs are, how
+many elements one level of them holds, and which ``_scan`` rule judges them.
+Every block, the first included, holds as many levels as keep that count
+within ``_BLOCK_ELEMENTS`` elements, so memory stays flat at any resolution
+and a small grid is one block. ``epsilon_nash_check`` checks its three
+deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
 ``weak_dominance_check`` decides every bundle ``hedonic.game_payoffs``
 builds in O(n^2) instead of O(n^3), from the largest benefit over the own
 levels. ``pareto_check`` decides those whose income is multiplicative or
 additive over nonnegative benefit families in O(n^2 log n) instead of
-O(n^4), at one corner of each affordable fee box, found by bisection. Both
-paths evaluate the scan's own payoff expressions on the same floats, so each
-verdict is the scan's; their docstrings give the arguments. Every other game
-keeps the scan: tabulated income, for one, because its interpolation can
-break fee monotonicity at the ulp level.
+O(n^4), at one corner of each affordable fee box: each index there is
+guessed, confirmed at its two neighbours, and found by bisection only where
+a guess fails. Both paths evaluate the scan's own payoff expressions on the
+same floats, so each verdict is the scan's; their docstrings give the
+arguments. Every other game keeps the scan: tabulated income, for one,
+because its interpolation can break fee monotonicity at the ulp level.
 """
 
 from __future__ import annotations
@@ -52,17 +54,15 @@ _FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
 _BLOCK_ELEMENTS = 2**14
 
 
-def _blocks(levels, payoffs):
+def _blocks(levels, payoffs, per_level):
     """Yield ``(block, payoffs(block))`` over consecutive runs of ``levels``'
-    first axis: one level, then as many as keep the largest array of the tuple
-    ``payoffs`` returns within ``_BLOCK_ELEMENTS`` (at least one)."""
-    start, size = 0, 1
-    while start < len(levels):
+    first axis, from the first level on: each run holds as many levels as keep
+    ``per_level`` elements a level within ``_BLOCK_ELEMENTS`` (at least one),
+    where ``per_level`` is what one level of the caller's payoffs holds."""
+    size = max(1, _BLOCK_ELEMENTS // per_level)
+    for start in range(0, len(levels), size):
         block = levels[start:start + size]
-        out = payoffs(block)
-        yield block, out
-        start += len(block)
-        size = max(1, _BLOCK_ELEMENTS * len(block) // max(map(np.size, out)))
+        yield block, payoffs(block)
 
 
 def _validate_eps(eps):
@@ -139,7 +139,7 @@ def weak_dominance_check(
     if isinstance(game, HedonicPayoffs):
         f = game.game.f1 if player == 1 else game.game.f2
         r = grid.fee_axis(player)
-        levels = s_axis
+        levels, per_level = s_axis, own.size  # the benefit table's rows
 
         def payoffs(other):  # axes: a block of other levels, r_i
             b = f(own[:, None], other) if player == 1 else f(other, own[:, None])
@@ -151,7 +151,7 @@ def weak_dominance_check(
         r1 = grid.fee_axis(1)[:, None]
         r2 = grid.fee_axis(2)[None, :]
         own = own[:, None, None, None]
-        levels = s_axis[:, None, None]
+        levels, per_level = s_axis[:, None, None], own.size * r1.size * r2.size
 
         def payoffs(other):  # axes: own levels then the candidate, other levels, r1, r2
             s = (own, other) if player == 1 else (other, own)
@@ -161,7 +161,7 @@ def weak_dominance_check(
             return pays[:-1], pays[-1]
 
     return not any(_scan.any_dominance_gap(alts, cand, eps)
-                   for _, (alts, cand) in _blocks(levels, payoffs))
+                   for _, (alts, cand) in _blocks(levels, payoffs, per_level))
 
 
 def _fee_monotone(game: GamePayoffs) -> bool:
@@ -177,18 +177,28 @@ def _fee_monotone(game: GamePayoffs) -> bool:
     )
 
 
-def _prefix_len(holds, stop):
+def _prefix_len(holds, stop, guess):
     """For each point, the length of the true prefix of ``range(stop)`` of a
     predicate that is true and then false along it.
 
-    A bisection over all points at once: each round tries to extend every
-    point's prefix by the next smaller power of two, calling ``holds(k)`` once
-    with an index array ``k`` shaped like ``stop`` (every entry below
-    ``max(stop)``), so there are ``max(stop).bit_length()`` rounds.
+    ``holds(k)`` is called with an index array ``k`` shaped like ``stop``,
+    every entry below ``max(stop)``, and never when every stop is 0. The
+    ``guess``, clipped to ``[0, stop]``, is confirmed first: where
+    ``holds(guess - 1)`` holds (or the guess is 0) and ``holds(guess)`` does
+    not (or the guess is ``stop``), the prefix has exactly that length. If
+    any point fails, a bisection over all points answers instead: each round
+    tries to extend every point's prefix by the next smaller power of two, in
+    ``max(stop).bit_length()`` rounds of one ``holds`` call.
     """
     top = int(np.max(stop, initial=0))
-    length = np.zeros_like(stop)
-    step = (1 << top.bit_length()) >> 1  # the largest power of two <= top, or 0
+    guess = np.clip(guess, 0, stop)
+    if not top:
+        return guess
+    if np.all(((guess == 0) | holds(np.maximum(guess, 1) - 1))
+              & ((guess == stop) | ~holds(np.minimum(guess, top - 1)))):
+        return guess
+    length = np.zeros_like(guess)
+    step = (1 << top.bit_length()) >> 1  # the largest power of two <= top
     while step:
         longer = length + step
         length = np.where((longer <= stop) & holds(np.minimum(longer, top) - 1), longer, length)
@@ -212,13 +222,17 @@ def pareto_check(
     is p3(C), user 1's is at the smallest r1 with p3(r1, C_2) >= t3, and user
     2's is symmetric.
 
-    Each of these indices ends a prefix of a sorted fee axis, so it is found
-    by bisection in O(log n) per (s1, s2): the affordable fees r_i <= b_i are
-    ``searchsorted``'s count, the user's prefix is searched inside them, and,
-    only where C is a weak dominator, the first fee reaching t3 on each edge
-    ends the prefix of income < t3 in [0, C_i). Every payoff is the
-    expression the scan evaluates, on the same floats, so the verdict is
-    exact; the largest array per level has n + 1 elements.
+    Each of these indices ends a prefix of a sorted fee axis, found in
+    O(log n) per (s1, s2): the affordable fees r_i <= b_i are
+    ``searchsorted``'s count, the user's prefix lies inside them, and, only
+    where C is a weak dominator, the first fee reaching t3 on each edge ends
+    the prefix of income < t3 in [0, C_i). ``_prefix_len`` confirms a guess
+    for each prefix before it bisects: the fees r_i <= b_i - t_i for the
+    user's (``searchsorted`` again), and all of [0, C_i) for an edge. The
+    guess is not always right: with b = 1.0, a top fee F = nextafter(1, 0)
+    and t = 1.5e-16, b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every
+    payoff is the expression the scan evaluates, on the same floats, so the
+    verdict is exact; a level of a block holds one value per s2 level.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -231,7 +245,7 @@ def pareto_check(
     if _fee_monotone(game):
         g = game.game
         r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
-        levels = s_axis[:, None]
+        levels, per_level = s_axis[:, None], s_axis.size
 
         def payoffs(s1):  # axes: a block of s1 levels, s2
             return g.f1(s1, s_axis), g.f2(s1, s_axis)
@@ -239,7 +253,8 @@ def pareto_check(
         def corner(b, r, t):
             """C_i per point: the last affordable fee keeping t_i, or -1."""
             keeps = _prefix_len(lambda k: capped_surplus(b, r[k]) >= t,
-                                np.searchsorted(r, b, side="right"))
+                                np.searchsorted(r, b, side="right"),
+                                np.searchsorted(r, b - t, side="right"))
             return keeps - 1
 
         def dominated(s1, b1, b2):
@@ -254,15 +269,15 @@ def pareto_check(
             # C_i or ends the prefix below t3 in [0, C_i).
             at = np.nonzero(weak)
             b1, b2, c1, c2, u1, u2 = b1[at], b2[at], c1[at], c2[at], s1[at[0], 0], s_axis[at[1]]
-            first1 = _prefix_len(lambda k: g.income(r1[k], r2[c2], u1, u2) < t3, c1)
-            first2 = _prefix_len(lambda k: g.income(r1[c1], r2[k], u1, u2) < t3, c2)
+            first1 = _prefix_len(lambda k: g.income(r1[k], r2[c2], u1, u2) < t3, c1, c1)
+            first2 = _prefix_len(lambda k: g.income(r1[c1], r2[k], u1, u2) < t3, c2, c2)
             return (_scan.any_improvement(capped_surplus(b1, r1[first1]), t1, eps)
                     or _scan.any_improvement(capped_surplus(b2, r2[first2]), t2, eps))
     else:
         s2 = s_axis[:, None, None]
         r1 = grid.fee_axis(1)[None, :, None]
         r2 = grid.fee_axis(2)[None, None, :]
-        levels = s_axis[:, None, None, None]
+        levels, per_level = s_axis[:, None, None, None], s_axis.size**3
 
         def payoffs(s1):  # axes: a block of s1 levels, s2, r1, r2
             block = StrategyProfile(s1, s2, r1, r2)
@@ -271,7 +286,8 @@ def pareto_check(
         def dominated(s1, p1, p2, p3):
             return _scan.any_strict_dominator(p1, p2, p3, t1, t2, t3, eps)
 
-    return not any(dominated(block, *out) for block, out in _blocks(levels, payoffs))
+    return not any(dominated(block, *out)
+                   for block, out in _blocks(levels, payoffs, per_level))
 
 
 def trivial_equilibria_check(

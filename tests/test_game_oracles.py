@@ -1,6 +1,7 @@
 """Grid-oracle tests: Nash deviations, weak dominance, Pareto efficiency, and
 the zero-participation equilibrium family."""
 
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -598,8 +599,10 @@ def test_dominance_blocks_broadcast_every_payoff_shape(payoff, budget):
 def test_prefix_len_matches_the_first_false_index(n):
     # a row of n true-then-false flags per prefix length (all-false and
     # all-true rows included) plus 40 random ones, each searched over
-    # range(stop) for stop 0, 1, n and three random stops; holds is asked
-    # only about valid indices, and never when every stop is 0
+    # range(stop) for stop 0, 1, n and three random stops, from guesses that
+    # are exact, one off either way, 0, the stop, or random (out of range
+    # ones are clipped); holds is asked only about indices below max(stop),
+    # and never when every stop is 0
     rng = np.random.default_rng(n)
     cuts = np.concatenate([np.arange(n + 1), rng.integers(0, n + 1, 40)])
     flags = np.arange(n) < cuts[:, None]
@@ -612,11 +615,34 @@ def test_prefix_len_matches_the_first_false_index(n):
         asked.append(k)
         return flags[rows, k]
 
-    want = [[next((k for k in range(stop) if not flags[r, k]), stop) for stop in row]
-            for r, row in enumerate(stops.tolist())]
-    assert oracles._prefix_len(holds, stops).tolist() == want
+    want = np.array([[next((k for k in range(stop) if not flags[r, k]), stop) for stop in row]
+                     for r, row in enumerate(stops.tolist())])
+    guesses = [want, want - 1, want + 1, np.zeros_like(stops), stops,
+               *rng.integers(-3, n + 4, (4, *stops.shape))]
+    for guess in guesses:
+        assert oracles._prefix_len(holds, stops, guess).tolist() == want.tolist()
     assert all(k.shape == stops.shape and 0 <= k.min() and k.max() < n for k in asked)
-    assert oracles._prefix_len(None, np.zeros_like(stops)).tolist() == np.zeros_like(stops).tolist()
+    zeros = np.zeros_like(stops)
+    for guess in guesses:
+        assert oracles._prefix_len(None, zeros, guess).tolist() == zeros.tolist()
+
+
+def test_pareto_corner_guess_is_confirmed():
+    # at s = (1, 1) user 1's benefit is 1.0 and the top fee F = nextafter(1, 0),
+    # and the profile leaves user 1 t = 5 * 2^-55: 1.0 - t rounds to F, so
+    # searchsorted counts F, but 1.0 - F = 2^-53 < t, so user 1 keeps t only
+    # below F. With F in user 1's corner the middleman would gain 2F - t3,
+    # more than any eps below; the scan's best weak gain is about 1.25.
+    F = float(np.nextafter(1.0, 0.0))
+    half = Linear(0.5, 0.5)
+    pay = game_payoffs(HedonicGame(half, half, AdditiveFeesIncome()))
+    grid = Grid(4, (F, F))
+    profile = StrategyProfile(0.25, 0.25, 0.25 - 5 * 2.0**-55, 0.25)
+    assert pay.payoff_user1(profile) == 5 * 2.0**-55
+    assert np.searchsorted(grid.fee_axis(1), 1.0 - 5 * 2.0**-55, side="right") == grid.steps + 1
+    for eps in (*EPS, 1.3, 1.4, 1.45):
+        assert pareto_check(pay, profile, grid, eps) == pareto_check(bare(pay), profile, grid, eps)
+    assert pareto_check(pay, profile, grid, 1.4)
 
 
 @contextmanager
@@ -626,8 +652,8 @@ def small_blocks(budget):
     sizes = []
     blocks = oracles._blocks
 
-    def recorded(levels, payoffs):
-        for block, out in blocks(levels, payoffs):
+    def recorded(levels, payoffs, per_level):
+        for block, out in blocks(levels, payoffs, per_level):
             sizes.append(len(block))
             yield block, out
 
@@ -638,40 +664,42 @@ def small_blocks(budget):
 
 
 def layout(n, k):
-    """Block lengths over ``n`` levels: one level, then runs of ``k``."""
-    return [1] + [k] * ((n - 1) // k) + ([(n - 1) % k] if (n - 1) % k else [])
+    """Block lengths over ``n`` levels: runs of ``k`` from the first level."""
+    return [k] * (n // k) + ([n % k] if n % k else [])
 
 
 @pytest.mark.parametrize(
     "shape,budget,want",
-    [((3,), 12, [1, 4, 4, 1]), ((5,), 12, [1, 2, 2, 2, 2, 1]), ((3, 3), 12, [1] * 10),
-     ((3, 3), 5, [1] * 10)],
+    [((3,), 12, [4, 4, 2]), ((5,), 12, [2] * 5), ((3, 3), 12, [1] * 10),
+     ((3, 3), 5, [1] * 10), ((3,), 2**20, [10])],
 )
 def test_blocks_cover_the_levels_in_order(shape, budget, want):
-    # the budget caps the largest array a block returns, here (block, *shape)
+    # a level of the payoffs holds prod(shape) elements, and a block as many
+    # levels as keep them within the budget, at least one
     levels = np.arange(10.0)[:, None]
     with small_blocks(budget) as sizes:
         blocks = [b for b, _ in oracles._blocks(
-            levels, lambda b: (np.zeros(2), np.zeros((len(b), *shape))))]
+            levels, lambda b: np.zeros((len(b), *shape)), int(np.prod(shape)))]
     assert sizes == want
     assert np.array_equal(np.concatenate(blocks), levels)
 
 
-def test_blocks_size_by_what_the_payoffs_return():
-    # an array without the block axis does not grow with the block, so each
-    # block may hold more levels than the one before
-    with small_blocks(12) as sizes:
-        list(oracles._blocks(np.arange(10.0), lambda b: (np.zeros(4),)))
-    assert sizes == [1, 3, 6]
+def test_blocks_size_by_the_declared_per_level_count():
+    # the block size comes from the per-level count alone, not from what the
+    # payoffs return: here an array without the block axis
+    for per_level, want in ((4, [3, 3, 3, 1]), (1, [10]), (13, [1] * 10)):
+        with small_blocks(12) as sizes:
+            out = list(oracles._blocks(np.arange(10.0), lambda b: np.zeros(4), per_level))
+        assert sizes == want
+        assert all(a.shape == (4,) for _, a in out)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=pareto_cases(steps=st.integers(4, 10)), k=st.integers(2, 3),
        eps=st.one_of(st.sampled_from(EPS), st.integers(0, 8)))
 def test_fee_monotone_pareto_path_matches_the_scan_across_blocks(case, k, eps):
-    # k levels a block after the first: with n = steps + 1, the corner path
-    # returns the two benefits, n elements per level, and the scan's
-    # middleman payoff n^3
+    # k levels a block: with n = steps + 1, a level of the corner path's
+    # payoffs (the two benefits) holds n elements, and one of the scan's n^3
     game, grid, profile = case
     pay = game_payoffs(game)
     n = grid.steps + 1
@@ -691,7 +719,7 @@ def test_fee_monotone_pareto_path_matches_the_scan_across_blocks(case, k, eps):
        k=st.integers(2, 3), data=st.data())
 def test_dominance_matches_a_per_profile_reference_across_blocks(case, k, data):
     # a hedonic bundle's block is its benefit table: s.size + 1 elements per
-    # level of the other user, the candidate's row included
+    # level of the other user, the candidate's row included, so k levels a block
     game, grid, _ = case
     pay = game_payoffs(game)
     s = grid.participation_axis()
@@ -763,8 +791,10 @@ def dominance_gap(pay, player, candidate, grid):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=dominance_cases(), k=st.integers(1, 3))
 def test_hedonic_dominance_path_matches_the_scan_across_blocks(case, k):
-    # k levels a block after the first, on both paths; eps also sits at the
-    # largest gap and its float neighbours, where one ulp flips the verdict
+    # k levels a block on both paths: a level holds the benefit table's n + 1
+    # rows on the hedonic path and (n + 1) n^2 payoffs on the scan; eps also
+    # sits at the largest gap and its float neighbours, where one ulp flips
+    # the verdict
     game, grid, candidates = case
     pay = game_payoffs(game)
     n = grid.steps + 1
@@ -773,7 +803,7 @@ def test_hedonic_dominance_path_matches_the_scan_across_blocks(case, k):
         for eps in (*EPS, top, float(np.nextafter(top, 0.0)), float(np.nextafter(top, np.inf))):
             with small_blocks(k * (n + 1)) as sizes:
                 verdict = weak_dominance_check(pay, player, c, grid, eps)
-            with small_blocks(k * (n + 1) * n):
+            with small_blocks(k * (n + 1) * n**2):
                 assert verdict == weak_dominance_check(bare(pay), player, c, grid, eps), eps
             if verdict:  # no witness: every block was visited
                 assert sizes == layout(n, k)
@@ -798,36 +828,62 @@ def test_hedonic_bundles_never_call_the_user_payoffs(monkeypatch):
 
 
 def test_witnesses_planted_at_block_edges():
-    # steps 8 at three levels a block: [0], [1, 2, 3], [4, 5, 6], [7, 8]. A
-    # witness at level 1 opens the second block; one at level 8 closes the last.
+    # steps 8 at three levels a block: [0, 1, 2], [3, 4, 5], [6, 7, 8]. A
+    # witness at level 2 closes the first block, one at level 3 opens the
+    # second, and one at level 8 closes the last.
     grid = Grid(8, (1.0, 1.0))
     s = grid.participation_axis()
     n = s.size
     half = Linear(0.5, 0.5)
     hedonic = game_payoffs(HedonicGame(half, half, MultiplicativeIncome(half)))
-    for level, visited in ((1, [1, 3]), (8, [1, 3, 3, 2])):
+    for level, visited in ((2, [3]), (3, [3, 3]), (8, [3, 3, 3])):
         # an alternative to full participation gains only against s[level]
         def gap(own, other):
             return np.where((other == s[level]) & (own < 1.0), 1.0, 0.0)
 
         pay = GamePayoffs(lambda p: gap(p.s1, p.s2), lambda p: gap(p.s2, p.s1), lambda p: 0.0)
         for player in (1, 2):
-            with small_blocks(3 * (n + 1)) as sizes:  # (n+1, block, 1, 1) payoffs
+            with small_blocks(3 * (n + 1) * n**2) as sizes:  # (n+1) own levels by n^2 fees
                 assert not weak_dominance_check(pay, player, 1.0, grid)
             assert sizes == visited
         # the scan: only the middleman gains, and only at s1 = s[level]
         pay = GamePayoffs(lambda p: 0.0, lambda p: 0.0,
                           lambda p: np.where(p.s1 == s[level], 1.0, 0.0))
-        with small_blocks(3) as sizes:  # (block, 1, 1, 1) payoffs
+        with small_blocks(3 * n**3) as sizes:  # n^3 profiles a level
             assert not pareto_check(pay, StrategyProfile(0.0, 0.0, 0.0, 0.0), grid)
         assert sizes == visited
         # the corner path: every player gains by raising s1 at fixed fees and
         # nobody can gain from a lower s1, so the first dominator is at s[level]
         profile = StrategyProfile(s[level - 1], 1.0, 0.25, 0.25)
-        with small_blocks(3 * n) as sizes:  # (block, n) benefits
+        with small_blocks(3 * n) as sizes:  # n benefits a level
             assert not pareto_check(hedonic, profile, grid)
         assert sizes == visited
         assert not pareto_check(bare(hedonic), profile, grid)
+
+
+def test_exact_paths_keep_memory_flat_as_the_grid_grows():
+    # from steps 200 on, a block of the corner path or of hedonic dominance
+    # holds fewer levels than the grid, so the traced peak stays put while
+    # the lattice grows; blocks sized by the table instead of the budget
+    # would make the peak at steps 400 about four times that at steps 200
+    pay = game_payoffs(linear_activity_game())
+    F = full_extraction_fees(pay.game)
+    profile = StrategyProfile(1.0, 1.0, *F)
+    checks = (lambda grid: pareto_check(pay, profile, grid),
+              lambda grid: weak_dominance_check(pay, 1, 1.0, grid),
+              lambda grid: weak_dominance_check(pay, 2, 1.0, grid))
+    for check in checks:
+        peaks = []
+        for steps in (200, 400):
+            grid = Grid(steps, F)
+            assert check(grid)
+            tracemalloc.start()
+            try:
+                assert check(grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
