@@ -41,6 +41,7 @@ from .hedonic import (
     TabulatedBenefit,
     TabulatedIncome,
     benefit_strictly_increasing,
+    fee_monotone,
     full_extraction_fees,
     game_payoffs,
     gated_income,
@@ -94,6 +95,7 @@ __all__ = [
     "dump_scenario",
     "emit_results",
     "epsilon_nash_check",
+    "fee_monotone",
     "full_exploitation_verdict",
     "full_extraction_fees",
     "game_payoffs",

@@ -10,14 +10,14 @@ import numpy as np
 
 
 def any_improvement(values, base, eps):
-    return bool(np.any(values > base + eps))
+    return bool(np.asarray(values > base + eps).any())
 
 
 def any_dominance_gap(alts, cand, eps):
-    return bool(np.any(alts > cand + eps))
+    return bool(np.asarray(alts > cand + eps).any())
 
 
 def any_strict_dominator(p1, p2, p3, t1, t2, t3, eps):
     weak = (p1 >= t1) & (p2 >= t2) & (p3 >= t3)
     strict = (p1 > t1 + eps) | (p2 > t2 + eps) | (p3 > t3 + eps)
-    return bool(np.any(weak & strict))
+    return bool(np.asarray(weak & strict).any())

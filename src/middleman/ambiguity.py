@@ -151,10 +151,21 @@ def pessimistic_payoff(
 def modified_payoff(
     game: HedonicGame, beliefs: BeliefSystem, profile: StrategyProfile
 ) -> Value:
-    """Belief-weighted middleman payoff; reduces to the standard payoff at zero ambiguity."""
+    """Belief-weighted middleman payoff; reduces to the standard payoff at zero ambiguity.
+
+    At full participation, where both participation fields are 0-d and equal
+    to 1, the plain term is the optimistic one and is not evaluated again;
+    the weighted sum keeps its operands and their order, so the value is the
+    same to the bit. Participation given as an array of ones takes the
+    three-term path and its broadcast shape.
+    """
     best = optimistic_payoff(game, profile.rho)
     worst = pessimistic_payoff(game, beliefs, profile.rho)
-    plain = middleman_payoff(game, profile)
+    s1, s2 = profile.s1, profile.s2
+    if np.ndim(s1) == 0 and np.ndim(s2) == 0 and s1 == 1 and s2 == 1:
+        plain = best
+    else:
+        plain = middleman_payoff(game, profile)
     lam, gam = beliefs.lambda_, beliefs.gamma
     out = lam * np.asarray(best) + gam * np.asarray(worst) + (1.0 - lam - gam) * np.asarray(plain)
     return _as_scalar(out)

@@ -49,8 +49,8 @@ from .ambiguity import (
     loyalty_fees,
 )
 from .game import Grid, StrategyProfile
-from .hedonic import full_extraction_fees, game_payoffs
-from .oracles import _fee_monotone, epsilon_nash_check, pareto_check, weak_dominance_check
+from .hedonic import fee_monotone, full_extraction_fees, game_payoffs
+from .oracles import epsilon_nash_check, pareto_check, weak_dominance_check
 from .scenario import ScenarioError, emit_blocks, emit_results, parse_scenario, sweep_blocks
 
 SWEEPABLE_FIELDS = {"gamma": "gamma", "lambda": "lambda_", "loyalty1": "loyalty1",
@@ -223,7 +223,7 @@ def _build_pareto(config, args):
     payoffs = game_payoffs(config.game)
     # points budgeted: (steps + 1)^3 on the corner path (which evaluates
     # O(n^2 log n) of them), (steps + 1)^4 on the scan
-    grid, eps = _grid_and_eps(config, args, 3 if _fee_monotone(payoffs) else 4)
+    grid, eps = _grid_and_eps(config, args, 3 if fee_monotone(payoffs) else 4)
     verdict = pareto_check(payoffs, StrategyProfile(*args.profile), grid, eps)
     return verdict, {"check": "pareto", "verdict": verdict, "profile": args.profile}
 

@@ -9,6 +9,7 @@ whole deviation grids in a single call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -28,10 +29,10 @@ class StrategyProfile:
     def __post_init__(self):
         for name in ("s1", "s2"):
             v = np.asarray(getattr(self, name))
-            if not np.all((v >= 0.0) & (v <= 1.0)):
+            if not ((v >= 0.0) & (v <= 1.0)).all():
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("rho1", "rho2"):
-            if not np.all(np.asarray(getattr(self, name)) >= 0.0):
+            if not (np.asarray(getattr(self, name)) >= 0.0).all():
                 raise ValueError(f"{name} must be nonnegative")
 
     @property
@@ -44,6 +45,7 @@ def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
     # and the endpoint is forced so caps evaluated at `hi` hold with equality.
     pts = lo + (hi - lo) * (np.arange(steps + 1) / steps)
     pts[-1] = hi
+    pts.flags.writeable = False
     return pts
 
 
@@ -84,6 +86,12 @@ class Grid:
     [0, fee_bounds[i-1]]. A nonzero ``s_lo`` restricts the working box, which
     is how families that are only strictly monotone away from the zero
     boundary (e.g. Cobb-Douglas) are handled.
+
+    The three axes are built together on the first call of
+    :meth:`participation_axis` or :meth:`fee_axis`, so a grid too large to
+    evaluate can still be constructed and rejected. Every later call returns
+    the same read-only arrays; a grid made by ``dataclasses.replace`` builds
+    its own.
     """
 
     steps: int
@@ -104,13 +112,19 @@ class Grid:
         if not 0.0 <= self.s_lo < 1.0:
             raise ValueError("s_lo must lie in [0, 1)")
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The participation axis, then the fee axes of players 1 and 2."""
+        return (_axis(self.s_lo, 1.0, self.steps),
+                *(_axis(0.0, bound, self.steps) for bound in self.fee_bounds))
+
     def participation_axis(self) -> np.ndarray:
-        return _axis(self.s_lo, 1.0, self.steps)
+        return self._axes[0]
 
     def fee_axis(self, player: int) -> np.ndarray:
         if player not in (1, 2):
             raise ValueError("player must be 1 or 2")
-        return _axis(0.0, self.fee_bounds[player - 1], self.steps)
+        return self._axes[player]
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,31 @@ def game_payoffs(game: HedonicGame) -> HedonicPayoffs:
     )
 
 
+# Benefit families that are nonnegative on the participation box (so a zero
+# fee is always affordable), and income families that never fall as a fee
+# rises when such a family is their activity (sums and products of
+# nonnegative floats round monotonically).
+_NONNEGATIVE_BENEFITS = (CobbDouglas, Linear, TabulatedBenefit)
+_FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
+
+
+def fee_monotone(payoffs: GamePayoffs) -> bool:
+    """True iff ``payoffs`` is a :class:`HedonicPayoffs` bundle whose benefit
+    families are nonnegative and whose income never falls as a fee rises
+    inside the affordable box, in floating point too: the bundles
+    ``oracles.pareto_check`` decides on its corner path. Tabulated income is
+    not, since its interpolation can break fee monotonicity at the ulp level."""
+    if not isinstance(payoffs, HedonicPayoffs):
+        return False
+    income = payoffs.game.income
+    specs = [payoffs.game.f1, payoffs.game.f2]
+    if type(income) is MultiplicativeIncome:
+        specs.append(income.activity)
+    return type(income) in _FEE_MONOTONE_INCOMES and all(
+        type(f) in _NONNEGATIVE_BENEFITS for f in specs
+    )
+
+
 def full_extraction_fees(game: HedonicGame) -> tuple[float, float]:
     """Fee pair extracting the entire benefit at maximal participation."""
     return (float(game.f1(1.0, 1.0)), float(game.f2(1.0, 1.0)))

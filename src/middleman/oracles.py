@@ -34,22 +34,8 @@ import numpy as np
 
 from . import _scan
 from .game import GamePayoffs, Grid, StrategyProfile
-from .hedonic import (
-    AdditiveFeesIncome,
-    CobbDouglas,
-    HedonicPayoffs,
-    Linear,
-    MultiplicativeIncome,
-    TabulatedBenefit,
-    capped_surplus,
-)
+from .hedonic import HedonicPayoffs, capped_surplus, fee_monotone
 
-# Benefit families that are nonnegative on the participation box (so a zero
-# fee is always affordable), and income families that never fall as a fee
-# rises when such a family is their activity (sums and products of
-# nonnegative floats round monotonically).
-_NONNEGATIVE_BENEFITS = (CobbDouglas, Linear, TabulatedBenefit)
-_FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
 _BLOCK_ELEMENTS = 2**14
 
@@ -74,10 +60,10 @@ def _validate_eps(eps):
 
 def _require_in_box(profile: StrategyProfile, grid: Grid):
     for name in ("s1", "s2"):
-        if np.any(np.asarray(getattr(profile, name)) < grid.s_lo):
+        if (np.asarray(getattr(profile, name)) < grid.s_lo).any():
             raise ValueError(f"profile outside the strategy box: {name} < s_lo")
     for player, rho in ((1, profile.rho1), (2, profile.rho2)):
-        if np.any(np.asarray(rho) > grid.fee_bounds[player - 1]):
+        if (np.asarray(rho) > grid.fee_bounds[player - 1]).any():
             raise ValueError(
                 f"profile outside the strategy box: rho{player} exceeds its fee bound"
             )
@@ -164,38 +150,26 @@ def weak_dominance_check(
                    for _, (alts, cand) in _blocks(levels, payoffs, per_level))
 
 
-def _fee_monotone(game: GamePayoffs) -> bool:
-    """True iff ``game`` is a hedonic bundle that ``pareto_check``'s corner path decides exactly."""
-    if not isinstance(game, HedonicPayoffs):
-        return False
-    income = game.game.income
-    specs = [game.game.f1, game.game.f2]
-    if type(income) is MultiplicativeIncome:
-        specs.append(income.activity)
-    return type(income) in _FEE_MONOTONE_INCOMES and all(
-        type(f) in _NONNEGATIVE_BENEFITS for f in specs
-    )
-
-
 def _prefix_len(holds, stop, guess):
     """For each point, the length of the true prefix of ``range(stop)`` of a
     predicate that is true and then false along it.
 
-    ``holds(k)`` is called with an index array ``k`` shaped like ``stop``,
-    every entry below ``max(stop)``, and never when every stop is 0. The
-    ``guess``, clipped to ``[0, stop]``, is confirmed first: where
-    ``holds(guess - 1)`` holds (or the guess is 0) and ``holds(guess)`` does
-    not (or the guess is ``stop``), the prefix has exactly that length. If
-    any point fails, a bisection over all points answers instead: each round
-    tries to extend every point's prefix by the next smaller power of two, in
+    ``stop`` and ``guess`` are integer arrays of one shape. ``holds(k)`` is
+    called with an index array ``k`` shaped like ``stop``, every entry below
+    ``max(stop)``, and never when every stop is 0. The ``guess``, clipped to
+    ``[0, stop]``, is confirmed first: where ``holds(guess - 1)`` holds (or
+    the guess is 0) and ``holds(guess)`` does not (or the guess is
+    ``stop``), the prefix has exactly that length. If any point fails, a
+    bisection over all points answers instead: each round tries to extend
+    every point's prefix by the next smaller power of two, in
     ``max(stop).bit_length()`` rounds of one ``holds`` call.
     """
-    top = int(np.max(stop, initial=0))
-    guess = np.clip(guess, 0, stop)
+    top = int(stop.max(initial=0))
+    guess = np.minimum(np.maximum(guess, 0), stop)
     if not top:
         return guess
-    if np.all(((guess == 0) | holds(np.maximum(guess, 1) - 1))
-              & ((guess == stop) | ~holds(np.minimum(guess, top - 1)))):
+    if (((guess == 0) | holds(np.maximum(guess, 1) - 1))
+            & ((guess == stop) | ~holds(np.minimum(guess, top - 1)))).all():
         return guess
     length = np.zeros_like(guess)
     step = (1 << top.bit_length()) >> 1  # the largest power of two <= top
@@ -212,26 +186,28 @@ def pareto_check(
     """True iff no grid profile weakly improves all three payoffs while
     strictly improving at least one by more than ``eps``.
 
-    A bundle ``_fee_monotone`` accepts takes the corner path, one block of
-    ``s1`` levels by every ``s2`` level at a time. At fixed (s1, s2), user i's
-    payoff ignores the other fee and never rises with its own, so
-    p_i >= t_i holds on a prefix [0, A_i] of its fee axis. Gated income never
-    falls as a fee rises inside the affordable box [0, aff_1] x [0, aff_2]
-    and is 0 outside it. At the corner C = (min(A_1, aff_1), min(A_2, aff_2))
-    a weak dominator exists iff p3(C) >= t3; the middleman's best among them
-    is p3(C), user 1's is at the smallest r1 with p3(r1, C_2) >= t3, and user
-    2's is symmetric.
+    A bundle ``hedonic.fee_monotone`` accepts takes the corner path, one
+    block of ``s1`` levels by every ``s2`` level at a time. At fixed
+    (s1, s2), user i's payoff ignores the other fee and never rises with its
+    own, so p_i >= t_i holds on a prefix [0, A_i] of its fee axis. Gated
+    income never falls as a fee rises inside the affordable box
+    [0, aff_1] x [0, aff_2] and is 0 outside it. At the corner
+    C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
+    p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
+    smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric.
 
     Each of these indices ends a prefix of a sorted fee axis, found in
     O(log n) per (s1, s2): the affordable fees r_i <= b_i are
     ``searchsorted``'s count, the user's prefix lies inside them, and, only
     where C is a weak dominator, the first fee reaching t3 on each edge ends
     the prefix of income < t3 in [0, C_i). ``_prefix_len`` confirms a guess
-    for each prefix before it bisects: the fees r_i <= b_i - t_i for the
-    user's (``searchsorted`` again), and all of [0, C_i) for an edge. The
-    guess is not always right: with b = 1.0, a top fee F = nextafter(1, 0)
-    and t = 1.5e-16, b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every
-    payoff is the expression the scan evaluates, on the same floats, so the
+    for each prefix before it bisects: all of [0, C_i) for an edge, and the
+    fees r_i <= b_i - t_i for the user's. That is ``searchsorted`` again,
+    except where t_i = 0, as at the full-extraction profile: there b_i - t_i
+    is b_i, and the affordable count is the guess. The guess is not always
+    right: with b = 1.0, a top fee F = nextafter(1, 0) and t = 1.5e-16,
+    b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every payoff is the
+    expression the scan evaluates, on the same floats, so the
     verdict is exact; a level of a block holds one value per s2 level.
     """
     eps = _validate_eps(eps)
@@ -242,7 +218,7 @@ def pareto_check(
         game.payoff_middleman(profile),
     )
     s_axis = grid.participation_axis()
-    if _fee_monotone(game):
+    if fee_monotone(game):
         g = game.game
         r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
         levels, per_level = s_axis[:, None], s_axis.size
@@ -252,10 +228,9 @@ def pareto_check(
 
         def corner(b, r, t):
             """C_i per point: the last affordable fee keeping t_i, or -1."""
-            keeps = _prefix_len(lambda k: capped_surplus(b, r[k]) >= t,
-                                np.searchsorted(r, b, side="right"),
-                                np.searchsorted(r, b - t, side="right"))
-            return keeps - 1
+            stop = np.searchsorted(r, b, side="right")
+            guess = stop if t == 0 else np.searchsorted(r, b - t, side="right")  # b - 0 is b
+            return _prefix_len(lambda k: capped_surplus(b, r[k]) >= t, stop, guess) - 1
 
         def dominated(s1, b1, b2):
             c1, c2 = corner(b1, r1, t1), corner(b2, r2, t2)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from middleman import (
+    AdditiveFeesIncome,
     BeliefSystem,
     CobbDouglas,
     ContestationVerdict,
@@ -16,6 +17,7 @@ from middleman import (
     Linear,
     MultiplicativeIncome,
     StrategyProfile,
+    TabulatedBenefit,
     TabulatedIncome,
     ambiguity_equilibrium_check,
     best_fee_response,
@@ -31,6 +33,7 @@ from middleman import (
     parse_scenario,
     pessimistic_payoff,
 )
+from middleman import ambiguity
 from middleman.ambiguity import BeliefError
 from _support import random_benchmark_game, random_proper_beliefs, sigma_benchmark_game
 
@@ -196,6 +199,58 @@ def test_modified_payoff_affine_in_belief_weights():
 # ---------------------------------------------------------------------------
 # loyalty fees
 # ---------------------------------------------------------------------------
+
+
+FULL_PARTICIPATION_GAMES = {
+    "linear/multiplicative-linear": lambda: HedonicGame(
+        Linear(0.6, 0.4), Linear(0.3, 0.7), MultiplicativeIncome(Linear(0.5, 0.5))),
+    "cobb-douglas/multiplicative-cobb-douglas": lambda: HedonicGame(
+        CobbDouglas(0.7, 1.3), CobbDouglas(1.6, 0.4), MultiplicativeIncome(CobbDouglas(0.5, 2.5))),
+    "tabulated/multiplicative-tabulated": lambda: HedonicGame(
+        TabulatedBenefit([[0.0, 0.3], [0.2, 0.9]]),
+        TabulatedBenefit([[0.1, 0.4, 0.5], [0.2, 0.6, 0.8]]),
+        MultiplicativeIncome(TabulatedBenefit([[0.0, 0.5], [0.5, 1.0]]))),
+    "linear/additive": lambda: HedonicGame(
+        Linear(0.6, 0.4), Linear(0.3, 0.7), AdditiveFeesIncome()),
+    "linear/tabulated": lambda: _tabulated_income_game(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PARTICIPATION_GAMES))
+@pytest.mark.parametrize("one", [1.0, 1, np.float64(1.0), np.array(1.0)], ids=type)
+def test_modified_payoff_at_full_participation_is_the_three_term_sum(name, one):
+    # the optimistic term stands in for the plain one, to the bit, over the
+    # fee lattice and at one fee pair, for scalar and array beliefs
+    game = FULL_PARTICIPATION_GAMES[name]()
+    fees = np.linspace(0.0, 1.2, 13)
+    belief_sets = (beliefs_at(0.3, lam=0.25, loyalty=(0.4, 0.6)),
+                   BeliefSystem(np.array([0.0, 0.2, 0.5])[:, None, None], 0.3, 0.4, 0.6))
+    for beliefs in belief_sets:
+        for rho in ((fees[:, None], fees[None, :]), (0.45, 0.3)):
+            profile = StrategyProfile(one, one, *rho)
+            lam, gam = beliefs.lambda_, beliefs.gamma
+            want = (lam * np.asarray(optimistic_payoff(game, rho))
+                    + gam * np.asarray(pessimistic_payoff(game, beliefs, rho))
+                    + (1.0 - lam - gam) * np.asarray(middleman_payoff(game, profile)))
+            got = np.asarray(modified_payoff(game, beliefs, profile))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_modified_payoff_at_full_participation_skips_the_plain_income(monkeypatch):
+    game = FULL_PARTICIPATION_GAMES["linear/multiplicative-linear"]()
+    beliefs = beliefs_at(0.3, lam=0.25)
+    want = modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, 0.5, 0.5))
+
+    def plain(*args):
+        raise AssertionError("the plain income is evaluated")
+
+    monkeypatch.setattr(ambiguity, "middleman_payoff", plain)
+    assert modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, 0.5, 0.5)) == want
+    # participation as an array of ones keeps the three terms and their shape
+    monkeypatch.undo()
+    ones = StrategyProfile(np.ones(2), np.ones(2), 0.5, 0.5)
+    got = modified_payoff(game, beliefs, ones)
+    assert got.shape == (2,) and got.tolist() == [want, want]
 
 
 def test_loyalty_fees_product_benefits():

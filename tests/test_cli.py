@@ -413,6 +413,9 @@ def test_steps_below_two_names_the_flag(scenario, steps):
         # slice (steps + 1)^3
         (("verify-nash", "--scenario", "{scenario}", "--profile", "1,1,1,1",
           "--steps", "1000000"), "--steps"),
+        # the grid exists before this limit check, and builds no axis
+        (("verify-nash", "--scenario", "{scenario}", "--profile", "1,1,1,1",
+          "--steps", "1000000000"), "--steps"),
         (("ambiguity-eq", "--scenario", "{scenario}", "--profile", "1,1,1,1",
           "--steps", "4000"), "--steps"),
         (("dominance", "--scenario", "{scenario}", "--profile", "1,1,0,0",

@@ -3,6 +3,7 @@ the zero-participation equilibrium family."""
 
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,125 @@ def test_dominance_rejects_candidate_outside_the_box():
     pay = game_payoffs(linear_activity_game())
     with pytest.raises(ValueError, match="^candidate must lie in the participation box$"):
         weak_dominance_check(pay, 1, 0.05, Grid(10, s_lo=0.1))
+
+
+_RANGE = ("ValueError", "{} must lie in [0, 1]")
+_NEGATIVE = ("ValueError", "{} must be nonnegative")
+_BELOW = ("ValueError", "profile outside the strategy box: {} < s_lo")
+_ABOVE = ("ValueError", "profile outside the strategy box: {} exceeds its fee bound")
+_STRING = ("UFuncTypeError", "ufunc 'greater_equal' did not contain a loop with signature "
+           "matching types (<class 'numpy.dtypes.StrDType'>, "
+           "<class 'numpy.dtypes._PyFloatDType'>) -> None")
+_NONE = ("TypeError", "'>=' not supported between instances of 'NoneType' and 'float'")
+# (value, outcome as s1 or s2, outcome as rho1 or rho2), None where accepted;
+# the box is s >= 0.1 and rho <= 0.6
+PROFILE_FIELD_CASES = {
+    "one": (1.0, None, _ABOVE),
+    "negative-zero": (-0.0, _BELOW, None),
+    "int-zero": (0, _BELOW, None),
+    "int-one": (1, None, _ABOVE),
+    "float64": (np.float64(0.5), None, None),
+    "nan": (float("nan"), _RANGE, _NEGATIVE),
+    "inf": (float("inf"), _RANGE, _ABOVE),
+    "-inf": (float("-inf"), _RANGE, _NEGATIVE),
+    "above-one": (np.nextafter(1.0, 2.0), _RANGE, _ABOVE),
+    "tiny-negative": (-1e-300, _RANGE, _NEGATIVE),
+    "list": ([0.2, 0.5], None, None),
+    "list-one-bad": ([0.5, -0.5, 0.5], _RANGE, _NEGATIVE),
+    "0-d": (np.array(0.5), None, None),
+    "0-d-bad": (np.array(-0.5), _RANGE, _NEGATIVE),
+    "array-one-bad": (np.array([0.5, -0.5, 0.5]), _RANGE, _NEGATIVE),
+    "array-one-below-box": (np.array([0.5, 0.05]), _BELOW, None),
+    "array-one-above-box": (np.array([0.3, 0.9]), None, _ABOVE),
+    "string": ("a", _STRING, _STRING),
+    "none": (None, _NONE, _NONE),
+    "true": (True, None, _ABOVE),
+    "empty": (np.array([]), None, None),
+    "huge-int": (10**400, _RANGE, _ABOVE),
+    "huge-negative-int": (-(10**400), _RANGE, _NEGATIVE),
+}
+
+
+@pytest.mark.parametrize("field", ["s1", "s2", "rho1", "rho2"])
+@pytest.mark.parametrize("label", list(PROFILE_FIELD_CASES))
+def test_profile_and_box_validation_table(field, label):
+    # each value in each field, the others valid: the profile's own checks,
+    # then the oracles' box check, raise these types and texts or accept it
+    value, as_s, as_rho = PROFILE_FIELD_CASES[label]
+    want = as_s if field.startswith("s") else as_rho
+    fields = dict({"s1": 0.5, "s2": 0.5, "rho1": 0.3, "rho2": 0.3}, **{field: value})
+    try:
+        oracles._require_in_box(StrategyProfile(**fields), Grid(10, (0.6, 0.6), 0.1))
+    except (TypeError, ValueError) as exc:
+        assert want is not None, exc
+        assert (type(exc).__name__, str(exc)) == (want[0], want[1].format(field))
+    else:
+        assert want is None
+
+
+def test_scans_reduce_python_float_payoffs():
+    # a plain bundle may return a Python float for an array profile
+    profile, grid = StrategyProfile(0.5, 0.5, 0.1, 0.1), Grid(4)
+    flat = GamePayoffs(lambda p: 0.5, lambda p: 0.5, lambda p: 0.25)
+    assert epsilon_nash_check(flat, profile, grid)
+    assert weak_dominance_check(flat, 1, 0.5, grid)
+    assert pareto_check(flat, profile, grid)
+    rising = GamePayoffs(lambda p: float(np.max(p.s1)), lambda p: 0.5, lambda p: 0.25)
+    assert not epsilon_nash_check(rising, profile, grid)
+    assert not pareto_check(rising, profile, grid)
+
+
+def test_grid_axes_are_built_once_and_read_only():
+    grid = Grid(10, (0.5, 2.0), 0.1)
+    axes = (grid.participation_axis(), grid.fee_axis(1), grid.fee_axis(2))
+    again = (grid.participation_axis(), grid.fee_axis(1), grid.fee_axis(2))
+    assert all(a is b for a, b in zip(axes, again))
+    assert [a[-1] for a in axes] == [1.0, 0.5, 2.0] and axes[0][0] == 0.1
+    for axis in axes:
+        with pytest.raises(ValueError, match="read-only"):
+            axis[0] = 0.0
+    # a replaced grid builds its own axes, from its own bounds
+    wider = replace(grid, fee_bounds=(1.5, 3.0))
+    assert wider.fee_axis(1) is not grid.fee_axis(1)
+    assert np.array_equal(wider.fee_axis(1), Grid(10, (1.5, 3.0), 0.1).fee_axis(1))
+    assert np.array_equal(wider.fee_axis(2), 3.0 * (np.arange(11) / 10))
+    assert grid.fee_axis(2)[-1] == 2.0
+
+
+def test_grid_builds_its_axes_only_when_read():
+    tracemalloc.start()
+    try:
+        grid = Grid(10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.steps == 10**12 and peak < 2**16, peak
+
+
+def test_reused_grid_calls_allocate_no_axes():
+    # at steps 1000, a check on a grid whose axes exist peaks below the same
+    # check on a fresh grid by at least the three axes; a call that built
+    # the axes it reads, as each call once did, peaks at least that high
+    pay = game_payoffs(linear_activity_game())
+    F = full_extraction_fees(pay.game)
+    profile = StrategyProfile(1.0, 1.0, *F)
+    checks = (lambda grid: pareto_check(pay, profile, grid),
+              lambda grid: weak_dominance_check(pay, 1, 1.0, grid),
+              lambda grid: weak_dominance_check(pay, 2, 1.0, grid))
+    for check in checks:
+        assert check(Grid(1000, F))  # first-call set-up outside the trace
+        peaks = []
+        for reused in (False, True):
+            grid = Grid(1000, F)
+            if reused:
+                check(grid)
+            tracemalloc.start()
+            try:
+                assert check(grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] + 3 * 1001 * 8 <= peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

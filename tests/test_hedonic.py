@@ -5,8 +5,10 @@ import pytest
 
 from middleman import (
     AdditiveFeesIncome,
+    BeliefSystem,
     BenefitSpec,
     CobbDouglas,
+    GamePayoffs,
     Grid,
     HedonicGame,
     Linear,
@@ -16,10 +18,13 @@ from middleman import (
     TabulatedIncome,
     benefit_strictly_increasing,
     IncomeSpec,
+    fee_monotone,
     full_extraction_fees,
+    game_payoffs,
     gated_income,
     income_weakly_increasing,
     middleman_payoff,
+    modified_game,
     user_payoff,
 )
 from middleman.hedonic import STRICT_TOL, FieldError
@@ -313,6 +318,27 @@ def test_income_weakly_increasing_matches_full_tensor_reference(seed):
         dropped = TabulatedIncome(values + values.max() * ridge, bounds)
         assert not income_weakly_increasing(dropped, grid)
         assert not lattice_weakly_increasing(dropped, grid)
+
+
+def test_fee_monotone_accepts_the_parametric_incomes_over_nonnegative_families():
+    lin, cd, tab = Linear(0.5, 0.5), CobbDouglas(1.0, 2.0), TabulatedBenefit([[0, 1], [1, 2]])
+
+    class Shifted(Linear):
+        def evaluate(self, s1, s2):
+            return super().evaluate(s1, s2) - 0.25
+
+    for f1, f2, activity in ((lin, cd, tab), (tab, lin, cd), (cd, cd, lin)):
+        assert fee_monotone(game_payoffs(HedonicGame(f1, f2, MultiplicativeIncome(activity))))
+        assert fee_monotone(game_payoffs(HedonicGame(f1, f2, AdditiveFeesIncome())))
+    rejected = (
+        game_payoffs(HedonicGame(lin, lin, TabulatedIncome(np.ones((2, 2, 2, 2)), (1.0, 1.0)))),
+        game_payoffs(HedonicGame(Shifted(0.5, 0.5), lin, AdditiveFeesIncome())),
+        game_payoffs(HedonicGame(lin, lin, MultiplicativeIncome(Shifted(0.5, 0.5)))),
+        modified_game(HedonicGame(lin, lin, AdditiveFeesIncome()),
+                      BeliefSystem(0.0, 0.2, 0.5, 0.5)),
+        GamePayoffs(lambda p: 0.0, lambda p: 0.0, lambda p: 0.0),
+    )
+    assert not any(fee_monotone(pay) for pay in rejected)
 
 
 # ---------------------------------------------------------------------------
