@@ -59,14 +59,16 @@ def _validate_eps(eps):
 
 
 def _require_in_box(profile: StrategyProfile, grid: Grid):
-    for name in ("s1", "s2"):
-        if (np.asarray(getattr(profile, name)) < grid.s_lo).any():
+    """An oracle's profile is one strategy: each field one number in the box.
+    ``StrategyProfile`` itself accepts arrays, which payoff calls broadcast."""
+    for i, name in enumerate(("s1", "s2", "rho1", "rho2")):
+        value = np.asarray(getattr(profile, name))
+        if value.ndim:
+            raise ValueError(f"profile field {name} must be a scalar")
+        if i < 2 and value < grid.s_lo:
             raise ValueError(f"profile outside the strategy box: {name} < s_lo")
-    for player, rho in ((1, profile.rho1), (2, profile.rho2)):
-        if (np.asarray(rho) > grid.fee_bounds[player - 1]).any():
-            raise ValueError(
-                f"profile outside the strategy box: rho{player} exceeds its fee bound"
-            )
+        if i >= 2 and value > grid.fee_bounds[i - 2]:
+            raise ValueError(f"profile outside the strategy box: {name} exceeds its fee bound")
 
 
 def epsilon_nash_check(

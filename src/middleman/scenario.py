@@ -29,10 +29,10 @@ error names the offending field. Emission is byte-stable: identical inputs
 give identical output documents. CSV and text output spell each number fixed
 at six decimals (``f"{v:.6f}"``); ``machine`` output spells it as
 ``json.dumps(round(v, 6))``, the shortest form of the rounded value
-(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Each map writer
-(``region_csv``, ``sweep_csv``, ``sweep_machine``) joins the text blocks of
-one private generator; :func:`emit_blocks` and :func:`sweep_blocks` hand out
-those blocks instead, for the CLI to write one at a time.
+(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Sweep text is made a
+block of byte rows at a time, a uint8 matrix of NUL-padded slots filled from
+digit tables. :func:`emit_blocks` and :func:`sweep_blocks` hand out a map's
+blocks for the CLI to write one at a time; the map writers join them.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ class ScenarioError(ValueError):
 
 
 class _Loader(yaml.SafeLoader):
-    """Safe YAML loading that rejects a key given twice in one mapping."""
+    """Safe YAML loading that rejects a key given twice in one mapping. Not on
+    libyaml's ``CSafeLoader``: ten times faster, it words and marks parse errors
+    differently, drops an undefined alias's name and accepts a tab as a space."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -324,7 +326,7 @@ def _region_csv_blocks(region: RegionMap):
     """The region CSV as text blocks: the header, then groups of gamma rows
     of about one sweep block's cells each."""
     yield "gamma,sigma,full_exploitation\n"
-    labels = _spell(region.axis, machine=False).tolist()
+    labels = "".join(_row_blocks({"": region.axis}, False, ["", "\n"])).split("\n")[:-1]
     cells = np.array([[f"{x},false" for x in labels], [f"{x},true" for x in labels]], dtype=object)
     sigma = np.arange(len(labels))
     step = max(1, _SWEEP_BLOCK_ROWS // len(labels))
@@ -364,110 +366,93 @@ def region_svg(region: RegionMap) -> str:
     )
 
 
-# Map text is spelled a block of rows and a column at a time. Each distinct
-# float bit pattern is spelled once (np.unique over the int64 view keeps -0.0
-# apart from 0.0), given its column's separators, and gathered back through
-# an object array; each block of rows is one object grid of cells, joined once.
+# Map text is made a block of rows at a time as one uint8 matrix. A row holds
+# each column's byte slot between the texts around it; a slot is as wide as
+# the column's longest text in the block and NUL where a text is shorter. One
+# compress drops the NULs and the bytes are decoded into the block's str.
 _SWEEP_BLOCK_ROWS = 1 << 16
-# code points of "000" .. "999", and the powers 10 .. 10**7
-_TRIPLES = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint32)
-_POW10 = 10 ** np.arange(1, 8)
-_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+# A float's slot is four uint32 words (a sign place, eight integer digits,
+# ".", six decimals): digits of 0 .. 9999 and, from 10000, of 0.00 .. 9.99.
+# One XOR row per (integer digits, sign, decimals kept) turns the zeros before
+# the number and, in JSON, after the decimals kept into NULs, and the zero
+# before the first digit into "-". Decimals kept, less one, go by the last four
+# decimals or, for 0000, the word of the first two. Built by copies and bytes
+# ("\x1d" is "0" ^ "-"), as numpy arithmetic raised import peak RSS by 0.5 MB.
+_DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS = _DIGITS.reshape(-1, 4)
+_WORDS = np.concatenate([_DIGITS, np.insert(_DIGITS[:1000, 1:], 1, ord("."), 1)]).view(np.uint32)
+_MASKS = np.frombuffer(b"".join(
+    b"0" * (8 - w) + b"0\x1d"[neg:neg + 1] + bytes(w + 1 + k) + b"0" * (6 - k)
+    for w in range(1, 9) for neg in (0, 1) for k in range(1, 7)), np.uint32).reshape(-1, 4)
+_KEPT = np.ones(1, np.intp)
+for _n in range(2, 6):  # one more digit: 0 leaves the count, others set it
+    _KEPT = np.hstack([_KEPT[:, None], np.full((len(_KEPT), 9), _n)]).ravel()
+_KEPT = np.concatenate([_KEPT, np.tile([0] + [1] * 9, 100)])
+_BOOL_BYTES = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+del _DIGITS, _n
 
 
-def _spell(values: np.ndarray, machine: bool) -> np.ndarray:
-    """Object array of the text of each float: ``_format_value(v)``, or with
-    ``machine`` ``json.dumps(_jsonable(v))``.
+def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
+    """uint8 matrix of each float's text, NUL-padded: ``_format_value(v)``,
+    or with ``machine`` ``json.dumps(_jsonable(v))``. Each distinct bit
+    pattern is spelled once (the int64 view keeps -0.0 apart from 0.0).
 
     For finite ``|v| < 1e7`` the product ``x = |v| * 1e6`` is off the exact
     one by at most ``x * 2**-53``. Where ``x`` lies more than ``x * 2**-50``
     from a rounding tie, ``rint(x)`` is therefore the rounding that ``%.6f``
     prints, and the digits are made here. JSON drops the trailing fraction
     zeros, which is ``repr(round(v, 6))`` for 0 and for rounded magnitudes
-    of at least 1e-4. Every other value goes through the per-value rule.
-    """
+    of at least 1e-4. Every other value goes through the per-value rule."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
     mag = np.abs(values)
     fast = mag < 1e7  # False for NaN and infinities
     scaled = np.where(fast, mag, 0.0) * 1e6
     fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
-    units = np.rint(scaled).astype(np.int64)
+    units = np.rint(scaled)
     if machine:
         fast &= (units == 0) | (units >= 100)
-    whole, frac = np.divmod(units, 10**6)
-    # nine integer digits, ".", six decimals, with "-" over the zero before
-    # the first integer digit and blanks over the zeros before that
-    parts = np.stack([whole // 10**6, whole // 1000 % 1000, whole % 1000,
-                      frac // 1000, frac % 1000], axis=1)
-    layout = np.insert(_TRIPLES[parts].reshape(len(values), 15), 9, ord("."), axis=1)
-    width = 1 + np.searchsorted(_POW10, whole, side="right")  # integer digits
+    # word indices, from exact quotients of integers below 2**53: integer digits
+    # 1-3 and 4-7 of eight, the eighth with decimals 1-2, and decimals 3-6
+    hundredths = np.floor(units / 1e4)
+    tens = np.floor(hundredths / 1e3)
+    top = np.floor(tens / 1e4)
+    index = np.empty((len(values), 4), np.intp)
+    index[:, 0], index[:, 1] = top, tens - top * 1e4
+    index[:, 2], index[:, 3] = hundredths - tens * 1e3 + 1e4, units - hundredths * 1e4
+    width = (tens >= 10.0 ** np.arange(7)[:, None]).sum(axis=0)  # integer digits, less one
     negative = np.signbit(values)
-    rows = np.flatnonzero(negative)
-    layout[rows, 8 - width[rows]] = ord("-")
-    column = np.arange(16)
-    layout[column < (9 - width - negative)[:, None]] = ord(" ")
-    if machine:
-        # one fraction digit, and one more per nonzero remainder mod 10 ..
-        # 10**5; the NULs after them end the string
-        kept = 1 + (frac[:, None] % _POW10[:5] != 0).sum(axis=1)
-        layout[column > 9 + kept[:, None]] = 0
-    text = np.char.lstrip(layout.view("U16")[:, 0]).astype(object)
+    code = 12 * width + 6 * negative
+    code += _KEPT.take(np.where(index[:, 3], index[:, 3], index[:, 2])) if machine else 5
+    words = _WORDS.take(index) ^ _MASKS.take(code, axis=0)
+    slots = words.view(np.uint8)[:, 8 - (width + negative).max(initial=0):]
     slow = np.flatnonzero(~fast)
-    rule = (lambda v: json.dumps(_jsonable(v))) if machine else _format_value
-    text[slow] = [rule(v) for v in values[slow].tolist()]
-    return text
+    if slow.size:
+        text = [json.dumps(_jsonable(v)) if machine else _format_value(v)
+                for v in values[slow].tolist()]
+        text = np.array(text, dtype=bytes).view(np.uint8).reshape(slow.size, -1)
+        slots = np.pad(slots, ((0, 0), (max(text.shape[1] - slots.shape[1], 0), 0)))
+        slots[slow] = 0
+        slots[slow, :text.shape[1]] = text
+    return slots.take(inverse, axis=0)
 
 
-def _column_text(column: np.ndarray, machine: bool, head: str, tail: str) -> np.ndarray:
-    """Object array of each value's text between ``head`` and ``tail``."""
-    if column.dtype == bool:
-        text, index = _BOOL_TEXT, column.astype(np.intp)
-    else:
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
-        text = _spell(bits.view(np.float64), machine)
-    return (head + text + tail)[index]
-
-
-def _row_text(columns: dict, machine: bool, heads: list, tails: list, row_sep: str):
-    """Text of the rows, a block at a time: each cell between its column's
-    head and tail, and rows after the first led by ``row_sep``."""
+def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", tail=""):
+    """``head``, rows a block at a time, then ``tail``: each row's float or bool
+    cells between ``seps`` (one before each, one after), led by ``row_sep``."""
+    yield head
     arrays = [np.asarray(c) for c in columns.values()]
-    arrays = [a if a.dtype == bool else a.astype(np.float64, copy=False) for a in arrays]
-    heads = [row_sep + heads[0], *heads[1:]]
+    seps = [np.frombuffer(s.encode(), np.uint8) for s in [row_sep + seps[0], *seps[1:]]]
     for lo in range(0, len(arrays[0]), _SWEEP_BLOCK_ROWS):
-        grid = np.stack([_column_text(a[lo:lo + _SWEEP_BLOCK_ROWS], machine, head, tail)
-                         for a, head, tail in zip(arrays, heads, tails)], axis=1)
+        cells = [a[lo:lo + _SWEEP_BLOCK_ROWS] for a in arrays]
+        slots = [_BOOL_BYTES.take(c.astype(np.intp), axis=0) if c.dtype == bool
+                 else _slots(c.astype(np.float64, copy=False), machine) for c in cells]
+        parts = [p for pair in zip(seps, slots) for p in pair] + seps[-1:]
+        block = np.hstack([np.broadcast_to(p, (len(cells[0]), p.shape[-1])) for p in parts])
         if lo == 0:
-            grid[0, 0] = grid[0, 0][len(row_sep):]
-        yield "".join(grid.ravel().tolist())
-
-
-def _sweep_csv_blocks(columns: dict):
-    heads = [""] * len(columns)
-    tails = [","] * (len(columns) - 1) + ["\n"]
-    yield ",".join(columns) + "\n"
-    yield from _row_text(columns, False, heads, tails, "")
-
-
-def sweep_csv(columns: dict) -> str:
-    """CSV of equal-length float or bool columns, one row per index, in
-    mapping order."""
-    return "".join(_sweep_csv_blocks(columns))
-
-
-def _sweep_machine_blocks(columns: dict):
-    names = sorted(columns)
-    # json.dumps(..., sort_keys=True) of each row's dict
-    keys = [json.dumps(n) + ": " for n in names]
-    heads = ["{" + keys[0]] + [", " + k for k in keys[1:]]
-    tails = [""] * (len(names) - 1) + ["}"]
-    yield "["
-    yield from _row_text({n: columns[n] for n in names}, True, heads, tails, ", ")
-    yield "]\n"
-
-
-def sweep_machine(columns: dict) -> str:
-    """JSON list of one object per row of equal-length float or bool columns."""
-    return "".join(_sweep_machine_blocks(columns))
+            block[0, :len(row_sep)] = 0
+        yield block[block != 0].tobytes().decode("ascii")
+    yield tail
 
 
 def sweep_blocks(columns: dict, fmt: str = "csv"):
@@ -475,10 +460,25 @@ def sweep_blocks(columns: dict, fmt: str = "csv"):
     (``machine``) as an iterable of blocks, made one at a time as it is
     read. The format is checked here, before any block is made."""
     if fmt == "csv":
-        return _sweep_csv_blocks(columns)
+        seps = ["", *[","] * (len(columns) - 1), "\n"]
+        return _row_blocks(columns, False, seps, "", ",".join(columns) + "\n")
     if fmt == "machine":
-        return _sweep_machine_blocks(columns)
+        # json.dumps(..., sort_keys=True) of each row's dict
+        keys = [json.dumps(n) + ": " for n in sorted(columns)]
+        seps = ["{" + keys[0], *(", " + k for k in keys[1:]), "}"]
+        return _row_blocks({n: columns[n] for n in sorted(columns)}, True, seps, ", ", "[", "]\n")
     raise ValueError(f"unsupported format {fmt!r} for a sweep")
+
+
+def sweep_csv(columns: dict) -> str:
+    """CSV of equal-length float or bool columns, one row per index, in
+    mapping order."""
+    return "".join(sweep_blocks(columns, "csv"))
+
+
+def sweep_machine(columns: dict) -> str:
+    """JSON list of one object per row of equal-length float or bool columns."""
+    return "".join(sweep_blocks(columns, "machine"))
 
 
 def emit_blocks(result, fmt: str = "text"):

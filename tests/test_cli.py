@@ -302,6 +302,24 @@ def test_bad_scenario_key_exits_2(tmp_path, capsys, beliefs, message):
     assert (out, err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("game: [1, 2", "line 1, column 12: expected ',' or ']', but got '<stream end>'"),
+        ("game: \t1", "line 1, column 7: found character '\\t' that cannot start any token"),
+        ("game: *y", "line 1, column 7: found undefined alias 'y'"),
+    ],
+    ids=["unclosed-flow", "tab", "undefined-alias"],
+)
+def test_yaml_parse_errors_exit_2(tmp_path, capsys, doc, message):
+    # the texts and marks of yaml.SafeLoader, which scenario._Loader extends;
+    # libyaml's CSafeLoader reports others and accepts the tab
+    path = tmp_path / "broken.yaml"
+    path.write_text(doc)
+    assert cli.main(["threshold", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: parse error at {message}\n")
+
+
 @pytest.mark.parametrize("error", [RuntimeError, TypeError])
 def test_unexpected_error_exits_3(scenario, monkeypatch, capsys, error):
     def crash(config, args):

@@ -23,6 +23,7 @@ from middleman import (
     StrategyProfile,
     TabulatedBenefit,
     TabulatedIncome,
+    ambiguity_equilibrium_check,
     epsilon_nash_check,
     full_extraction_fees,
     game_payoffs,
@@ -157,6 +158,7 @@ _RANGE = ("ValueError", "{} must lie in [0, 1]")
 _NEGATIVE = ("ValueError", "{} must be nonnegative")
 _BELOW = ("ValueError", "profile outside the strategy box: {} < s_lo")
 _ABOVE = ("ValueError", "profile outside the strategy box: {} exceeds its fee bound")
+_SCALAR = ("ValueError", "profile field {} must be a scalar")
 _STRING = ("UFuncTypeError", "ufunc 'greater_equal' did not contain a loop with signature "
            "matching types (<class 'numpy.dtypes.StrDType'>, "
            "<class 'numpy.dtypes._PyFloatDType'>) -> None")
@@ -174,17 +176,17 @@ PROFILE_FIELD_CASES = {
     "-inf": (float("-inf"), _RANGE, _NEGATIVE),
     "above-one": (np.nextafter(1.0, 2.0), _RANGE, _ABOVE),
     "tiny-negative": (-1e-300, _RANGE, _NEGATIVE),
-    "list": ([0.2, 0.5], None, None),
+    "list": ([0.2, 0.5], _SCALAR, _SCALAR),
     "list-one-bad": ([0.5, -0.5, 0.5], _RANGE, _NEGATIVE),
     "0-d": (np.array(0.5), None, None),
     "0-d-bad": (np.array(-0.5), _RANGE, _NEGATIVE),
     "array-one-bad": (np.array([0.5, -0.5, 0.5]), _RANGE, _NEGATIVE),
-    "array-one-below-box": (np.array([0.5, 0.05]), _BELOW, None),
-    "array-one-above-box": (np.array([0.3, 0.9]), None, _ABOVE),
+    "array-one-below-box": (np.array([0.5, 0.05]), _SCALAR, _SCALAR),
+    "array-one-above-box": (np.array([0.3, 0.9]), _SCALAR, _SCALAR),
     "string": ("a", _STRING, _STRING),
     "none": (None, _NONE, _NONE),
     "true": (True, None, _ABOVE),
-    "empty": (np.array([]), None, None),
+    "empty": (np.array([]), _SCALAR, _SCALAR),
     "huge-int": (10**400, _RANGE, _ABOVE),
     "huge-negative-int": (-(10**400), _RANGE, _NEGATIVE),
 }
@@ -205,6 +207,21 @@ def test_profile_and_box_validation_table(field, label):
         assert (type(exc).__name__, str(exc)) == (want[0], want[1].format(field))
     else:
         assert want is None
+
+
+@pytest.mark.parametrize("s1", [np.array([]), np.array([0.5, 1.0])], ids=["empty", "pair"])
+def test_oracles_reject_an_array_profile(s1):
+    # payoff calls broadcast an array profile; an oracle checks one strategy,
+    # so it names the field instead of failing inside numpy
+    pay = game_payoffs(linear_activity_game())
+    beliefs = BeliefSystem(lambda_=0.0, gamma=0.2, loyalty1=0.5, loyalty2=0.5)
+    profile, grid = StrategyProfile(s1, 1.0, 0.5, 0.5), Grid(10)
+    calls = (lambda: epsilon_nash_check(pay, profile, grid),
+             lambda: pareto_check(pay, profile, grid),
+             lambda: ambiguity_equilibrium_check(pay.game, beliefs, profile, grid))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^profile field s1 must be a scalar$"):
+            call()
 
 
 def test_scans_reduce_python_float_payoffs():

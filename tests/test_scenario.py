@@ -429,19 +429,21 @@ def test_sweep_csv_layout():
 
 def test_sweep_float_spellings():
     # the spellings any faster formatting of the map writers must keep: an
-    # exact tie (0.0078125) rounds half to even, 999999.9999996 carries
+    # exact tie (0.0078125) rounds half to even, 999999.9999996 carries, and
+    # -9999999.9999996 carries to eight integer digits
     values = [5e-06, -1e-07, 1e-07, 0.5, 123456.7654321, float("nan"), float("inf"),
-              0.0078125, 1e-4, 9.9e-05, 999999.9999996, 1e7]
+              0.0078125, 1e-4, 9.9e-05, 999999.9999996, 1e7, -9999999.9999996]
     csv_rows = sweep_csv({"x": values}).split("\n")[1:-1]
     assert csv_rows == [
         "0.000005", "-0.000000", "0.000000", "0.500000", "123456.765432", "nan", "inf",
         "0.007812", "0.000100", "0.000099", "1000000.000000", "10000000.000000",
+        "-10000000.000000",
     ]
     machine = sweep_machine({"x": values})
     assert machine == (
         '[{"x": 5e-06}, {"x": -0.0}, {"x": 0.0}, {"x": 0.5}, {"x": 123456.765432}, '
         '{"x": NaN}, {"x": Infinity}, {"x": 0.007812}, {"x": 0.0001}, {"x": 9.9e-05}, '
-        '{"x": 1000000.0}, {"x": 10000000.0}]\n'
+        '{"x": 1000000.0}, {"x": 10000000.0}, {"x": -10000000.0}]\n'
     )
 
 
@@ -463,6 +465,42 @@ def test_sweep_writers_match_per_value_reference(values):
     columns = {"x": values, "positive": [v > 0 for v in values], "neg": [-v for v in values]}
     assert sweep_csv(columns) == reference_sweep_csv(columns)
     assert sweep_machine(columns) == reference_sweep_machine(columns)
+
+
+# One value per reachable XOR row of the digit kernel: every integer width
+# with both signs and 1 to 6 JSON decimals kept (width 8 only by the carry of
+# 9999999.9999996 to 10000000), zero of both signs, and the JSON cut-off at
+# 99 and 100 units of 1e-6 (``5e-06`` style below it, fixed digits from it).
+_BOUNDARY_VALUES = [
+    float(f"{sign}{'9876543'[:width]}.{'123456'[:kept]}")
+    for width in range(1, 8) for sign in ("", "-") for kept in range(1, 7)
+] + [9999999.9999996, -9999999.9999996, 0.0, -0.0, 99e-6, 100e-6, -99e-6, -100e-6]
+
+
+@pytest.mark.parametrize("value", _BOUNDARY_VALUES, ids=repr)
+def test_sweep_spelling_boundaries(value):
+    # alone, and in one block with every other width, sign and decimal count
+    for columns in ({"x": [value]}, {"x": [value, *_BOUNDARY_VALUES]}):
+        assert sweep_csv(columns) == reference_sweep_csv(columns)
+        assert sweep_machine(columns) == reference_sweep_machine(columns)
+
+
+@pytest.mark.parametrize(
+    "value", [1e7, 1e300, -1e22, float("nan"), float("inf"), -0.0, 5e-06, _near_tie(123, -1)],
+    ids=repr,
+)
+def test_slow_path_values_where_blocks_meet(monkeypatch, value):
+    # the per-value rule's text in the first and last row of a 7-row block and
+    # of the next one, widening only the blocks that hold it
+    monkeypatch.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", 7)
+    x = np.linspace(-150.0, 150.0, 20) + 1e-3
+    x[[0, 6, 7, 13]] = value
+    columns = {"x": x, "up": x > 0, "y": x[::-1].copy()}
+    for fmt, writer, reference in (("csv", sweep_csv, reference_sweep_csv),
+                                   ("machine", sweep_machine, reference_sweep_machine)):
+        text = reference(columns)
+        assert writer(columns) == text
+        assert "".join(scenario_module.sweep_blocks(columns, fmt)) == text
 
 
 @pytest.mark.parametrize("resolution", [2, 7, 100, 333])
