@@ -22,6 +22,7 @@ from .ambiguity import (
     ContestationVerdict,
     ambiguity_equilibrium_check,
     best_fee_response,
+    critical_gamma,
     full_exploitation_verdict,
     loyalty_fees,
     modified_game,
@@ -92,6 +93,7 @@ __all__ = [
     "benefit_strictly_increasing",
     "best_fee_response",
     "boundary_curve",
+    "critical_gamma",
     "dump_scenario",
     "emit_results",
     "epsilon_nash_check",

@@ -93,11 +93,15 @@ class RegionMap(Sequence):
     sigma = axis[j]. Without a ``full_exploitation`` lattice the map holds
     the benchmark inequality's, evaluated on its first read, so a map that
     draws only the analytic boundary from ``axis`` (the SVG) costs no
-    lattice. As a sequence it yields :class:`RegionSample` records in
-    row-major order (gamma outer, sigma inner), built on demand.
+    lattice; ``axis`` must then ascend within [0, 1]. As a sequence it
+    yields :class:`RegionSample` records in row-major order (gamma outer,
+    sigma inner), built on demand.
     """
 
     def __init__(self, axis: np.ndarray, full_exploitation: np.ndarray | None = None):
+        if full_exploitation is None and not (
+                np.all(axis[1:] >= axis[:-1]) and np.all((axis >= 0.0) & (axis <= 1.0))):
+            raise ValueError("axis must ascend within [0, 1]")
         axis.setflags(write=False)
         self.axis = axis
         if full_exploitation is not None:
@@ -127,15 +131,25 @@ class RegionMap(Sequence):
 
 
 def _region_verdicts(axis: np.ndarray) -> np.ndarray:
-    """The benchmark inequality at every (gamma, sigma) of ``axis`` x ``axis``.
+    """The benchmark inequality at every (gamma, sigma) of ``axis`` x ``axis``,
+    for an ``axis`` ascending within [0, 1].
 
-    One broadcast with the same float operations as
-    :func:`benchmark_full_exploitation_condition`, so every verdict is
-    bit-identical to the per-point test.
+    Each gamma row's verdicts are true on a prefix of sigma: as sigma grows,
+    ``(1 - gamma)(1 - sigma)`` never rises and ``gamma sigma sigma`` never
+    falls, in floats too, because rounding is monotone. So each row's count
+    of true verdicts is bisected, evaluating the inequality with the same
+    float operations as :func:`benchmark_full_exploitation_condition`, and
+    every verdict is bit-identical to the per-point test.
     """
-    g = axis[:, None]
-    s = axis[None, :]
-    return (1.0 - g) * (1.0 - s) >= g * s * s
+    n = axis.size
+    lo, hi = np.zeros(n, np.intp), np.full(n, n)  # each row's count lies in [lo, hi]
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        s = axis[np.minimum(mid, n - 1)]
+        true = (1.0 - axis) * (1.0 - s) >= axis * s * s
+        lo = np.where(true, np.minimum(mid + 1, hi), lo)
+        hi = np.where(true, hi, mid)
+    return np.arange(n) < lo[:, None]
 
 
 def region_sample(resolution: int) -> RegionMap:

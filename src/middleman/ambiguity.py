@@ -208,6 +208,35 @@ def best_fee_response(game: HedonicGame, beliefs: BeliefSystem, grid: Grid) -> t
     return (float(r1[i]), float(r2[j]))
 
 
+def _threshold_terms(game: HedonicGame, beliefs: BeliefSystem) -> tuple[np.ndarray, np.ndarray]:
+    """``delta``, the income gained at full participation by charging the
+    full-extraction fees ``F`` instead of the loyalty fees ``phi``, and
+    ``I_L``, the income at ``phi`` and the loyalty levels."""
+    l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
+    F = full_extraction_fees(game)
+    phi = loyalty_fees(game, beliefs)
+    delta = np.asarray(game.income(F[0], F[1], 1.0, 1.0)) - game.income(phi[0], phi[1], 1.0, 1.0)
+    return delta, np.asarray(game.income(phi[0], phi[1], l1, l2))
+
+
+def critical_gamma(game: HedonicGame, beliefs: BeliefSystem) -> Value:
+    """The pessimism up to which the middleman fully exploits:
+    ``delta / (delta + I_L)``, and 1 where both terms are 0.
+
+    For gamma < 1, ``delta >= gamma / (1 - gamma) * I_L`` holds iff
+    ``gamma <= critical_gamma`` in real numbers, so this explains the
+    verdict of :func:`full_exploitation_verdict`, which still decides it:
+    at a tie the two forms may round apart. The beliefs' gamma is not read.
+    On the sigma benchmark this is :func:`activity.boundary_curve`.
+    Broadcasts over array-valued belief fields; scalar beliefs give a float.
+    """
+    delta, loyal = _threshold_terms(game, beliefs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.where((delta == 0) & (loyal == 0), 1.0, delta / (delta + loyal))
+    share = np.broadcast_to(share, beliefs.shape)
+    return float(share) if not beliefs.shape else share
+
+
 def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> ContestationVerdict:
     """Decide whether the contested middleman still charges the full-extraction fees.
 
@@ -234,11 +263,8 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
     _require_threshold_domain(beliefs)
     shape = beliefs.shape
     gamma = np.asarray(beliefs.gamma)
-    l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
-    F = full_extraction_fees(game)
-    phi = loyalty_fees(game, beliefs)
-    delta = np.asarray(game.income(F[0], F[1], 1.0, 1.0)) - game.income(phi[0], phi[1], 1.0, 1.0)
-    rhs = gamma / (1.0 - gamma) * np.asarray(game.income(phi[0], phi[1], l1, l2))
+    delta, loyal = _threshold_terms(game, beliefs)
+    rhs = gamma / (1.0 - gamma) * loyal
     delta, rhs = (np.broadcast_to(v, shape) for v in (delta, rhs))
     full = delta >= rhs
     if not shape:

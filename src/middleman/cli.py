@@ -8,32 +8,35 @@ for ``sweep``. Only the verdict reports take ``--assert``.
 
 Exit codes: 0 on success, 1 when ``--assert`` is given and the analysis
 verdict is false, 2 on usage or validation errors, including lattices and
-grid checks over :data:`MAX_POINTS` points, and 3 on any other error, a
-``TypeError`` included, whose traceback goes to stderr. A grid check counts
-the points of the lattice it decides: ``(steps + 1)^2`` for ``verify-nash``
-and ``ambiguity-eq``, ``(steps + 1)^3`` for ``dominance`` and for ``pareto``
-on the exact corner path, and ``(steps + 1)^4`` for ``pareto`` on a game the
-corner path cannot decide, which it scans. These counts are lattice points,
-not payoff calls, so they do not change with how many levels an oracle
-evaluates per call. ``dominance`` and the corner path keep their
-``(steps + 1)^3`` budgets although they now evaluate O(n^2) and O(n^2 log n)
-points, so ``dominance --steps 300`` and ``pareto --steps 300`` are still
-refused.
+grid checks over :data:`MAX_POINTS` points, 3 on any other error, a
+``TypeError`` included, whose traceback goes to stderr, and 141 (as shells
+report a SIGPIPE, with nothing on stderr) when the reader closes the output
+pipe. A grid check counts the points of the lattice it decides:
+``(steps + 1)^2`` for ``verify-nash`` and ``ambiguity-eq``,
+``(steps + 1)^3`` for ``dominance`` and for ``pareto`` on the exact corner
+path, and ``(steps + 1)^4`` for ``pareto`` on a game the corner path cannot
+decide, which it scans. These counts are lattice points, not payoff calls,
+so they do not change with how many levels an oracle evaluates per call.
+``dominance`` and the corner path keep their ``(steps + 1)^3`` budgets
+although they now evaluate O(n^2) and O(n^2 log n) points, so
+``dominance --steps 300`` and ``pareto --steps 300`` are still refused.
 
 Every check that can exit 2 is made before the first byte is written. Map
 output (the ``region`` CSV and both ``sweep`` formats) is then written one
 block of rows at a time, as each is made, so peak memory holds about one
 block whatever the lattice size; ``region --format svg`` draws the analytic
 boundary and evaluates no verdict lattice. After a crash mid-write (exit 3)
-an ``--out`` file may therefore be partial.
+an ``--out`` file may therefore be partial. All output is written as bytes,
+to stdout's binary stream (after any text already written to stdout) or to
+the ``--out`` file opened in binary mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
-from contextlib import nullcontext
 from dataclasses import replace
 from math import prod
 from pathlib import Path
@@ -178,10 +181,16 @@ def _check_points(points, source):
 
 
 def _deliver(blocks, args):
-    """Write each text block as it comes, to ``--out`` (opened once, in text
-    mode) or to stdout. Every check that exits 2 is made before this."""
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        out.writelines(blocks)
+    """Write each bytes-like block as it comes, to ``--out`` (opened once, in
+    binary mode) or to stdout's binary stream, after any text already written
+    to stdout. Every check that exits 2 is made before this."""
+    if args.out:
+        with open(args.out, "wb") as out:
+            out.writelines(blocks)
+    else:
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(blocks)
+        sys.stdout.buffer.flush()  # a closed pipe raises here, not at exit
 
 
 def _cmd_report(args):
@@ -191,7 +200,7 @@ def _cmd_report(args):
     config = parse_scenario(Path(args.scenario).read_text())
     verdict, entries = args.build(config, args)
     # one block, through emit_results, so traces still count report emission
-    _deliver([emit_results(entries, args.format)], args)
+    _deliver([emit_results(entries, args.format).encode()], args)
     return 1 if args.assert_ and not verdict else 0
 
 
@@ -301,6 +310,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        if not args.out:
+            # stdout's reader is gone: point stdout at the null device, so
+            # that the flush at exit does not report the pipe again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            except (OSError, ValueError):  # a stdout with no descriptor
+                pass
+            os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,17 @@ import numpy as np
 Value = Union[float, np.ndarray]
 
 
+def _is_number(x) -> bool:
+    """An int or a float, Python or numpy; a boolean is not one."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
-    """A joint strategy: participation levels (s1, s2) and fee pair (rho1, rho2)."""
+    """A joint strategy: participation levels (s1, s2) and fee pair (rho1, rho2).
+
+    Each field is a number or an array of numbers (a boolean is not one),
+    checked field by field in that order."""
 
     s1: Value
     s2: Value
@@ -27,12 +35,14 @@ class StrategyProfile:
     rho2: Value
 
     def __post_init__(self):
-        for name in ("s1", "s2"):
+        for name in ("s1", "s2", "rho1", "rho2"):
             v = np.asarray(getattr(self, name))
-            if not ((v >= 0.0) & (v <= 1.0)).all():
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("rho1", "rho2"):
-            if not (np.asarray(getattr(self, name)) >= 0.0).all():
+            if v.dtype.kind not in "iuf" and not all(map(_is_number, v.flat)):
+                raise ValueError(f"{name} must be a number")
+            if name[0] == "s":
+                if not ((v >= 0.0) & (v <= 1.0)).all():
+                    raise ValueError(f"{name} must lie in [0, 1]")
+            elif not (v >= 0.0).all():
                 raise ValueError(f"{name} must be nonnegative")
 
     @property
@@ -56,10 +66,7 @@ def _float_array(values) -> np.ndarray:
     non-finite number it would round to, and callers only reject such an
     array."""
     items = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if items.dtype.kind not in "iuf" and not all(
-        isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-        for x in items.flat
-    ):
+    if items.dtype.kind not in "iuf" and not all(map(_is_number, items.flat)):
         raise TypeError("expected numbers")
     try:
         return items.astype(np.float64)

@@ -29,10 +29,13 @@ error names the offending field. Emission is byte-stable: identical inputs
 give identical output documents. CSV and text output spell each number fixed
 at six decimals (``f"{v:.6f}"``); ``machine`` output spells it as
 ``json.dumps(round(v, 6))``, the shortest form of the rounded value
-(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Sweep text is made a
-block of byte rows at a time, a uint8 matrix of NUL-padded slots filled from
-digit tables. :func:`emit_blocks` and :func:`sweep_blocks` hand out a map's
-blocks for the CLI to write one at a time; the map writers join them.
+(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Output is made as
+bytes. Sweep text is made a block of byte rows at a time, a uint8 matrix of
+NUL-padded slots filled from digit tables; the region CSV is cut, a group
+of gamma rows at a time, from runs of equal verdicts in two line templates.
+:func:`emit_blocks` and :func:`sweep_blocks` hand out a map's bytes-like
+blocks for the CLI to write one at a time, none sharing memory with a later
+one; the string writers decode the joined blocks.
 """
 
 from __future__ import annotations
@@ -323,22 +326,50 @@ def report_machine(entries: dict) -> str:
 
 
 def _region_csv_blocks(region: RegionMap):
-    """The region CSV as text blocks: the header, then groups of gamma rows
-    of about one sweep block's cells each."""
-    yield "gamma,sigma,full_exploitation\n"
-    labels = "".join(_row_blocks({"": region.axis}, False, ["", "\n"])).split("\n")[:-1]
-    cells = np.array([[f"{x},false" for x in labels], [f"{x},true" for x in labels]], dtype=object)
-    sigma = np.arange(len(labels))
-    step = max(1, _SWEEP_BLOCK_ROWS // len(labels))
-    for lo in range(0, len(labels), step):
-        # row i holds the cell of sigma j for its verdict, each line led by gamma
-        grid = cells[region.full_exploitation[lo:lo + step].astype(np.intp), sigma]
-        yield "".join(f"{g}," + f"\n{g},".join(row) + "\n"
-                      for g, row in zip(labels[lo:lo + step], grid.tolist()))
+    """The region CSV as byte blocks: the header, then groups of gamma rows
+    of about one sweep block's lines each.
+
+    A line is ``gamma,sigma,`` and its verdict. Each row is cut at its
+    verdict changes (one on a benchmark row) into runs of equal verdicts, a
+    group is one concatenation of its runs, each cut from one of two line
+    templates (every sigma, all false or all true), and each run's gamma
+    labels are then written as one strided array of fixed-width items.
+    Labels narrower than the widest leave NULs, dropped last.
+    """
+    yield b"gamma,sigma,full_exploitation\n"
+    labels = _slots(region.axis.astype(np.float64, copy=False), False)
+    n, w = labels.shape
+    label = np.dtype((np.void, w))
+    heads = labels.view(label)[:, 0]
+    templates, widths = [], []
+    for verdict in (b",false\n", b",true\n"):
+        lines = np.empty((n, 2 * w + 1 + len(verdict)), np.uint8)  # gamma written per run
+        lines[:, w] = ord(",")
+        lines[:, w + 1:2 * w + 1] = labels
+        lines[:, 2 * w + 1:] = np.frombuffer(verdict, np.uint8)
+        templates.append(lines.reshape(-1))
+        widths.append(lines.shape[1])
+    narrow = not labels.all()
+    step = max(1, _SWEEP_BLOCK_ROWS // max(n, 1))
+    for lo in range(0, n, step):
+        verdicts = region.full_exploitation[lo:lo + step]
+        change = np.ones(verdicts.shape, bool)  # each row starts a run
+        np.not_equal(verdicts[:, 1:], verdicts[:, :-1], out=change[:, 1:])
+        starts = np.flatnonzero(change)
+        rows, columns = np.divmod(starts, n)
+        runs = list(zip(verdicts[rows, columns].astype(np.intp).tolist(), (rows + lo).tolist(),
+                        columns.tolist(), np.diff(starts, append=verdicts.size).tolist()))
+        block = np.concatenate([templates[k][j * widths[k]:(j + m) * widths[k]]
+                                for k, _, j, m in runs])
+        at = 0
+        for k, i, _, m in runs:
+            np.ndarray((m,), label, block, at, (widths[k],))[...] = heads[i]
+            at += m * widths[k]
+        yield block[block != 0] if narrow else block
 
 
 def region_csv(region: RegionMap) -> str:
-    return "".join(_region_csv_blocks(region))
+    return b"".join(_region_csv_blocks(region)).decode()
 
 
 def region_svg(region: RegionMap) -> str:
@@ -369,7 +400,7 @@ def region_svg(region: RegionMap) -> str:
 # Map text is made a block of rows at a time as one uint8 matrix. A row holds
 # each column's byte slot between the texts around it; a slot is as wide as
 # the column's longest text in the block and NUL where a text is shorter. One
-# compress drops the NULs and the bytes are decoded into the block's str.
+# compress drops the NULs and gives the block's bytes.
 _SWEEP_BLOCK_ROWS = 1 << 16
 # A float's slot is four uint32 words (a sign place, eight integer digits,
 # ".", six decimals): digits of 0 .. 9999 and, from 10000, of 0.00 .. 9.99.
@@ -438,9 +469,10 @@ def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
 
 
 def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", tail=""):
-    """``head``, rows a block at a time, then ``tail``: each row's float or bool
-    cells between ``seps`` (one before each, one after), led by ``row_sep``."""
-    yield head
+    """``head``, rows a block at a time, then ``tail``, as bytes: each row's
+    float or bool cells between ``seps`` (one before each, one after), led by
+    ``row_sep``."""
+    yield head.encode()
     arrays = [np.asarray(c) for c in columns.values()]
     seps = [np.frombuffer(s.encode(), np.uint8) for s in [row_sep + seps[0], *seps[1:]]]
     for lo in range(0, len(arrays[0]), _SWEEP_BLOCK_ROWS):
@@ -451,14 +483,14 @@ def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", t
         block = np.hstack([np.broadcast_to(p, (len(cells[0]), p.shape[-1])) for p in parts])
         if lo == 0:
             block[0, :len(row_sep)] = 0
-        yield block[block != 0].tobytes().decode("ascii")
-    yield tail
+        yield block[block != 0]
+    yield tail.encode()
 
 
 def sweep_blocks(columns: dict, fmt: str = "csv"):
     """The text of :func:`sweep_csv` (``csv``) or :func:`sweep_machine`
-    (``machine``) as an iterable of blocks, made one at a time as it is
-    read. The format is checked here, before any block is made."""
+    (``machine``) as an iterable of bytes-like blocks, made one at a time as
+    it is read. The format is checked here, before any block is made."""
     if fmt == "csv":
         seps = ["", *[","] * (len(columns) - 1), "\n"]
         return _row_blocks(columns, False, seps, "", ",".join(columns) + "\n")
@@ -473,16 +505,16 @@ def sweep_blocks(columns: dict, fmt: str = "csv"):
 def sweep_csv(columns: dict) -> str:
     """CSV of equal-length float or bool columns, one row per index, in
     mapping order."""
-    return "".join(sweep_blocks(columns, "csv"))
+    return b"".join(sweep_blocks(columns, "csv")).decode()
 
 
 def sweep_machine(columns: dict) -> str:
     """JSON list of one object per row of equal-length float or bool columns."""
-    return "".join(sweep_blocks(columns, "machine"))
+    return b"".join(sweep_blocks(columns, "machine")).decode()
 
 
 def emit_blocks(result, fmt: str = "text"):
-    """The text of :func:`emit_results` as an iterable of blocks.
+    """The text of :func:`emit_results` as an iterable of bytes-like blocks.
 
     A region map's CSV is made one group of gamma rows at a time, as it is
     read; every other output is one block. The result type and format are
@@ -490,15 +522,15 @@ def emit_blocks(result, fmt: str = "text"):
     """
     if isinstance(result, dict):
         if fmt == "text":
-            return [report_text(result)]
+            return [report_text(result).encode()]
         if fmt == "machine":
-            return [report_machine(result)]
+            return [report_machine(result).encode()]
         raise ValueError(f"unsupported format {fmt!r} for a verdict report")
     if isinstance(result, RegionMap):
         if fmt == "csv":
             return _region_csv_blocks(result)
         if fmt == "svg":
-            return [region_svg(result)]
+            return [region_svg(result).encode()]
         raise ValueError(f"unsupported format {fmt!r} for a region map")
     raise TypeError(f"cannot emit result of type {type(result).__name__}")
 
@@ -510,4 +542,4 @@ def emit_results(result, fmt: str = "text") -> str:
     returned by ``region_sample``) accepts ``csv`` and ``svg``. Output is
     deterministic for identical inputs.
     """
-    return "".join(emit_blocks(result, fmt))
+    return b"".join(emit_blocks(result, fmt)).decode()

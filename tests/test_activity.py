@@ -13,6 +13,7 @@ from middleman import (
     Linear,
     MultiplicativeIncome,
     PessimisticIncomeZeroError,
+    RegionMap,
     TabulatedBenefit,
     activity_full_exploitation_condition,
     benchmark_full_exploitation_condition,
@@ -225,6 +226,26 @@ def test_region_verdicts_match_the_integer_certificate(n):
     j = np.arange(n + 1, dtype=np.int64)[None, :]
     exact = (n - i) * (n - j) * n >= i * j * j
     assert np.array_equal(region_sample(n).full_exploitation, exact)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 1000])
+def test_bisected_verdicts_equal_the_broadcast_inequality(n):
+    # each row's true count is bisected; the lattice is the one broadcast
+    # of the inequality, bit for bit
+    axis = np.arange(n + 1) / n
+    g, s = axis[:, None], axis[None, :]
+    assert np.array_equal(region_sample(n).full_exploitation, (1.0 - g) * (1.0 - s) >= g * s * s)
+
+
+@pytest.mark.parametrize("axis", [[0.0, 1.0, 0.5], [0.0, 0.5, 1.5], [-0.1, 0.5], [0.0, np.nan]],
+                         ids=["descending", "above-one", "negative", "nan"])
+def test_region_map_needs_an_ascending_unit_axis_for_its_own_lattice(axis):
+    # the bisection rests on the axis ascending within [0, 1]; a caller's
+    # own lattice may come with any axis
+    with pytest.raises(ValueError, match=r"^axis must ascend within \[0, 1\]$"):
+        RegionMap(np.array(axis))
+    verdicts = np.zeros((len(axis), len(axis)), bool)
+    assert RegionMap(np.array(axis), verdicts).full_exploitation is verdicts
 
 
 def test_region_sample_sequence_access():

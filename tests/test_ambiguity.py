@@ -21,6 +21,7 @@ from middleman import (
     TabulatedIncome,
     ambiguity_equilibrium_check,
     best_fee_response,
+    critical_gamma,
     epsilon_nash_check,
     full_exploitation_verdict,
     full_extraction_fees,
@@ -376,6 +377,38 @@ def test_grid_argmax_lands_on_the_verdicts_candidate(seed):
         assert abs(got - want) <= bound / 40 * (1 + 1e-9)
     if verdict.full_exploitation:
         assert ambiguity_equilibrium_check(game, beliefs, StrategyProfile(1.0, 1.0, *F), grid)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_critical_gamma_explains_the_verdict(seed):
+    """Away from ties, full exploitation holds iff gamma <= critical_gamma."""
+    rng = np.random.default_rng(seed)
+    game, _ = random_benchmark_game(rng)
+    beliefs = random_proper_beliefs(rng)
+    verdict = full_exploitation_verdict(game, beliefs)
+    assume(abs(verdict.delta - verdict.rhs) > 1e-9)
+    cut = critical_gamma(game, beliefs)
+    assert isinstance(cut, float) and 0.0 <= cut <= 1.0
+    assert (beliefs.gamma <= cut) == verdict.full_exploitation
+
+
+def test_critical_gamma_is_one_without_income():
+    # delta = I_L = 0: delta >= rhs holds at every gamma
+    game = HedonicGame(Linear(0.5, 0.5), Linear(0.5, 0.5),
+                       TabulatedIncome(np.zeros((2, 2, 2, 2)), (1.0, 1.0)))
+    assert critical_gamma(game, beliefs_at(0.9)) == 1.0
+    assert full_exploitation_verdict(game, beliefs_at(0.9)).full_exploitation
+
+
+def test_critical_gamma_broadcasts_over_array_beliefs():
+    game = _shipped_game("cobb_douglas_loyalty")
+    loyalty = np.linspace(0.0, 0.99, 12).reshape(3, 4)
+    beliefs = BeliefSystem(0.0, np.full((3, 1), 0.4), loyalty, 0.5)
+    cut = critical_gamma(game, beliefs)
+    assert cut.shape == (3, 4)
+    for index in np.ndindex(cut.shape):
+        assert cut[index] == critical_gamma(game, beliefs_at(0.4, loyalty=(loyalty[index], 0.5)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -571,6 +572,57 @@ def test_streamed_map_equals_the_string_writer(scenario, tmp_path, capsys, monke
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == expected.encode()
     assert capsys.readouterr() == ("", "")
+
+
+# SHA-256 of the region CSV at resolution 1000, captured from the
+# broadcast lattice and the per-cell writer
+REGION_1000_SHA256 = "104733ec0c1a1a884baea159e07e6654297c07a32594f5aa98a624e6489004d5"
+
+
+def test_region_1000_bytes_on_stdout_and_in_out(tmp_path):
+    # the binary stream under stdout and the --out file get the same bytes
+    out = tmp_path / "region.csv"
+    to_file = run_cli("region", "--resolution", "1000", "--out", str(out))
+    to_stdout = subprocess.run([sys.executable, "-m", "middleman", "region", "--resolution",
+                                "1000"], capture_output=True)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, "", "")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert to_stdout.stdout == out.read_bytes()
+    assert hashlib.sha256(to_stdout.stdout).hexdigest() == REGION_1000_SHA256
+
+
+def test_text_written_before_a_map_keeps_its_place():
+    # text still pending on sys.stdout goes out before the map's bytes; without
+    # PYTHONUNBUFFERED the text layer holds it until flushed
+    code = ("import sys; from middleman import cli; print('before', end='|'); "
+            "sys.exit(cli.main(['region', '--resolution', '2']))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "before|" + region_csv(region_sample(2))
+
+
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        # the reader takes the first 40 bytes of a map and closes the pipe
+        (("region", "--resolution", "1000"), b"gamma,sigma,full_exploitation\n0.000000,0"),
+        # the reader is gone before a report is written, which stays buffered
+        (("threshold", "--scenario", str(ROOT / "scenarios" / "benchmark_sigma05.yaml")), b""),
+    ],
+    ids=["map", "report"],
+)
+def test_closed_pipe_exits_141_quietly(argv, head):
+    # no error line, no message from the flush at exit (without PYTHONUNBUFFERED
+    # stdout still holds bytes then), and not the usage code 2
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child = subprocess.Popen([sys.executable, "-m", "middleman", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(len(head)) == head
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (141, b"")
 
 
 def test_region_svg_evaluates_no_verdict_lattice(monkeypatch, capsys):

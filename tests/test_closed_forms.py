@@ -14,6 +14,7 @@ from middleman import (
     BeliefSystem,
     activity_full_exploitation_condition,
     boundary_curve,
+    critical_gamma,
     full_exploitation_verdict,
 )
 from _support import sigma_benchmark_game
@@ -102,3 +103,17 @@ def test_sigma_game_verdicts_match_the_closed_form():
                 assert verdict.full_exploitation == bool(margin > 0)
                 ratio = activity_full_exploitation_condition(game, BeliefSystem(0.0, g, s, s))
                 assert ratio == verdict.full_exploitation
+
+
+@pytest.mark.parametrize("k", range(LATTICE + 1))
+def test_critical_gamma_is_the_boundary_curve(k):
+    """``critical_gamma`` is ``delta / (delta + I_L)``, which
+    :func:`test_threshold_is_the_boundary` proves equal to ``gamma*(sigma)``;
+    on the lattice it and ``boundary_curve`` agree with the closed form at
+    the float's exact value, ends included (I_L = 0 at sigma = 0, delta = 0
+    at sigma = 1)."""
+    s = k / LATTICE
+    exact = float(BOUNDARY.subs(sigma, sp.Rational(s)))
+    got = critical_gamma(sigma_benchmark_game(), BeliefSystem(0.0, 0.5, s, s))
+    assert got == pytest.approx(exact, rel=1e-15, abs=0)
+    assert got == pytest.approx(boundary_curve(s), rel=1e-15, abs=0)

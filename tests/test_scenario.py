@@ -500,20 +500,51 @@ def test_slow_path_values_where_blocks_meet(monkeypatch, value):
                                    ("machine", sweep_machine, reference_sweep_machine)):
         text = reference(columns)
         assert writer(columns) == text
-        assert "".join(scenario_module.sweep_blocks(columns, fmt)) == text
+        assert b"".join(scenario_module.sweep_blocks(columns, fmt)).decode() == text
 
 
-@pytest.mark.parametrize("resolution", [2, 7, 100, 333])
-def test_region_csv_matches_per_cell_reference(resolution):
-    region = region_sample(resolution)
+def reference_region_csv(region):
+    """``region_csv`` spelled a cell at a time."""
     axis = region.axis.tolist()
     cells = (
         f"{g:.6f},{s:.6f},{'true' if v else 'false'}\n"
         for g, row in zip(axis, region.full_exploitation.tolist())
         for s, v in zip(axis, row)
     )
-    reference = "gamma,sigma,full_exploitation\n" + "".join(cells)
-    assert first_difference(region_csv(region), reference) is None
+    return "gamma,sigma,full_exploitation\n" + "".join(cells)
+
+
+@pytest.mark.parametrize("resolution", [2, 7, 100, 333])
+def test_region_csv_matches_per_cell_reference(resolution):
+    region = region_sample(resolution)
+    assert first_difference(region_csv(region), reference_region_csv(region)) is None
+
+
+_CALLER_LATTICES = {
+    "eye": lambda n, rng: np.eye(n, dtype=bool),
+    "checkerboard": lambda n, rng: np.indices((n, n)).sum(axis=0) % 2 == 1,
+    "random": lambda n, rng: rng.random((n, n)) < 0.5,
+    "all-true": lambda n, rng: np.ones((n, n), bool),
+    "all-false": lambda n, rng: np.zeros((n, n), bool),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 20, 64])
+@pytest.mark.parametrize("axis", [np.linspace(0.0, 1.0, 9), np.array([-2.5, 0.0, 1e-7, 31.0, 1e7])],
+                         ids=["unit", "mixed-widths"])
+@pytest.mark.parametrize("lattice", list(_CALLER_LATTICES))
+def test_region_csv_of_a_caller_lattice(monkeypatch, lattice, axis, block_rows):
+    # rows whose verdicts change anywhere, in groups of one line up to
+    # several rows; labels of several widths, one spelled by the per-value
+    # rule, leave NULs to drop
+    monkeypatch.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", block_rows)
+    verdicts = _CALLER_LATTICES[lattice](len(axis), np.random.default_rng(7))
+    region = RegionMap(axis, verdicts)
+    assert first_difference(region_csv(region), reference_region_csv(region)) is None
+
+
+def test_region_csv_of_an_empty_axis_is_its_header():
+    assert region_csv(RegionMap(np.array([]))) == "gamma,sigma,full_exploitation\n"
 
 
 def test_emit_rejects_mismatched_formats():
