@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambiguity import BeliefSystem, _require_threshold_domain, loyalty_fees
+from .game import _number
 from .hedonic import HedonicGame, MultiplicativeIncome, full_extraction_fees
 
 
@@ -55,10 +56,9 @@ class BenchmarkPoint:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError("sigma must lie in [0, 1]")
+        for name in ("gamma", "sigma"):
+            if not 0.0 <= _number(getattr(self, name), name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GamePayoffs, Grid, StrategyProfile, Value
+from .game import FieldError, GamePayoffs, Grid, StrategyProfile, Value, _numbers
 from .hedonic import (
-    FieldError,
     HedonicGame,
     _as_scalar,
     full_extraction_fees,
@@ -74,8 +73,7 @@ class BeliefSystem:
     weight on the undisturbed game. Fields may hold numpy arrays that
     broadcast together, one belief system per entry; validation then raises
     the error of the first offending entry in C order, exactly as checking
-    the entries one at a time would. A field that is not a number (a boolean
-    is not) fails before any range check.
+    the entries one at a time would. A field that is not a number fails first.
     """
 
     lambda_: Value
@@ -85,13 +83,17 @@ class BeliefSystem:
 
     def __post_init__(self):
         shape = self.shape
-        checks = []
+        checks, values = [], {}
         for name in ("lambda_", "gamma", "loyalty1", "loyalty2"):
-            v = np.asarray(getattr(self, name))
-            if v.dtype.kind not in "iuf":  # a bool, a string, an object, ...
-                raise BeliefError(name, "must be a number", 0)
+            try:
+                v = values[name] = _numbers(getattr(self, name), name)
+            except FieldError as exc:
+                raise BeliefError(name, exc.problem, 0) from None
             checks.append((~((v >= 0.0) & (v <= 1.0)), name, "must lie in [0, 1]"))
-        total = np.add(self.lambda_, self.gamma)
+        try:  # in the fields' dtype
+            total = np.add(self.lambda_, self.gamma)
+        except OverflowError:  # an int beyond the float range
+            total = values["lambda_"] + values["gamma"]
         checks.append((
             total > 1.0,
             None,

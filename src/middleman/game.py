@@ -3,11 +3,12 @@
 The game has two users choosing participation levels in [0, 1] and one
 middleman choosing a nonnegative fee pair. Profile fields may hold numpy
 arrays (broadcast together), which lets payoff functions be evaluated over
-whole deviation grids in a single call.
+whole deviation grids in a single call. :func:`_numbers` is the number rule.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -17,17 +18,52 @@ import numpy as np
 Value = Union[float, np.ndarray]
 
 
-def _is_number(x) -> bool:
-    """An int or a float, Python or numpy; a boolean is not one."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+class FieldError(ValueError):
+    """``field`` names the rejected value (None for a rule over several
+    fields) and ``problem`` the text after it."""
+
+    def __init__(self, field: str | None, problem: str):
+        super().__init__(f"{field} {problem}" if field else problem)
+        self.field = field
+        self.problem = problem
+
+
+def _number(value, name: str) -> float:
+    """One number as a float (see :func:`_numbers`)."""
+    if type(value) is float:
+        return value
+    values = _numbers(value, name)
+    if values.ndim:
+        raise FieldError(name, "must be a number")
+    return float(values)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """``value`` as float64, or a ``FieldError`` naming ``name`` unless each
+    entry is an int or a float (Python or numpy, not bool). Lists are read
+    entry by entry: numpy reads ``[0.5, True]`` as floats. An int beyond the
+    float range is the infinity of its sign."""
+    if isinstance(value, float):
+        return np.float64(value)
+    items = np.asarray(value, object) if isinstance(value, (list, tuple)) else np.asarray(value)
+    if items.dtype.kind not in "iuf" and not all(
+            isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            for x in items.flat):
+        raise FieldError(name, "must be a number")
+    try:
+        return items.astype(np.float64)
+    except OverflowError:
+        top = sys.float_info.max  # exact against an int
+        entries = [x if not isinstance(x, int) or abs(x) <= top else np.inf * np.sign(x)
+                   for x in items.flat]
+        return np.array(entries, np.float64).reshape(items.shape)
 
 
 @dataclass(frozen=True)
 class StrategyProfile:
     """A joint strategy: participation levels (s1, s2) and fee pair (rho1, rho2).
 
-    Each field is a number or an array of numbers (a boolean is not one),
-    checked field by field in that order."""
+    Each field, checked in that order, is a number or an array of numbers."""
 
     s1: Value
     s2: Value
@@ -36,9 +72,7 @@ class StrategyProfile:
 
     def __post_init__(self):
         for name in ("s1", "s2", "rho1", "rho2"):
-            v = np.asarray(getattr(self, name))
-            if v.dtype.kind not in "iuf" and not all(map(_is_number, v.flat)):
-                raise ValueError(f"{name} must be a number")
+            v = _numbers(getattr(self, name), name)
             if name[0] == "s":
                 if not ((v >= 0.0) & (v <= 1.0)).all():
                     raise ValueError(f"{name} must lie in [0, 1]")
@@ -59,29 +93,15 @@ def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
     return pts
 
 
-def _float_array(values) -> np.ndarray:
-    """``values`` as a float64 array. Every entry must be an int or a float;
-    a boolean, a string, a ragged row or a mapping raises TypeError. An
-    integer beyond the float range makes every entry infinite: it is the
-    non-finite number it would round to, and callers only reject such an
-    array."""
-    items = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if items.dtype.kind not in "iuf" and not all(map(_is_number, items.flat)):
-        raise TypeError("expected numbers")
+def _float_pair(values, name: str) -> tuple[float, float]:
+    """``values`` as two floats, or a :class:`FieldError` naming ``name``."""
     try:
-        return items.astype(np.float64)
-    except OverflowError:
-        return np.full(items.shape, np.inf)
-
-
-def _float_pair(values) -> tuple[float, float] | None:
-    """``values`` as a pair of floats, or None unless it is a sequence of two
-    numbers (a string or a mapping is not)."""
-    try:
-        pair = _float_array(values)
-    except (TypeError, ValueError):
-        return None
-    return (float(pair[0]), float(pair[1])) if pair.shape == (2,) else None
+        pair = _numbers(values, name)
+        if pair.shape == (2,):
+            return tuple(pair.tolist())
+    except ValueError:
+        pass
+    raise FieldError(name, "must be a pair of numbers")
 
 
 @dataclass(frozen=True)
@@ -110,13 +130,11 @@ class Grid:
             raise TypeError("steps must be an integer")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-        bounds = _float_pair(self.fee_bounds)
-        if bounds is None:
-            raise ValueError("fee_bounds must be a pair of numbers")
+        bounds = _float_pair(self.fee_bounds, "fee_bounds")
         if not all(0.0 <= b < np.inf for b in bounds):
             raise ValueError("fee_bounds must be finite and nonnegative")
         object.__setattr__(self, "fee_bounds", bounds)
-        if not 0.0 <= self.s_lo < 1.0:
+        if not 0.0 <= _number(self.s_lo, "s_lo") < 1.0:
             raise ValueError("s_lo must lie in [0, 1)")
 
     @cached_property
@@ -129,7 +147,7 @@ class Grid:
         return self._axes[0]
 
     def fee_axis(self, player: int) -> np.ndarray:
-        if player not in (1, 2):
+        if player not in (1, 2) or type(player) in (bool, np.bool_):
             raise ValueError("player must be 1 or 2")
         return self._axes[player]
 

@@ -16,39 +16,20 @@ from itertools import product
 
 import numpy as np
 
-from .game import GamePayoffs, Grid, StrategyProfile, Value, _float_array, _float_pair
+from .game import FieldError, GamePayoffs, Grid, StrategyProfile, Value
+from .game import _float_pair, _number, _numbers
 
 # Strictness margin for monotonicity checks: adjacent lattice values closer
 # than this are treated as ties.
 STRICT_TOL = 1e-12
 
 
-class FieldError(ValueError):
-    """A constructor rejected a value. ``field`` names the offending
-    constructor field, or is None for a rule over several fields;
-    ``problem`` is the text after that name."""
-
-    def __init__(self, field: str | None, problem: str):
-        super().__init__(f"{field} {problem}" if field else problem)
-        self.field = field
-        self.problem = problem
-
-
 def _require_fields(spec, names, ok, rule: str):
     """Raise a :class:`FieldError` for the first of ``names`` on ``spec``
-    that is not a real number (a boolean is not), is not finite (nor is an
-    integer beyond the float range) or fails ``ok``, whose text is ``rule``."""
+    that is not one number, not finite, or fails ``ok`` (text ``rule``)."""
     for name in names:
-        v = getattr(spec, name)
-        if isinstance(v, (bool, np.bool_)):
-            raise FieldError(name, "must be a number")
-        try:
-            finite = math.isfinite(v)
-        except OverflowError:
-            finite = False
-        except TypeError:  # a string, a sized array, a complex number, ...
-            raise FieldError(name, "must be a number") from None
-        if not finite:
+        v = _number(getattr(spec, name), name)
+        if not math.isfinite(v):
             raise FieldError(name, "must be finite")
         if not ok(v):
             raise FieldError(name, rule)
@@ -101,8 +82,8 @@ def _node_table(values, ndim: int) -> np.ndarray:
     """``values`` as a float table of ``ndim`` axes, each with at least 2
     nodes, every entry finite and nonnegative."""
     try:
-        v = _float_array(values)
-    except (TypeError, ValueError):
+        v = _numbers(values, "values")
+    except ValueError:
         raise FieldError("values", "must be a rectangular table of numbers") from None
     if v.ndim != ndim or any(n < 2 for n in v.shape):
         raise FieldError("values", f"must be a {ndim}-D table, at least 2 nodes per axis")
@@ -191,9 +172,7 @@ class TabulatedIncome(IncomeSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "values", _node_table(self.values, 4))
-        bounds = _float_pair(self.fee_bounds)
-        if bounds is None:
-            raise FieldError("fee_bounds", "must be a pair of numbers")
+        bounds = _float_pair(self.fee_bounds, "fee_bounds")
         if not all(0 < b < np.inf for b in bounds):
             raise FieldError("fee_bounds", "must be > 0 and finite")
         object.__setattr__(self, "fee_bounds", bounds)
@@ -236,7 +215,7 @@ def capped_surplus(benefit: Value, rho: Value) -> np.ndarray:
 
 def user_payoff(game: HedonicGame, i: int, profile: StrategyProfile) -> Value:
     """User i's :func:`capped_surplus` at the profile's participation and fee."""
-    if i not in (1, 2):
+    if i not in (1, 2) or type(i) in (bool, np.bool_):
         raise ValueError("user index must be 1 or 2")
     f, rho = (game.f1, profile.rho1) if i == 1 else (game.f2, profile.rho2)
     return _as_scalar(capped_surplus(f(profile.s1, profile.s2), rho))

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _scan
-from .game import GamePayoffs, Grid, StrategyProfile
+from .game import GamePayoffs, Grid, StrategyProfile, _number
 from .hedonic import HedonicPayoffs, capped_surplus, fee_monotone
 
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
@@ -52,7 +52,8 @@ def _blocks(levels, payoffs, per_level):
 
 
 def _validate_eps(eps):
-    eps = float(eps)
+    if type(eps) is not float:
+        eps = _number(eps, "eps")
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps:g}")
     return eps
@@ -116,10 +117,10 @@ def weak_dominance_check(
     0, and ``fmax`` skips it or, over a column of NaNs, gives NaN, which pays
     0 too.
     """
-    if player not in (1, 2):
+    if player not in (1, 2) or type(player) in (bool, np.bool_):
         raise ValueError("player must be user 1 or user 2")
     eps = _validate_eps(eps)
-    if not grid.s_lo <= candidate <= 1.0:
+    if not grid.s_lo <= _number(candidate, "candidate") <= 1.0:
         raise ValueError("candidate must lie in the participation box")
 
     s_axis = grid.participation_axis()
@@ -297,11 +298,9 @@ def trivial_equilibria_check(
         raise ValueError("zero-participation check needs a grid reaching s = 0")
 
     for rho1, rho2 in rho_samples:
-        bounds = (
-            max(grid.fee_bounds[0], float(rho1)),
-            max(grid.fee_bounds[1], float(rho2)),
-        )
-        profile = StrategyProfile(0.0, 0.0, float(rho1), float(rho2))
+        rho1, rho2 = (_number(rho, "rho_samples") for rho in (rho1, rho2))
+        bounds = (max(grid.fee_bounds[0], rho1), max(grid.fee_bounds[1], rho2))
+        profile = StrategyProfile(0.0, 0.0, rho1, rho2)
         if not epsilon_nash_check(game, profile, replace(grid, fee_bounds=bounds), eps):
             return False
     return True

@@ -47,6 +47,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
+from . import game
 from .activity import RegionMap, boundary_curve
 from .ambiguity import BeliefSystem
 from .hedonic import (
@@ -120,13 +121,10 @@ def _number(mapping, key, path, *, lo=None, default=None):
         if default is not None:
             return default
         _fail(f"{path}.{key}", "missing required field")
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", "expected a number")
     try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
+        v = game._number(mapping[key], key)
+    except FieldError:
+        _fail(f"{path}.{key}", "expected a number")
     if not math.isfinite(v):
         _fail(f"{path}.{key}", "must be finite")
     if lo is not None and v < lo:

@@ -69,24 +69,39 @@ def test_belief_fields_bounded(kwargs):
 
 
 @pytest.mark.parametrize(
-    "field,value",
+    "field,value,problem",
     [
-        ("lambda_", False),
-        ("gamma", True),
-        ("gamma", np.bool_(False)),
-        ("loyalty1", np.array([True, False])),
-        ("loyalty2", "0.5"),
-        ("loyalty2", np.array([0.5, None])),
+        ("lambda_", False, "must be a number"),
+        ("gamma", True, "must be a number"),
+        ("gamma", np.bool_(False), "must be a number"),
+        ("loyalty1", np.array([True, False]), "must be a number"),
+        ("loyalty2", "0.5", "must be a number"),
+        ("loyalty2", np.array([0.5, None]), "must be a number"),
+        ("gamma", [0.5, True], "must be a number"),
+        # a number, read as infinite, so its range check fails
+        ("lambda_", 10**400, "must lie in [0, 1]"),
     ],
-    ids=["false", "true", "numpy-bool", "bool-array", "string", "object-array"],
+    ids=["false", "true", "numpy-bool", "bool-array", "string", "object-array", "true-in-list",
+         "huge-int"],
 )
-def test_belief_fields_must_be_numbers(field, value):
+def test_belief_fields_must_be_numbers(field, value, problem):
     # checked before every range check: lambda_ = 2 is out of range too
     fields = dict(lambda_=2.0, gamma=0.5, loyalty1=0.5, loyalty2=0.5)
     fields[field] = value
-    with pytest.raises(BeliefError, match=f"^{field} must be a number$") as info:
+    with pytest.raises(BeliefError) as info:
         BeliefSystem(**fields)
-    assert (info.value.field, info.value.row) == (field, 0)
+    assert (str(info.value), info.value.field, info.value.row) == (f"{field} {problem}", field, 0)
+
+
+def test_belief_properness_sums_in_the_fields_own_precision():
+    # 0.6 + 0.4 rounds to 1 in float32, but exceeds 1 in float64
+    BeliefSystem(np.float32(0.6), np.float32(0.4), 0.5, 0.5)
+    with pytest.raises(BeliefError, match="^properness violated"):
+        BeliefSystem(0.6, float(np.float32(0.4)), 0.5, 0.5)
+    # an int beyond the float range fails its own row's range check
+    with pytest.raises(BeliefError, match=r"^lambda_ must lie in \[0, 1\]$") as info:
+        BeliefSystem([0.5, 10**400], 0.2, 0.5, 0.5)
+    assert info.value.row == 1
 
 
 def test_verdict_consistency_enforced():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from middleman import (
     AdditiveFeesIncome,
     BeliefSystem,
+    BenchmarkPoint,
     BenefitSpec,
     CobbDouglas,
     GamePayoffs,
@@ -32,7 +33,8 @@ from middleman import (
     trivial_equilibria_check,
     weak_dominance_check,
 )
-from middleman import _scan, hedonic, oracles
+from middleman import _scan, game, hedonic, oracles
+from middleman.hedonic import FieldError, user_payoff
 from _support import random_benchmark_game
 
 
@@ -159,7 +161,7 @@ _NEGATIVE = ("ValueError", "{} must be nonnegative")
 _BELOW = ("ValueError", "profile outside the strategy box: {} < s_lo")
 _ABOVE = ("ValueError", "profile outside the strategy box: {} exceeds its fee bound")
 _SCALAR = ("ValueError", "profile field {} must be a scalar")
-_NUMBER = ("ValueError", "{} must be a number")
+_NUMBER = ("FieldError", "{} must be a number")
 # (value, outcome as s1 or s2, outcome as rho1 or rho2), None where accepted;
 # the box is s >= 0.1 and rho <= 0.6
 PROFILE_FIELD_CASES = {
@@ -183,6 +185,7 @@ PROFILE_FIELD_CASES = {
     "string": ("a", _NUMBER, _NUMBER),
     "none": (None, _NUMBER, _NUMBER),
     "true": (True, _NUMBER, _NUMBER),
+    "true-in-list": ([True, 0.5], _NUMBER, _NUMBER),
     "empty": (np.array([]), _SCALAR, _SCALAR),
     "huge-int": (10**400, _RANGE, _ABOVE),
     "huge-negative-int": (-(10**400), _RANGE, _NEGATIVE),
@@ -204,6 +207,75 @@ def test_profile_and_box_validation_table(field, label):
         assert (type(exc).__name__, str(exc)) == (want[0], want[1].format(field))
     else:
         assert want is None
+
+
+# each argument that takes one number, called with that number; a fee sample
+# holds it as its first fee, and its error names the samples
+NUMBER_ARGUMENTS = {
+    "eps": lambda v: epsilon_nash_check(
+        game_payoffs(linear_activity_game()), StrategyProfile(1.0, 1.0, 0.5, 0.5), Grid(4), v),
+    "candidate": lambda v: weak_dominance_check(
+        game_payoffs(linear_activity_game()), 1, v, Grid(4)),
+    "s_lo": lambda v: Grid(4, s_lo=v),
+    "rho_samples": lambda v: trivial_equilibria_check(
+        game_payoffs(externality_game()), [(v, 0.0)], Grid(4)),
+    "gamma": lambda v: BenchmarkPoint(v, 0.5),
+    "sigma": lambda v: BenchmarkPoint(0.5, v),
+}
+NOT_NUMBERS = {
+    "true": True,
+    "string": "0.5",
+    "none": None,
+    "complex": 1j,
+    "true-in-list": [0.5, True],
+    "array": np.array([0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("label", list(NOT_NUMBERS))
+@pytest.mark.parametrize("name", list(NUMBER_ARGUMENTS))
+def test_number_arguments_reject_what_is_not_one_number(name, label):
+    with pytest.raises(FieldError, match=f"^{name} must be a number$") as info:
+        NUMBER_ARGUMENTS[name](NOT_NUMBERS[label])
+    assert info.value.field == name
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(0), np.array(0.5)],
+                         ids=["float32", "int64", "0-d-array"])
+@pytest.mark.parametrize("name", list(NUMBER_ARGUMENTS))
+def test_number_arguments_take_numpy_numbers(name, value):
+    call = NUMBER_ARGUMENTS[name]
+    assert call(value) == call(float(value))
+
+
+def test_an_int_beyond_the_float_range_is_the_infinity_of_its_sign():
+    values = game._numbers([10**400, -(10**400), 2, np.float32(0.5)], "values")
+    assert values.tolist() == [np.inf, -np.inf, 2.0, 0.5]
+    assert game._number(-(10**400), "x") == -np.inf
+    for sign, text in ((1, "inf"), (-1, "-inf")):
+        with pytest.raises(ValueError, match=f"^eps must be finite and nonnegative, got {text}$"):
+            NUMBER_ARGUMENTS["eps"](sign * 10**400)
+
+
+# each index argument, called with that index, and its error text
+INDEX_ARGUMENTS = {
+    "user_payoff": (lambda i: user_payoff(linear_activity_game(), i, StrategyProfile(1, 1, 0, 0)),
+                    "user index must be 1 or 2"),
+    "weak_dominance_check": (
+        lambda i: weak_dominance_check(game_payoffs(linear_activity_game()), i, 1.0, Grid(4)),
+        "player must be user 1 or user 2"),
+    "fee_axis": (lambda i: Grid(4).fee_axis(i), "player must be 1 or 2"),
+}
+
+
+@pytest.mark.parametrize("index", [True, np.True_], ids=["true", "numpy-true"])
+@pytest.mark.parametrize("site", list(INDEX_ARGUMENTS))
+def test_index_arguments_reject_booleans(site, index):
+    # True == 1, so a membership test alone would read it as index 1
+    call, text = INDEX_ARGUMENTS[site]
+    call(1)
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call(index)
 
 
 @pytest.mark.parametrize("s1", [np.array([]), np.array([0.5, 1.0])], ids=["empty", "pair"])
