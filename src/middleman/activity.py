@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambiguity import BeliefSystem, _require_threshold_domain, loyalty_fees
-from .game import _number
+from .game import _count, _number
 from .hedonic import HedonicGame, MultiplicativeIncome, full_extraction_fees
 
 
@@ -160,8 +160,5 @@ def region_sample(resolution: int) -> RegionMap:
     sigma = 1 are included, though they fall outside the threshold test's
     hypotheses; their verdicts read the benchmark inequality formally.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise TypeError("resolution must be an integer")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    _count(resolution, "resolution")
     return RegionMap(np.arange(resolution + 1) / resolution)

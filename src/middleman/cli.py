@@ -51,7 +51,7 @@ from .ambiguity import (
     full_exploitation_verdict,
     loyalty_fees,
 )
-from .game import Grid, StrategyProfile
+from .game import FieldError, Grid, StrategyProfile, _count
 from .hedonic import fee_monotone, full_extraction_fees, game_payoffs
 from .oracles import epsilon_nash_check, pareto_check, weak_dominance_check
 from .scenario import ScenarioError, emit_blocks, emit_results, parse_scenario, sweep_blocks
@@ -157,16 +157,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_flag(call, *args, **kwargs):  # a field error, reported at --<field>
+    try:
+        return call(*args, **kwargs)
+    except FieldError as exc:
+        raise ScenarioError(f"--{exc.field}: {exc.problem}") from None
+
+
 def _grid_and_eps(config, args, dims):
     """Grid and tolerance of a check that counts ``(steps + 1)^dims`` points
-    against :data:`MAX_POINTS`."""
-    steps, source = (config.steps, "grid.steps") if args.steps is None else (args.steps, "--steps")
-    if steps < 2:  # the parser's grid.steps rule, for the flag
-        raise ScenarioError(f"{source}: must be >= 2")
-    eps = config.eps if args.eps is None else args.eps
-    grid = Grid(steps, full_extraction_fees(config.game), config.s_lo)
-    _check_points((steps + 1) ** dims, source)
-    return grid, eps
+    against :data:`MAX_POINTS`, with ``--steps`` and ``--eps`` applied."""
+    flags = {key: getattr(args, key) for key in ("steps", "eps") if getattr(args, key) is not None}
+    config = _at_flag(replace, config, **flags)
+    grid = Grid(config.steps, full_extraction_fees(config.game), config.s_lo)
+    _check_points((config.steps + 1) ** dims, "--steps" if "steps" in flags else "grid.steps")
+    return grid, config.eps
 
 
 def _require_beliefs(config):
@@ -265,8 +270,8 @@ def _build_threshold(config, args):
 
 
 def _cmd_region(args):
-    if args.resolution >= 2:  # smaller ones are region_sample's to reject
-        _check_points((args.resolution + 1) ** 2, "--resolution")
+    _at_flag(_count, args.resolution, "resolution")  # before the budget, as -5000 fits it
+    _check_points((args.resolution + 1) ** 2, "--resolution")
     _deliver(emit_blocks(region_sample(args.resolution), args.format), args)
     return 0
 

@@ -1,9 +1,9 @@
 """Strategy profiles, evaluation grids, and generic three-player payoff bundles.
 
-The game has two users choosing participation levels in [0, 1] and one
-middleman choosing a nonnegative fee pair. Profile fields may hold numpy
-arrays (broadcast together), which lets payoff functions be evaluated over
-whole deviation grids in a single call. :func:`_numbers` is the number rule.
+Two users choose participation levels in [0, 1] and a middleman a
+nonnegative fee pair. Profile fields may hold numpy arrays (broadcast
+together), so payoff functions evaluate whole deviation grids in one call.
+:func:`_numbers` is the number rule, :func:`_count` the lattice-count rule.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ def _numbers(value, name: str) -> np.ndarray:
         entries = [x if not isinstance(x, int) or abs(x) <= top else np.inf * np.sign(x)
                    for x in items.flat]
         return np.array(entries, np.float64).reshape(items.shape)
+
+
+def _count(value, name: str):
+    """A lattice's subdivisions: an integer (not bool) of at least 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer")
+    if value < 2:
+        raise FieldError(name, "must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -126,16 +134,13 @@ class Grid:
     s_lo: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise TypeError("steps must be an integer")
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        _count(self.steps, "steps")
         bounds = _float_pair(self.fee_bounds, "fee_bounds")
         if not all(0.0 <= b < np.inf for b in bounds):
-            raise ValueError("fee_bounds must be finite and nonnegative")
+            raise FieldError("fee_bounds", "must be finite and nonnegative")
         object.__setattr__(self, "fee_bounds", bounds)
         if not 0.0 <= _number(self.s_lo, "s_lo") < 1.0:
-            raise ValueError("s_lo must lie in [0, 1)")
+            raise FieldError("s_lo", "must lie in [0, 1)")
 
     @cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

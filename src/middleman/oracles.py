@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _scan
-from .game import GamePayoffs, Grid, StrategyProfile, _number
+from .game import FieldError, GamePayoffs, Grid, StrategyProfile, _number
 from .hedonic import HedonicPayoffs, capped_surplus, fee_monotone
 
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
@@ -52,10 +52,9 @@ def _blocks(levels, payoffs, per_level):
 
 
 def _validate_eps(eps):
-    if type(eps) is not float:
-        eps = _number(eps, "eps")
+    eps = _number(eps, "eps")
     if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps:g}")
+        raise FieldError("eps", f"must be finite and nonnegative, got {eps:g}")
     return eps
 
 
@@ -299,6 +298,8 @@ def trivial_equilibria_check(
 
     for rho1, rho2 in rho_samples:
         rho1, rho2 = (_number(rho, "rho_samples") for rho in (rho1, rho2))
+        if not (0.0 <= rho1 < np.inf and 0.0 <= rho2 < np.inf):
+            raise FieldError("rho_samples", "must be finite and nonnegative")
         bounds = (max(grid.fee_bounds[0], rho1), max(grid.fee_bounds[1], rho2))
         profile = StrategyProfile(0.0, 0.0, rho1, rho2)
         if not epsilon_nash_check(game, profile, replace(grid, fee_bounds=bounds), eps):

@@ -20,22 +20,21 @@ Scenarios are YAML documents (schema_version 1)::
       s_lo: 0.0                         # default 0
 
 A component (``f1``, ``f2``, ``income``, ``activity``) is a ``family`` plus
-its constructor's fields, read and written from one table per kind.
-The parser checks the document (mappings, unknown and missing fields,
-finite numbers) and the grid, for which no object exists at parse time.
-Value ranges are checked by the game and belief constructors alone, and
-their field errors are reported at the scenario path, so every validation
-error names the offending field. Emission is byte-stable: identical inputs
-give identical output documents. CSV and text output spell each number fixed
-at six decimals (``f"{v:.6f}"``); ``machine`` output spells it as
-``json.dumps(round(v, 6))``, the shortest form of the rounded value
-(``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Output is made as
-bytes. Sweep text is made a block of byte rows at a time, a uint8 matrix of
-NUL-padded slots filled from digit tables; the region CSV is cut, a group
-of gamma rows at a time, from runs of equal verdicts in two line templates.
-:func:`emit_blocks` and :func:`sweep_blocks` hand out a map's bytes-like
-blocks for the CLI to write one at a time, none sharing memory with a later
-one; the string writers decode the joined blocks.
+its constructor's fields, read and written from one table per kind. The
+parser checks the document (mappings, unknown and missing fields, finite
+numbers). Value ranges are checked by the constructors alone, the grid's by
+:class:`ScenarioConfig`, and their field errors are reported at the scenario
+path, so every validation error names the offending field. Emission is
+byte-stable: identical inputs give identical output documents. CSV and text
+output spell each number fixed at six decimals (``f"{v:.6f}"``); ``machine``
+output spells it as ``json.dumps(round(v, 6))``, the shortest form of the
+rounded value (``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Output
+is made as bytes. Sweep text is made a block of byte rows at a time, a uint8
+matrix of NUL-padded slots filled from digit tables; the region CSV is cut,
+a group of gamma rows at a time, from runs of equal verdicts in two line
+templates. :func:`emit_blocks` and :func:`sweep_blocks` hand out a map's
+bytes-like blocks for the CLI to write one at a time, none sharing memory
+with a later one; the string writers decode the joined blocks.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
-from . import game
+from . import game, oracles
 from .activity import RegionMap, boundary_curve
 from .ambiguity import BeliefSystem
 from .hedonic import (
@@ -99,6 +98,10 @@ class ScenarioConfig:
     eps: float = 1e-9
     s_lo: float = 0.0
 
+    def __post_init__(self):  # each grid setting by its owner's rule
+        game.Grid(self.steps, s_lo=self.s_lo)
+        oracles._validate_eps(self.eps)
+
 
 def _fail(path, problem):
     raise ScenarioError(f"{path}: {problem}")
@@ -116,30 +119,27 @@ def _reject_unknown(mapping, allowed, path):
             _fail(f"{path}.{key}" if path else str(key), "unknown field")
 
 
-def _number(mapping, key, path, *, lo=None, default=None):
+def _field(mapping, key, path):
     if key not in mapping:
-        if default is not None:
-            return default
         _fail(f"{path}.{key}", "missing required field")
+    return mapping[key]
+
+
+def _number(value, where):
     try:
-        v = game._number(mapping[key], key)
+        v = game._number(value, where)
     except FieldError:
-        _fail(f"{path}.{key}", "expected a number")
+        _fail(where, "expected a number")
     if not math.isfinite(v):
-        _fail(f"{path}.{key}", "must be finite")
-    if lo is not None and v < lo:
-        _fail(f"{path}.{key}", f"must be >= {lo:g}")
+        _fail(where, "must be finite")
     return v
 
 
-def _pair(mapping, key, path, names):
-    """A two-number field, each entry checked as one value at ``path.key``."""
-    if key not in mapping:
-        _fail(f"{path}.{key}", "missing required field")
-    pair = mapping[key]
+def _pair(pair, where, names):
+    """A two-number field, each entry checked as one number at ``where``."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        _fail(f"{path}.{key}", f"expected a pair [{names}]")
-    return tuple(_number({key: v}, key, path) for v in pair)
+        _fail(where, f"expected a pair [{names}]")
+    return tuple(_number(v, where) for v in pair)
 
 
 # Constructor fields whose scenario key differs; a rule over several fields
@@ -176,25 +176,23 @@ def _component(spec, path, families):
     _reject_unknown(spec, {"family", *names}, path)
     kwargs = {}
     for name in names:
-        if name not in spec:
-            _fail(f"{path}.{name}", "missing required field")
+        value = _field(spec, name, path)
         if name == "activity":
-            kwargs[name] = _component(spec[name], f"{path}.{name}", _BENEFITS)
+            value = _component(value, f"{path}.{name}", _BENEFITS)
         elif name == "fee_bounds":
-            kwargs[name] = _pair(spec, name, path, "bound1, bound2")
-        elif name == "values":
-            kwargs[name] = spec[name]
-        else:
-            kwargs[name] = _number(spec, name, path)
+            value = _pair(value, f"{path}.{name}", "bound1, bound2")
+        elif name != "values":
+            value = _number(value, f"{path}.{name}")
+        kwargs[name] = value
     return _build(cls, path, **kwargs)
 
 
 def _beliefs(section) -> BeliefSystem:
     section = _mapping(section, "beliefs")
     _reject_unknown(section, {"lambda", "gamma", "loyalty"}, "beliefs")
-    gamma = _number(section, "gamma", "beliefs")
-    lam = _number(section, "lambda", "beliefs", default=0.0)
-    loyalty = _pair(section, "loyalty", "beliefs", "loyalty1, loyalty2")
+    gamma = _number(_field(section, "gamma", "beliefs"), "beliefs.gamma")
+    lam = _number(section.get("lambda", 0.0), "beliefs.lambda")
+    loyalty = _pair(_field(section, "loyalty", "beliefs"), "beliefs.loyalty", "loyalty1, loyalty2")
     return _build(BeliefSystem, "beliefs", lam, gamma, *loyalty)
 
 
@@ -225,8 +223,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     game_sec = _mapping(doc["game"], "game")
     _reject_unknown(game_sec, {"f1", "f2", "income", "tag"}, "game")
     for key in ("f1", "f2", "income"):
-        if key not in game_sec:
-            _fail(f"game.{key}", "missing required field")
+        _field(game_sec, key, "game")
     game = _build(
         HedonicGame,
         "game",
@@ -238,25 +235,20 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     beliefs = _beliefs(doc["beliefs"]) if "beliefs" in doc else None
 
+    grid_sec = _mapping(doc.get("grid", {}), "grid")
+    _reject_unknown(grid_sec, {"steps", "eps", "s_lo"}, "grid")
     # only the grid fields the document sets; ScenarioConfig holds the defaults
     grid = {}
-    if "grid" in doc:
-        grid_sec = _mapping(doc["grid"], "grid")
-        _reject_unknown(grid_sec, {"steps", "eps", "s_lo"}, "grid")
-        if "steps" in grid_sec:
-            steps = grid_sec["steps"]
-            if isinstance(steps, bool) or not isinstance(steps, int):
-                _fail("grid.steps", "expected an integer")
-            if steps < 2:
-                _fail("grid.steps", "must be >= 2")
-            grid["steps"] = steps
-        for key in ("eps", "s_lo"):
-            if key in grid_sec:
-                grid[key] = _number(grid_sec, key, "grid", lo=0.0)
-        if "s_lo" in grid and grid["s_lo"] >= 1.0:
-            _fail("grid.s_lo", "must be < 1")
+    if "steps" in grid_sec:
+        steps = grid_sec["steps"]
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            _fail("grid.steps", "expected an integer")
+        grid["steps"] = steps
+    for key in ("eps", "s_lo"):
+        if key in grid_sec:
+            grid[key] = _number(grid_sec[key], f"grid.{key}")
 
-    return ScenarioConfig(game=game, beliefs=beliefs, **grid)
+    return _build(ScenarioConfig, "grid", game=game, beliefs=beliefs, **grid)
 
 
 def _component_doc(spec, families, kind) -> dict:
@@ -379,13 +371,13 @@ def region_svg(region: RegionMap) -> str:
     lattice is never evaluated.
     """
     size = 500
-    curve = [(boundary_curve(sig), sig) for sig in region.axis.tolist()]
 
     def pt(gamma, sigma):
         return f"{gamma * size:.2f},{(1.0 - sigma) * size:.2f}"
 
-    shade = " ".join([pt(0.0, 0.0)] + [pt(g, s) for g, s in curve] + [pt(0.0, 1.0)])
-    line = " ".join(pt(g, s) for g, s in curve)
+    curve = [pt(boundary_curve(sig), sig) for sig in region.axis.tolist()]
+    shade = " ".join([pt(0.0, 0.0), *curve, pt(0.0, 1.0)])
+    line = " ".join(curve)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">\n'
         f'  <rect width="{size}" height="{size}" fill="white" stroke="black"/>\n'

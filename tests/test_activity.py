@@ -188,9 +188,9 @@ def test_region_sample_lattice_shape_and_order():
 
 
 def test_region_sample_rejects_degenerate_resolution():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^resolution must be at least 2$"):
         region_sample(1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^resolution must be an integer$"):
         region_sample(2.5)
 
 

@@ -261,7 +261,7 @@ def test_nonfinite_eps_exits_2(eps):
         "--profile", "0,0,0,0", "--eps", eps,
     )
     assert result.returncode == 2
-    assert result.stderr.startswith("error: eps must be finite")
+    assert result.stderr == f"error: --eps: must be finite and nonnegative, got {eps}\n"
     assert result.stdout == ""
 
 
@@ -416,8 +416,20 @@ def test_steps_below_two_names_the_flag(scenario, steps):
     result = run_cli("verify-nash", "--scenario", scenario, "--profile", "1,1,1,1",
                      "--steps", steps)
     assert result.returncode == 2
-    assert result.stderr == "error: --steps: must be >= 2\n"
+    assert result.stderr == "error: --steps: must be at least 2\n"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("--eps", "-1"), "error: --eps: must be finite and nonnegative, got -1\n"),
+    (("--eps", "nan"), "error: --eps: must be finite and nonnegative, got nan\n"),
+    (("--steps", "1"), "error: --steps: must be at least 2\n"),
+], ids=["eps=-1", "eps=nan", "steps=1"])
+def test_grid_flag_errors_name_the_flag(scenario, capsys, argv, line):
+    # each flag is checked by the rule of the config field it sets
+    for command in ("verify-nash", "dominance", "pareto", "ambiguity-eq"):
+        assert cli.main([command, "--scenario", scenario, "--profile", "1,1,1,1", *argv]) == 2
+        assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize(
@@ -636,7 +648,10 @@ def test_region_svg_evaluates_no_verdict_lattice(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == dict(GOLDEN_SHA256)[argv]
     # the resolution is still checked: too small, and over the point limit
     assert cli.main(["region", "--resolution", "1", "--format", "svg"]) == 2
-    assert capsys.readouterr() == ("", "error: resolution must be at least 2\n")
+    assert capsys.readouterr() == ("", "error: --resolution: must be at least 2\n")
+    # below 2, the rule comes before the point budget
+    assert cli.main(["region", "--resolution", "-5000", "--format", "svg"]) == 2
+    assert capsys.readouterr() == ("", "error: --resolution: must be at least 2\n")
     assert cli.main(["region", "--resolution", "4000", "--format", "svg"]) == 2
     assert capsys.readouterr() == (
         "", "error: --resolution: 16008001 points exceed the limit of 10000000\n")

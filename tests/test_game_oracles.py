@@ -257,6 +257,15 @@ def test_an_int_beyond_the_float_range_is_the_infinity_of_its_sign():
             NUMBER_ARGUMENTS["eps"](sign * 10**400)
 
 
+@pytest.mark.parametrize("sample", [float("inf"), 10**400, -1.0, float("nan")],
+                         ids=["inf", "10**400", "-1.0", "nan"])
+def test_fee_samples_are_checked_before_any_grid(sample):
+    game = game_payoffs(externality_game())
+    with pytest.raises(FieldError, match="^rho_samples must be finite and nonnegative$") as info:
+        trivial_equilibria_check(game, [(sample, 0.0)], Grid(4))
+    assert info.value.field == "rho_samples"
+
+
 # each index argument, called with that index, and its error text
 INDEX_ARGUMENTS = {
     "user_payoff": (lambda i: user_payoff(linear_activity_game(), i, StrategyProfile(1, 1, 0, 0)),

@@ -31,6 +31,7 @@ from middleman import (
 )
 from middleman import cli
 from middleman import scenario as scenario_module
+from middleman.game import FieldError
 from middleman.scenario import region_csv, region_svg, report_machine, sweep_csv, sweep_machine
 from _support import first_difference, reference_sweep_csv, reference_sweep_machine
 
@@ -219,9 +220,46 @@ def test_merge_keys_are_not_duplicate_keys():
 
 
 def test_grid_section_validated():
-    for grid, problem in (("{steps: 1}", "grid.steps"), ("{s_lo: 1.0}", "grid.s_lo: must be < 1")):
-        with pytest.raises(ScenarioError, match=problem):
+    # the ranges are ScenarioConfig's, reported at grid.<field>
+    for grid, problem in (
+        ("{steps: 1}", "grid.steps: must be at least 2"),
+        ("{s_lo: 1.0}", "grid.s_lo: must lie in [0, 1)"),
+        ("{s_lo: -0.5}", "grid.s_lo: must lie in [0, 1)"),
+        ("{eps: -1}", "grid.eps: must be finite and nonnegative, got -1"),
+        ("{steps: true}", "grid.steps: expected an integer"),
+        ("{eps: '0.1'}", "grid.eps: expected a number"),
+        ("{eps: .nan}", "grid.eps: must be finite"),
+    ):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(problem)}$"):
             parse_scenario(COBB_DOUGLAS_DOC + f"\ngrid: {grid}\n")
+
+
+# each grid setting the parser rejects, and the error ScenarioConfig gives
+BAD_GRID_SETTINGS = [
+    ("steps", True, TypeError, "steps must be an integer"),
+    ("steps", 2.5, TypeError, "steps must be an integer"),
+    ("steps", 1, FieldError, "steps must be at least 2"),
+    ("steps", -3, FieldError, "steps must be at least 2"),
+    ("eps", -1.0, FieldError, "eps must be finite and nonnegative, got -1"),
+    ("eps", float("nan"), FieldError, "eps must be finite and nonnegative, got nan"),
+    ("eps", float("inf"), FieldError, "eps must be finite and nonnegative, got inf"),
+    ("eps", "0.1", FieldError, "eps must be a number"),
+    ("s_lo", -0.5, FieldError, "s_lo must lie in [0, 1)"),
+    ("s_lo", 1.0, FieldError, "s_lo must lie in [0, 1)"),
+    ("s_lo", float("nan"), FieldError, "s_lo must lie in [0, 1)"),
+]
+
+
+@pytest.mark.parametrize("field,value,error,text", BAD_GRID_SETTINGS,
+                         ids=[f"{f}={v!r}" for f, v, _, _ in BAD_GRID_SETTINGS])
+def test_config_rejects_each_grid_setting_the_parser_rejects(field, value, error, text):
+    game = parse_scenario(COBB_DOUGLAS_DOC).game
+    with pytest.raises(error, match=f"^{re.escape(text)}$") as info:
+        ScenarioConfig(game, **{field: value})
+    if error is FieldError:
+        assert info.value.field == field
+    with pytest.raises(ScenarioError, match=f"^grid\\.{field}: "):
+        parse_scenario(COBB_DOUGLAS_DOC + yaml.safe_dump({"grid": {field: value}}))
 
 
 def test_unknown_output_rejected():
@@ -248,6 +286,15 @@ def test_round_trip_parametric_config():
 def test_round_trip_without_beliefs():
     half = Linear(0.5, 0.5)
     config = ScenarioConfig(game=HedonicGame(half, half, MultiplicativeIncome(half)))
+    assert round_trip(config) == config
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", 2), ("steps", np.int64(7)), ("eps", 0), ("eps", 1e-12), ("s_lo", 0.0),
+    ("s_lo", 0.5),
+], ids=repr)
+def test_round_trip_grid_settings(field, value):
+    config = ScenarioConfig(parse_scenario(COBB_DOUGLAS_DOC).game, **{field: value})
     assert round_trip(config) == config
 
 
@@ -310,7 +357,10 @@ def build_directly(v, income, with_beliefs, grid):
             beliefs = BeliefSystem(v["lambda"], v["gamma"], v["loyalty1"], v["loyalty2"])
         except ValueError as exc:
             return None, BELIEF_PATHS[exc.field]
-    return ScenarioConfig(game, beliefs, *grid), None
+    try:
+        return ScenarioConfig(game, beliefs, *grid), None
+    except ValueError as exc:
+        return None, f"grid.{exc.field}"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -318,8 +368,11 @@ def build_directly(v, income, with_beliefs, grid):
     v=scenario_values(),
     multiplicative=st.booleans(),
     with_beliefs=st.booleans(),
+    # steps, eps and s_lo, each in range about three times in four
     grid=st.tuples(
-        st.integers(2, 10**6), st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_max=True)
+        st.one_of(*[st.integers(2, 10**6)] * 3, st.integers(-3, 1)),
+        st.one_of(*[st.floats(0.0, 1.0)] * 3, NUMBERS),
+        st.one_of(*[st.floats(0.0, 1.0, exclude_max=True)] * 3, NUMBERS),
     ),
 )
 def test_parser_accepts_exactly_what_the_constructors_accept(v, multiplicative, with_beliefs, grid):
