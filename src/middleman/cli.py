@@ -18,8 +18,8 @@ path, and ``(steps + 1)^4`` for ``pareto`` on a game the corner path cannot
 decide, which it scans. These counts are lattice points, not payoff calls,
 so they do not change with how many levels an oracle evaluates per call.
 ``dominance`` and the corner path keep their ``(steps + 1)^3`` budgets
-although they now evaluate O(n^2) and O(n^2 log n) points, so
-``dominance --steps 300`` and ``pareto --steps 300`` are still refused.
+although they now evaluate O(n^2) points, so ``dominance --steps 300`` and
+``pareto --steps 300`` are still refused.
 
 Every check that can exit 2 is made before the first byte is written. Map
 output (the ``region`` CSV and both ``sweep`` formats) is then written one
@@ -236,7 +236,7 @@ def _build_dominance(config, args):
 def _build_pareto(config, args):
     payoffs = game_payoffs(config.game)
     # points budgeted: (steps + 1)^3 on the corner path (which evaluates
-    # O(n^2 log n) of them), (steps + 1)^4 on the scan
+    # O(n^2) of them, the tables at each level), (steps + 1)^4 on the scan
     grid, eps = _grid_and_eps(config, args, 3 if fee_monotone(payoffs) else 4)
     verdict = pareto_check(payoffs, StrategyProfile(*args.profile), grid, eps)
     return verdict, {"check": "pareto", "verdict": verdict, "profile": args.profile}

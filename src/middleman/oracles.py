@@ -16,13 +16,17 @@ deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` decides every bundle ``hedonic.game_payoffs``
 builds in O(n^2) instead of O(n^3), from the largest benefit over the own
 levels. ``pareto_check`` decides those whose income is multiplicative or
-additive over nonnegative benefit families in O(n^2 log n) instead of
-O(n^4), at one corner of each affordable fee box: each index there is
-guessed, confirmed at its two neighbours, and found by bisection only where
-a guess fails. Both paths evaluate the scan's own payoff expressions on the
-same floats, so each verdict is the scan's; their docstrings give the
-arguments. Every other game keeps the scan: tabulated income, for one,
-because its interpolation can break fee monotonicity at the ulp level.
+additive over nonnegative benefit families in O(n^2) instead of O(n^4). No
+payoff at a participation level exceeds its value at the top level (1, 1)
+when neither benefit nor the activity does, so a fee search runs at the top
+and then only at the levels that rise above it: none for Cobb-Douglas or
+linear families, and O(log n) fees each otherwise. The search works at one
+corner of each affordable fee box: each index there is guessed, confirmed
+at its two neighbours, and found by bisection only where a guess fails.
+Both paths evaluate the scan's own payoff expressions on the same floats,
+so each verdict is the scan's; their docstrings give the arguments. Every
+other game keeps the scan: tabulated income, for one, because its
+interpolation can break fee monotonicity at the ulp level.
 """
 
 from __future__ import annotations
@@ -188,11 +192,26 @@ def pareto_check(
     """True iff no grid profile weakly improves all three payoffs while
     strictly improving at least one by more than ``eps``.
 
-    A bundle ``hedonic.fee_monotone`` accepts takes the corner path, one
-    block of ``s1`` levels by every ``s2`` level at a time. At fixed
-    (s1, s2), user i's payoff ignores the other fee and never rises with its
-    own, so p_i >= t_i holds on a prefix [0, A_i] of its fee axis. Gated
-    income never falls as a fee rises inside the affordable box
+    A bundle ``hedonic.fee_monotone`` accepts takes the corner path. It
+    decides the top level s = (1, 1) first, and then only the levels some
+    table puts above the top's, one block of ``s1`` levels by every ``s2``
+    level at a time. A level's tables are f1(s), f2(s) and income(1, 1, s).
+    Where all three are at most the top's, every payoff at (s, r1, r2) is at
+    most its value at the top with the same fees, in floating point too:
+    ``capped_surplus`` and the affordability gate never fall as a benefit
+    rises, and (r1 + r2) * a never falls as a rises when both factors are
+    nonnegative (income(1, 1, s) is 2a, exact, or a constant for additive
+    income). So a weak dominator there makes the same fees one at the top,
+    with gains at least as large, and the top has decided it. A level is
+    kept where ``~(table <= top)`` for some table, so NaN stays in, and an
+    infinite top table keeps every level, since (r1 + r2) * inf is NaN at
+    zero fees. Nondecreasing families (Cobb-Douglas, linear) keep no level,
+    so their cost is the O(n^2) table comparisons; a tabulated benefit or
+    activity keeps the levels where it rises above its top value.
+
+    At fixed (s1, s2), user i's payoff ignores the other fee and never
+    rises with its own, so p_i >= t_i holds on a prefix [0, A_i] of its fee
+    axis. Gated income never falls as a fee rises inside the affordable box
     [0, aff_1] x [0, aff_2] and is 0 outside it. At the corner
     C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
     p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
@@ -209,8 +228,8 @@ def pareto_check(
     is b_i, and the affordable count is the guess. The guess is not always
     right: with b = 1.0, a top fee F = nextafter(1, 0) and t = 1.5e-16,
     b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every payoff is the
-    expression the scan evaluates, on the same floats, so the
-    verdict is exact; a level of a block holds one value per s2 level.
+    expression the scan evaluates, on the same floats, so the verdict is
+    exact; a level of a block holds one value per s2 level and table.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -223,10 +242,9 @@ def pareto_check(
     if fee_monotone(game):
         g = game.game
         r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
-        levels, per_level = s_axis[:, None], s_axis.size
 
-        def payoffs(s1):  # axes: a block of s1 levels, s2
-            return g.f1(s1, s_axis), g.f2(s1, s_axis)
+        def tables(u1, u2):  # no payoff at a level rises while none of these does
+            return g.f1(u1, u2), g.f2(u1, u2), g.income(1.0, 1.0, u1, u2)
 
         def corner(b, r, t):
             """C_i per point: the last affordable fee keeping t_i, or -1."""
@@ -234,22 +252,39 @@ def pareto_check(
             guess = stop if t == 0 else np.searchsorted(r, b - t, side="right")  # b - 0 is b
             return _prefix_len(lambda k: capped_surplus(b, r[k]) >= t, stop, guess) - 1
 
-        def dominated(s1, b1, b2):
+        def dominated_at(u1, u2, b1, b2):  # one entry per point (u1, u2)
             c1, c2 = corner(b1, r1, t1), corner(b2, r2, t2)
             # Fees up to C_i are affordable, so the gated income at C and on
             # its edges (r1, C_2) and (C_1, r2) is the income.
-            p3 = g.income(r1[np.maximum(c1, 0)], r2[np.maximum(c2, 0)], s1, s_axis)
+            p3 = g.income(r1[np.maximum(c1, 0)], r2[np.maximum(c2, 0)], u1, u2)
             weak = (c1 >= 0) & (c2 >= 0) & (p3 >= t3)
             if _scan.any_improvement(p3[weak], t3, eps):
                 return True
             # At the weak corners the first fee reaching t3 on each edge is
             # C_i or ends the prefix below t3 in [0, C_i).
-            at = np.nonzero(weak)
-            b1, b2, c1, c2, u1, u2 = b1[at], b2[at], c1[at], c2[at], s1[at[0], 0], s_axis[at[1]]
+            b1, b2, c1, c2, u1, u2 = (x[weak] for x in (b1, b2, c1, c2, u1, u2))
             first1 = _prefix_len(lambda k: g.income(r1[k], r2[c2], u1, u2) < t3, c1, c1)
             first2 = _prefix_len(lambda k: g.income(r1[c1], r2[k], u1, u2) < t3, c2, c2)
             return (_scan.any_improvement(capped_surplus(b1, r1[first1]), t1, eps)
                     or _scan.any_improvement(capped_surplus(b2, r2[first2]), t2, eps))
+
+        one = s_axis[-1:]  # the top level (1, 1)
+        top = tables(one, one)
+        if dominated_at(one, one, top[0], top[1]):
+            return False
+        # (r1 + r2) * inf is NaN at zero fees, so an infinite top keeps every level.
+        top = [np.where(x < np.inf, x, np.nan) for x in top]
+        levels, per_level = s_axis[:, None], s_axis.size
+
+        def payoffs(s1):  # axes: a block of s1 levels, s2
+            return tables(s1, s_axis)
+
+        def dominated(s1, b1, b2, income):  # only the levels some table puts above the top
+            kept = ~((b1 <= top[0]) & (b2 <= top[1]) & (income <= top[2]))
+            if not kept.any():
+                return False
+            at = np.nonzero(kept)
+            return dominated_at(s1[at[0], 0], s_axis[at[1]], b1[at], b2[at])
     else:
         s2 = s_axis[:, None, None]
         r1 = grid.fee_axis(1)[None, :, None]

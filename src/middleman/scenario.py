@@ -22,8 +22,9 @@ Scenarios are YAML documents (schema_version 1)::
 A component (``f1``, ``f2``, ``income``, ``activity``) is a ``family`` plus
 its constructor's fields, read and written from one table per kind. The
 parser checks the document (mappings, unknown and missing fields, finite
-numbers). Value ranges are checked by the constructors alone, the grid's by
-:class:`ScenarioConfig`, and their field errors are reported at the scenario
+numbers). Value ranges are checked by the constructors alone, the grid's
+(and the types of ``game`` and ``beliefs``) by :class:`ScenarioConfig`, and
+their field errors are reported at the scenario
 path, so every validation error names the offending field. Emission is
 byte-stable: identical inputs give identical output documents. CSV and text
 output spell each number fixed at six decimals (``f"{v:.6f}"``); ``machine``
@@ -98,7 +99,11 @@ class ScenarioConfig:
     eps: float = 1e-9
     s_lo: float = 0.0
 
-    def __post_init__(self):  # each grid setting by its owner's rule
+    def __post_init__(self):  # the sections by type, each grid setting by its owner's rule
+        if not isinstance(self.game, HedonicGame):
+            raise FieldError("game", "must be a HedonicGame")
+        if not isinstance(self.beliefs, (BeliefSystem, type(None))):
+            raise FieldError("beliefs", "must be a BeliefSystem or None")
         game.Grid(self.steps, s_lo=self.s_lo)
         oracles._validate_eps(self.eps)
 

@@ -652,6 +652,37 @@ def test_fee_monotone_pareto_path_matches_the_scan_at_benchmark_resolution(game,
         assert pareto_check(bare(pay), profile, grid, 1e-9) == (not np.any(top > t + 1e-9))
 
 
+@pytest.mark.parametrize("game,grid,profile", benchmark_resolution_cases())
+def test_parametric_games_run_the_corner_search_at_the_top_level_alone(game, grid, profile):
+    # nondecreasing benefits and activity put no level above (1, 1), so every
+    # fee search looks at one point, the top, or at none
+    stops = []
+    prefix_len = oracles._prefix_len
+
+    def recorded(holds, stop, guess):
+        stops.append(stop.size)
+        return prefix_len(holds, stop, guess)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_prefix_len", recorded)
+        pareto_check(game_payoffs(game), profile, grid)
+    assert stops and max(stops) <= 1, stops
+
+
+def test_an_infinite_top_level_keeps_every_level():
+    # activity 9e307 (s1 + s2) overflows only at (1, 1), where zero fees earn
+    # 0 * inf = NaN; at (0.95, 1) zero fees pay the users more than the
+    # profile (0.9, 1, 0, 0) and the middleman its 0, and every positive fee
+    # (the axis steps by 1) costs a user more than it gains, at the top too
+    half = Linear(0.5, 0.5)
+    pay = game_payoffs(HedonicGame(half, half, MultiplicativeIncome(Linear(9e307, 9e307))))
+    grid = Grid(20, (20.0, 20.0))
+    profile = StrategyProfile(0.9, 1.0, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not pareto_check(bare(pay), profile, grid)
+        assert not pareto_check(pay, profile, grid)
+
+
 def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
     scans = []
     scan = _scan.any_strict_dominator
@@ -929,6 +960,23 @@ def test_fee_monotone_pareto_path_matches_the_scan_across_blocks(case, k, eps):
         assert corner_sizes == scan_sizes == layout(n, k)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(st.one_of(benefits, tables), st.integers(4, 10)), k=st.integers(1, 3),
+       eps=st.one_of(st.sampled_from(EPS), st.integers(0, 8)))
+def test_fee_monotone_pareto_path_matches_the_scan_above_the_top_level(case, k, eps):
+    # a tabulated benefit or activity can rise above its value at (1, 1), so
+    # the corner search runs on the levels where it does, k levels a block
+    game, grid, profile = case
+    pay = game_payoffs(game)
+    n = grid.steps + 1
+    if isinstance(eps, int):
+        eps = boundary_eps(pay, profile, grid)[eps]
+    with small_blocks(k * n):
+        corner = pareto_check(pay, profile, grid, eps)
+    with small_blocks(k * n**3):
+        assert corner == pareto_check(bare(pay), profile, grid, eps)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(case=pareto_cases(st.one_of(benefits, tables), st.integers(4, 6)),
        k=st.integers(2, 3), data=st.data())
@@ -1067,13 +1115,27 @@ def test_witnesses_planted_at_block_edges():
         with small_blocks(3 * n**3) as sizes:  # n^3 profiles a level
             assert not pareto_check(pay, StrategyProfile(0.0, 0.0, 0.0, 0.0), grid)
         assert sizes == visited
-        # the corner path: every player gains by raising s1 at fixed fees and
-        # nobody can gain from a lower s1, so the first dominator is at s[level]
+        # the corner path on a linear game: every player gains by raising s1
+        # at fixed fees, so (1, 1) dominates too and no block is visited
         profile = StrategyProfile(s[level - 1], 1.0, 0.25, 0.25)
         with small_blocks(3 * n) as sizes:  # n benefits a level
             assert not pareto_check(hedonic, profile, grid)
-        assert sizes == visited
+        assert sizes == []
         assert not pareto_check(bare(hedonic), profile, grid)
+        # the corner path on benefits of 0.5, 1 at (1, 1) and 2 at (s[level], 0):
+        # only fees of 0 keep both users' 1 at (1, 1, 0, 0), and they earn 0,
+        # so the first dominator is (s[level], 0, 0.25, 0.25) on a fee axis
+        # of 0.25 steps, in the block the level ends, opens or closes
+        values = np.full((n, n), 0.5)
+        values[-1, -1], values[level, 0] = 1.0, 2.0
+        peak = TabulatedBenefit(values)
+        tabulated = game_payoffs(HedonicGame(peak, peak, AdditiveFeesIncome()))
+        profile = StrategyProfile(1.0, 1.0, 0.0, 0.0)
+        fees = Grid(8, (2.0, 2.0))
+        with small_blocks(3 * n) as sizes:
+            assert not pareto_check(tabulated, profile, fees)
+        assert sizes == visited
+        assert not pareto_check(bare(tabulated), profile, fees)
 
 
 def test_exact_paths_keep_memory_flat_as_the_grid_grows():

@@ -262,6 +262,20 @@ def test_config_rejects_each_grid_setting_the_parser_rejects(field, value, error
         parse_scenario(COBB_DOUGLAS_DOC + yaml.safe_dump({"grid": {field: value}}))
 
 
+@pytest.mark.parametrize("field,value,text", [
+    ("game", "x", "game must be a HedonicGame"),
+    ("game", None, "game must be a HedonicGame"),
+    ("beliefs", "nope", "beliefs must be a BeliefSystem or None"),
+    ("beliefs", {"gamma": 0.5}, "beliefs must be a BeliefSystem or None"),
+], ids=repr)
+def test_config_rejects_sections_of_the_wrong_type(field, value, text):
+    # each would construct and then fail in dump_scenario on a missing attribute
+    sections = {"game": parse_scenario(COBB_DOUGLAS_DOC).game, field: value}
+    with pytest.raises(FieldError, match=f"^{re.escape(text)}$") as info:
+        ScenarioConfig(**sections)
+    assert info.value.field == field
+
+
 def test_unknown_output_rejected():
     # no command reads an output list, so schema 1 has none
     doc = COBB_DOUGLAS_DOC + "\noutputs: [verdict]\n"
