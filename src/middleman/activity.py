@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .ambiguity import BeliefSystem, _require_threshold_domain, loyalty_fees
-from .game import _count, _number
+from .game import _count, _number, _prefix_len
 from .hedonic import HedonicGame, MultiplicativeIncome, full_extraction_fees
 
 
@@ -67,10 +67,13 @@ class RegionSample:
     full_exploitation: bool
 
 
+def _benchmark_inequality(g, s):  # in the float operations of every verdict
+    return (1.0 - g) * (1.0 - s) >= g * s * s
+
+
 def benchmark_full_exploitation_condition(point: BenchmarkPoint) -> bool:
     """Normalised benchmark inequality: (1 - gamma)(1 - sigma) >= gamma * sigma**2."""
-    g, s = point.gamma, point.sigma
-    return bool((1.0 - g) * (1.0 - s) >= g * s * s)
+    return bool(_benchmark_inequality(point.gamma, point.sigma))
 
 
 def boundary_curve(sigma: float) -> float:
@@ -137,19 +140,12 @@ def _region_verdicts(axis: np.ndarray) -> np.ndarray:
     Each gamma row's verdicts are true on a prefix of sigma: as sigma grows,
     ``(1 - gamma)(1 - sigma)`` never rises and ``gamma sigma sigma`` never
     falls, in floats too, because rounding is monotone. So each row's count
-    of true verdicts is bisected, evaluating the inequality with the same
-    float operations as :func:`benchmark_full_exploitation_condition`, and
-    every verdict is bit-identical to the per-point test.
+    of true verdicts is the prefix search the Pareto fee axes use, and every
+    verdict is bit-identical to the per-point test.
     """
-    n = axis.size
-    lo, hi = np.zeros(n, np.intp), np.full(n, n)  # each row's count lies in [lo, hi]
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        s = axis[np.minimum(mid, n - 1)]
-        true = (1.0 - axis) * (1.0 - s) >= axis * s * s
-        lo = np.where(true, np.minimum(mid + 1, hi), lo)
-        hi = np.where(true, hi, mid)
-    return np.arange(n) < lo[:, None]
+    n = np.full(axis.size, axis.size)
+    count = _prefix_len(lambda k: _benchmark_inequality(axis, axis[k]), n, n)
+    return np.arange(axis.size) < count[:, None]
 
 
 def region_sample(resolution: int) -> RegionMap:

@@ -46,6 +46,7 @@ import numpy as np
 from .activity import region_sample
 from .ambiguity import (
     BeliefError,
+    _require_threshold_domain,
     ambiguity_equilibrium_check,
     best_fee_response,
     full_exploitation_verdict,
@@ -270,7 +271,7 @@ def _build_threshold(config, args):
 
 
 def _cmd_region(args):
-    _at_flag(_count, args.resolution, "resolution")  # before the budget, as -5000 fits it
+    _at_flag(_count, args.resolution, "resolution")  # first: -5000 gets this text, not the budget's
     _check_points((args.resolution + 1) ** 2, "--resolution")
     _deliver(emit_blocks(region_sample(args.resolution), args.format), args)
     return 0
@@ -299,7 +300,7 @@ def _cmd_sweep(args):
         # rows before the offending one are valid belief systems, and a row
         # failing the threshold test's domain there is met first in row order
         prefix = replace(beliefs, **{field: col[:exc.row] for field, col in swept.items()})
-        full_exploitation_verdict(config.game, prefix)
+        _require_threshold_domain(prefix)
         raise
     verdict = full_exploitation_verdict(config.game, sweep_beliefs)
     columns = dict(zip(names, swept.values()))

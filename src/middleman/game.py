@@ -3,7 +3,8 @@
 Two users choose participation levels in [0, 1] and a middleman a
 nonnegative fee pair. Profile fields may hold numpy arrays (broadcast
 together), so payoff functions evaluate whole deviation grids in one call.
-:func:`_numbers` is the number rule, :func:`_count` the lattice-count rule.
+:func:`_numbers`, :func:`_count` and :func:`_player` are the number, lattice-count
+and player-index rules; :func:`_prefix_len` searches along a sorted lattice axis.
 """
 
 from __future__ import annotations
@@ -65,6 +66,42 @@ def _count(value, name: str):
         raise TypeError(f"{name} must be an integer")
     if value < 2:
         raise FieldError(name, "must be at least 2")
+
+
+def _player(value, name: str):
+    """A player's index: 1 or 2 (not bool)."""
+    if value not in (1, 2) or type(value) in (bool, np.bool_):
+        raise FieldError(name, "must be 1 or 2")
+
+
+def _prefix_len(holds, stop, guess):
+    """For each point, the length of the true prefix of ``range(stop)`` of a
+    predicate that is true and then false along it.
+
+    ``stop`` and ``guess`` are integer arrays of one shape. ``holds(k)`` is
+    called with an index array ``k`` shaped like ``stop``, every entry below
+    ``max(stop)``, and never when every stop is 0. The ``guess``, clipped to
+    ``[0, stop]``, is confirmed first: where ``holds(guess - 1)`` holds (or
+    the guess is 0) and ``holds(guess)`` does not (or the guess is
+    ``stop``), the prefix has exactly that length. If any point fails, a
+    bisection over all points answers instead: each round tries to extend
+    every point's prefix by the next smaller power of two, in
+    ``max(stop).bit_length()`` rounds of one ``holds`` call.
+    """
+    top = int(stop.max(initial=0))
+    guess = np.minimum(np.maximum(guess, 0), stop)
+    if not top:
+        return guess
+    if (((guess == 0) | holds(np.maximum(guess, 1) - 1))
+            & ((guess == stop) | ~holds(np.minimum(guess, top - 1)))).all():
+        return guess
+    length = np.zeros_like(guess)
+    step = (1 << top.bit_length()) >> 1  # the largest power of two <= top
+    while step:
+        longer = length + step
+        length = np.where((longer <= stop) & holds(np.minimum(longer, top) - 1), longer, length)
+        step >>= 1
+    return length
 
 
 @dataclass(frozen=True)
@@ -152,8 +189,7 @@ class Grid:
         return self._axes[0]
 
     def fee_axis(self, player: int) -> np.ndarray:
-        if player not in (1, 2) or type(player) in (bool, np.bool_):
-            raise ValueError("player must be 1 or 2")
+        _player(player, "player")
         return self._axes[player]
 
 

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .game import FieldError, GamePayoffs, Grid, StrategyProfile, Value
-from .game import _float_pair, _number, _numbers
+from .game import _float_pair, _number, _numbers, _player
 
 # Strictness margin for monotonicity checks: adjacent lattice values closer
 # than this are treated as ties.
@@ -215,8 +215,7 @@ def capped_surplus(benefit: Value, rho: Value) -> np.ndarray:
 
 def user_payoff(game: HedonicGame, i: int, profile: StrategyProfile) -> Value:
     """User i's :func:`capped_surplus` at the profile's participation and fee."""
-    if i not in (1, 2) or type(i) in (bool, np.bool_):
-        raise ValueError("user index must be 1 or 2")
+    _player(i, "user index")
     f, rho = (game.f1, profile.rho1) if i == 1 else (game.f2, profile.rho2)
     return _as_scalar(capped_surplus(f(profile.s1, profile.s2), rho))
 

@@ -22,7 +22,8 @@ when neither benefit nor the activity does, so a fee search runs at the top
 and then only at the levels that rise above it: none for Cobb-Douglas or
 linear families, and O(log n) fees each otherwise. The search works at one
 corner of each affordable fee box: each index there is guessed, confirmed
-at its two neighbours, and found by bisection only where a guess fails.
+at its two neighbours, and found by bisection only where a guess fails
+(``game._prefix_len``, which also counts the region map's rows).
 Both paths evaluate the scan's own payoff expressions on the same floats,
 so each verdict is the scan's; their docstrings give the arguments. Every
 other game keeps the scan: tabulated income, for one, because its
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _scan
-from .game import FieldError, GamePayoffs, Grid, StrategyProfile, _number
+from .game import FieldError, GamePayoffs, Grid, StrategyProfile, _number, _player, _prefix_len
 from .hedonic import HedonicPayoffs, capped_surplus, fee_monotone
 
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
@@ -120,8 +121,7 @@ def weak_dominance_check(
     0, and ``fmax`` skips it or, over a column of NaNs, gives NaN, which pays
     0 too.
     """
-    if player not in (1, 2) or type(player) in (bool, np.bool_):
-        raise ValueError("player must be user 1 or user 2")
+    _player(player, "player")
     eps = _validate_eps(eps)
     if not grid.s_lo <= _number(candidate, "candidate") <= 1.0:
         raise ValueError("candidate must lie in the participation box")
@@ -154,36 +154,6 @@ def weak_dominance_check(
 
     return not any(_scan.any_dominance_gap(alts, cand, eps)
                    for _, (alts, cand) in _blocks(levels, payoffs, per_level))
-
-
-def _prefix_len(holds, stop, guess):
-    """For each point, the length of the true prefix of ``range(stop)`` of a
-    predicate that is true and then false along it.
-
-    ``stop`` and ``guess`` are integer arrays of one shape. ``holds(k)`` is
-    called with an index array ``k`` shaped like ``stop``, every entry below
-    ``max(stop)``, and never when every stop is 0. The ``guess``, clipped to
-    ``[0, stop]``, is confirmed first: where ``holds(guess - 1)`` holds (or
-    the guess is 0) and ``holds(guess)`` does not (or the guess is
-    ``stop``), the prefix has exactly that length. If any point fails, a
-    bisection over all points answers instead: each round tries to extend
-    every point's prefix by the next smaller power of two, in
-    ``max(stop).bit_length()`` rounds of one ``holds`` call.
-    """
-    top = int(stop.max(initial=0))
-    guess = np.minimum(np.maximum(guess, 0), stop)
-    if not top:
-        return guess
-    if (((guess == 0) | holds(np.maximum(guess, 1) - 1))
-            & ((guess == stop) | ~holds(np.minimum(guess, top - 1)))).all():
-        return guess
-    length = np.zeros_like(guess)
-    step = (1 << top.bit_length()) >> 1  # the largest power of two <= top
-    while step:
-        longer = length + step
-        length = np.where((longer <= stop) & holds(np.minimum(longer, top) - 1), longer, length)
-        step >>= 1
-    return length
 
 
 def pareto_check(
@@ -223,13 +193,11 @@ def pareto_check(
     where C is a weak dominator, the first fee reaching t3 on each edge ends
     the prefix of income < t3 in [0, C_i). ``_prefix_len`` confirms a guess
     for each prefix before it bisects: all of [0, C_i) for an edge, and the
-    fees r_i <= b_i - t_i for the user's. That is ``searchsorted`` again,
-    except where t_i = 0, as at the full-extraction profile: there b_i - t_i
-    is b_i, and the affordable count is the guess. The guess is not always
-    right: with b = 1.0, a top fee F = nextafter(1, 0) and t = 1.5e-16,
-    b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every payoff is the
-    expression the scan evaluates, on the same floats, so the verdict is
-    exact; a level of a block holds one value per s2 level and table.
+    fees r_i <= b_i - t_i for the user's, ``searchsorted`` again. The guess
+    is not always right: with b = 1.0, a top fee F = nextafter(1, 0) and
+    t = 1.5e-16, b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every payoff
+    is the expression the scan evaluates, on the same floats, so the verdict
+    is exact; a level of a block holds one value per s2 level and table.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -248,8 +216,7 @@ def pareto_check(
 
         def corner(b, r, t):
             """C_i per point: the last affordable fee keeping t_i, or -1."""
-            stop = np.searchsorted(r, b, side="right")
-            guess = stop if t == 0 else np.searchsorted(r, b - t, side="right")  # b - 0 is b
+            stop, guess = np.searchsorted(r, (b, b - t), side="right")
             return _prefix_len(lambda k: capped_surplus(b, r[k]) >= t, stop, guess) - 1
 
         def dominated_at(u1, u2, b1, b2):  # one entry per point (u1, u2)

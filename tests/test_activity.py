@@ -3,6 +3,8 @@ curve, and the region sampler."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from middleman import (
     AdditiveFeesIncome,
@@ -230,11 +232,30 @@ def test_region_verdicts_match_the_integer_certificate(n):
 
 @pytest.mark.parametrize("n", [*range(2, 65), 1000])
 def test_bisected_verdicts_equal_the_broadcast_inequality(n):
-    # each row's true count is bisected; the lattice is the one broadcast
+    # each row's true count is a prefix search; the lattice is the one broadcast
     # of the inequality, bit for bit
     axis = np.arange(n + 1) / n
     g, s = axis[:, None], axis[None, :]
     assert np.array_equal(region_sample(n).full_exploitation, (1.0 - g) * (1.0 - s) >= g * s * s)
+
+
+# the endpoints, the smallest subnormal and a larger one, drawn often so
+# that axes repeat them
+UNIT_FLOATS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(UNIT_FLOATS, max_size=40))
+@example([])
+@example([0.5])
+@example([0.0, 1.0])
+@example([0.0, 0.0, 5e-324, 5e-324, 1e-310, 1.0, 1.0])
+def test_region_verdicts_equal_the_broadcast_inequality_on_any_ascending_axis(values):
+    # the prefix search over each gamma row needs only an ascending unit axis
+    axis = np.sort(np.array(values, dtype=float))
+    g, s = axis[:, None], axis[None, :]
+    want = (1.0 - g) * (1.0 - s) >= g * s * s
+    assert np.array_equal(RegionMap(axis).full_exploitation, want)
 
 
 @pytest.mark.parametrize("axis", [[0.0, 1.0, 0.5], [0.0, 0.5, 1.5], [-0.1, 0.5], [0.0, np.nan]],

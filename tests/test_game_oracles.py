@@ -272,7 +272,7 @@ INDEX_ARGUMENTS = {
                     "user index must be 1 or 2"),
     "weak_dominance_check": (
         lambda i: weak_dominance_check(game_payoffs(linear_activity_game()), i, 1.0, Grid(4)),
-        "player must be user 1 or user 2"),
+        "player must be 1 or 2"),
     "fee_axis": (lambda i: Grid(4).fee_axis(i), "player must be 1 or 2"),
 }
 
@@ -866,11 +866,11 @@ def test_prefix_len_matches_the_first_false_index(n):
     guesses = [want, want - 1, want + 1, np.zeros_like(stops), stops,
                *rng.integers(-3, n + 4, (4, *stops.shape))]
     for guess in guesses:
-        assert oracles._prefix_len(holds, stops, guess).tolist() == want.tolist()
+        assert game._prefix_len(holds, stops, guess).tolist() == want.tolist()
     assert all(k.shape == stops.shape and 0 <= k.min() and k.max() < n for k in asked)
     zeros = np.zeros_like(stops)
     for guess in guesses:
-        assert oracles._prefix_len(None, zeros, guess).tolist() == zeros.tolist()
+        assert game._prefix_len(None, zeros, guess).tolist() == zeros.tolist()
 
 
 def test_pareto_corner_guess_is_confirmed():
