@@ -3,8 +3,9 @@
 Two users choose participation levels in [0, 1] and a middleman a
 nonnegative fee pair. Profile fields may hold numpy arrays (broadcast
 together), so payoff functions evaluate whole deviation grids in one call.
-:func:`_numbers`, :func:`_count` and :func:`_player` are the number, lattice-count
-and player-index rules; :func:`_prefix_len` searches along a sorted lattice axis.
+:func:`_numbers`, :func:`_integer`, :func:`_count` and :func:`_player` are the number,
+integer, lattice-count and player-index rules; :func:`_prefix_len` searches along
+a sorted lattice axis.
 """
 
 from __future__ import annotations
@@ -60,17 +61,22 @@ def _numbers(value, name: str) -> np.ndarray:
         return np.array(entries, np.float64).reshape(items.shape)
 
 
+def _integer(value) -> bool:
+    """True for an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _count(value, name: str):
-    """A lattice's subdivisions: an integer (not bool) of at least 2."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """A lattice's subdivisions: an integer of at least 2."""
+    if not _integer(value):
         raise TypeError(f"{name} must be an integer")
     if value < 2:
         raise FieldError(name, "must be at least 2")
 
 
 def _player(value, name: str):
-    """A player's index: 1 or 2 (not bool)."""
-    if value not in (1, 2) or type(value) in (bool, np.bool_):
+    """A player's index: an integer equal to 1 or 2."""
+    if not _integer(value) or value not in (1, 2):
         raise FieldError(name, "must be 1 or 2")
 
 

@@ -19,13 +19,15 @@ Scenarios are YAML documents (schema_version 1)::
       eps: 1.0e-9                       # default 1e-9
       s_lo: 0.0                         # default 0
 
-A component (``f1``, ``f2``, ``income``, ``activity``) is a ``family`` plus
-its constructor's fields, read and written from one table per kind. The
-parser checks the document (mappings, unknown and missing fields, finite
-numbers). Value ranges are checked by the constructors alone, the grid's
-(and the types of ``game`` and ``beliefs``) by :class:`ScenarioConfig`, and
-their field errors are reported at the scenario
-path, so every validation error names the offending field. Emission is
+Each section and each component (``f1``, ``f2``, ``income``, ``activity``)
+is read by one reader and written by one writer from one table of its keys,
+each with the constructor fields it fills. A component is a ``family`` plus
+its class's fields, the families one table per kind. The parser checks the
+document (mappings, unknown and missing fields, finite numbers). Value
+ranges are checked by the constructors alone, the grid's (and the types of
+``game`` and ``beliefs``, one number per belief field) by
+:class:`ScenarioConfig`, and their field errors are reported at the scenario
+key, so every validation error names the offending field. Emission is
 byte-stable: identical inputs give identical output documents. CSV and text
 output spell each number fixed at six decimals (``f"{v:.6f}"``); ``machine``
 output spells it as ``json.dumps(round(v, 6))``, the shortest form of the
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -104,6 +106,8 @@ class ScenarioConfig:
             raise FieldError("game", "must be a HedonicGame")
         if not isinstance(self.beliefs, (BeliefSystem, type(None))):
             raise FieldError("beliefs", "must be a BeliefSystem or None")
+        if self.beliefs is not None and self.beliefs.shape:
+            raise FieldError("beliefs", "must hold one number per field")
         game.Grid(self.steps, s_lo=self.s_lo)
         oracles._validate_eps(self.eps)
 
@@ -124,12 +128,6 @@ def _reject_unknown(mapping, allowed, path):
             _fail(f"{path}.{key}" if path else str(key), "unknown field")
 
 
-def _field(mapping, key, path):
-    if key not in mapping:
-        _fail(f"{path}.{key}", "missing required field")
-    return mapping[key]
-
-
 def _number(value, where):
     try:
         v = game._number(value, where)
@@ -147,58 +145,68 @@ def _pair(pair, where, names):
     return tuple(_number(v, where) for v in pair)
 
 
-# Constructor fields whose scenario key differs; a rule over several fields
-# (field None) is reported at the section itself.
-_FIELD_KEYS = {"lambda_": "lambda", "loyalty1": "loyalty", "loyalty2": "loyalty"}
-
-
-def _build(cls, path, *args, **kwargs):
-    """``cls(*args, **kwargs)``, with a constructor's field error reported at
-    the field's scenario path; the ranges live in the constructors alone."""
-    try:
-        return cls(*args, **kwargs)
-    except FieldError as exc:
-        key = _FIELD_KEYS.get(exc.field, exc.field)
-        _fail(f"{path}.{key}" if key else path, exc.problem)
-
+# Each section's scenario keys, in document order, with the owner fields each
+# fills. A rule over several fields (field None) is reported at the section.
+_GAME = {"f1": ("f1",), "f2": ("f2",), "income": ("income",), "tag": ("tag",)}
+_BELIEFS = {"lambda": ("lambda_",), "gamma": ("gamma",), "loyalty": ("loyalty1", "loyalty2")}
+_GRID = {"steps": ("steps",), "eps": ("eps",), "s_lo": ("s_lo",)}
 
 # A scenario component is ``family`` plus its constructor's fields, so a new
 # family is one more table entry.
 _BENEFITS = {"cobb_douglas": CobbDouglas, "linear": Linear, "tabulated": TabulatedBenefit}
 _INCOMES = {"multiplicative": MultiplicativeIncome, "additive_fees": AdditiveFeesIncome,
             "tabulated": TabulatedIncome}
+# The fields that hold a component, each with its kind's families
+_COMPONENTS = {"f1": _BENEFITS, "f2": _BENEFITS, "activity": _BENEFITS, "income": _INCOMES}
 
 
-def _component(spec, path, families):
-    """Read the fields in declaration order: ``activity`` as a nested benefit,
-    ``fee_bounds`` as a pair, ``values`` raw, any other as a number."""
-    spec = _mapping(spec, path)
-    family = spec.get("family")
-    cls = families.get(family) if isinstance(family, str) else None
-    if cls is None:
-        _fail(f"{path}.family", f"unknown family {family!r}")
-    names = [f.name for f in fields(cls)]
-    _reject_unknown(spec, {"family", *names}, path)
-    kwargs = {}
-    for name in names:
-        value = _field(spec, name, path)
-        if name == "activity":
-            value = _component(value, f"{path}.{name}", _BENEFITS)
-        elif name == "fee_bounds":
-            value = _pair(value, f"{path}.{name}", "bound1, bound2")
-        elif name != "values":
-            value = _number(value, f"{path}.{name}")
-        kwargs[name] = value
-    return _build(cls, path, **kwargs)
+def _keys(cls):
+    """A component's scenario keys: its class's fields, each filling itself."""
+    return {f.name: (f.name,) for f in fields(cls)}
 
 
-def _beliefs(section) -> BeliefSystem:
-    section = _mapping(section, "beliefs")
-    _reject_unknown(section, {"lambda", "gamma", "loyalty"}, "beliefs")
-    gamma = _number(_field(section, "gamma", "beliefs"), "beliefs.gamma")
-    lam = _number(section.get("lambda", 0.0), "beliefs.lambda")
-    loyalty = _pair(_field(section, "loyalty", "beliefs"), "beliefs.loyalty", "loyalty1, loyalty2")
-    return _build(BeliefSystem, "beliefs", lam, gamma, *loyalty)
+def _value(value, name, where):
+    """One field's scenario value by the field's name: ``f1``, ``f2``,
+    ``activity`` and ``income`` are components, ``fee_bounds`` a pair,
+    ``values`` and ``tag`` taken as they are, ``steps`` an integer and any
+    other field a number."""
+    families = _COMPONENTS.get(name)
+    if families is not None:
+        spec = dict(_mapping(value, where))
+        family = spec.pop("family", None)
+        cls = families.get(family) if isinstance(family, str) else None
+        if cls is None:
+            _fail(f"{where}.family", f"unknown family {family!r}")
+        return _read(spec, where, cls, _keys(cls))
+    if name == "fee_bounds":
+        return _pair(value, where, "bound1, bound2")
+    if name == "steps" and not game._integer(value):
+        _fail(where, "expected an integer")
+    return value if name in ("values", "tag", "steps") else _number(value, where)
+
+
+def _read(section, path, cls, keys, **given):
+    """``cls`` from ``given`` and the mapping at ``path``, whose ``keys`` fill
+    their fields in order, a two-field key as a pair; a key may be left out
+    where its fields are given or have defaults. The ranges live in the
+    constructors alone, and a field error is reported at the field's key."""
+    section = _mapping(section, path)
+    _reject_unknown(section, keys, path)
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}.union(given)
+    for key, names in keys.items():
+        where = f"{path}.{key}"
+        if key not in section:
+            if not optional.issuperset(names):
+                _fail(where, "missing required field")
+        elif len(names) == 2:
+            given.update(zip(names, _pair(section[key], where, ", ".join(names))))
+        else:
+            given[names[0]] = _value(section[key], names[0], where)
+    try:
+        return cls(**given)
+    except FieldError as exc:
+        key = next((key for key, names in keys.items() if exc.field in names), exc.field)
+        _fail(f"{path}.{key}" if key else path, exc.problem)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -225,68 +233,41 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if type(version) is not int or version != SCHEMA_VERSION:
         _fail("schema_version", f"unsupported value {version!r} (expected {SCHEMA_VERSION})")
 
-    game_sec = _mapping(doc["game"], "game")
-    _reject_unknown(game_sec, {"f1", "f2", "income", "tag"}, "game")
-    for key in ("f1", "f2", "income"):
-        _field(game_sec, key, "game")
-    game = _build(
-        HedonicGame,
-        "game",
-        f1=_component(game_sec["f1"], "game.f1", _BENEFITS),
-        f2=_component(game_sec["f2"], "game.f2", _BENEFITS),
-        income=_component(game_sec["income"], "game.income", _INCOMES),
-        tag=game_sec.get("tag", "benchmark"),
-    )
-
-    beliefs = _beliefs(doc["beliefs"]) if "beliefs" in doc else None
-
-    grid_sec = _mapping(doc.get("grid", {}), "grid")
-    _reject_unknown(grid_sec, {"steps", "eps", "s_lo"}, "grid")
+    hedonic = _read(doc["game"], "game", HedonicGame, _GAME)
+    beliefs = (_read(doc["beliefs"], "beliefs", BeliefSystem, _BELIEFS, lambda_=0.0)
+               if "beliefs" in doc else None)
     # only the grid fields the document sets; ScenarioConfig holds the defaults
-    grid = {}
-    if "steps" in grid_sec:
-        steps = grid_sec["steps"]
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            _fail("grid.steps", "expected an integer")
-        grid["steps"] = steps
-    for key in ("eps", "s_lo"):
-        if key in grid_sec:
-            grid[key] = _number(grid_sec[key], f"grid.{key}")
-
-    return _build(ScenarioConfig, "grid", game=game, beliefs=beliefs, **grid)
+    return _read(doc.get("grid", {}), "grid", ScenarioConfig, _GRID, game=hedonic, beliefs=beliefs)
 
 
-def _component_doc(spec, families, kind) -> dict:
-    """``spec`` as its family and its class's fields, each a plain Python
-    value YAML can write (numpy scalars and arrays included)."""
-    family = next((name for name, cls in families.items() if isinstance(spec, cls)), None)
+def _plain(value, name):
+    """One field as a plain Python value YAML can write (numpy scalars and
+    arrays included), a component as its family and its class's fields."""
+    families = _COMPONENTS.get(name)
+    if families is None:
+        return np.asarray(value).tolist()
+    family = next((f for f, cls in families.items() if isinstance(value, cls)), None)
     if family is None:
-        raise TypeError(f"unsupported {kind} spec {type(spec).__name__}")
-    doc = {"family": family}
-    for f in fields(families[family]):
-        value = getattr(spec, f.name)
-        doc[f.name] = (_component_doc(value, _BENEFITS, "benefit") if f.name == "activity"
-                       else np.asarray(value).tolist())
+        kind = "income" if name == "income" else "benefit"
+        raise TypeError(f"unsupported {kind} spec {type(value).__name__}")
+    return {"family": family, **_write(value, _keys(families[family]))}
+
+
+def _write(owner, keys) -> dict:
+    """The mapping of ``owner``'s fields under ``keys``, a two-field key as a list."""
+    doc = {}
+    for key, names in keys.items():
+        values = [_plain(getattr(owner, name), name) for name in names]
+        doc[key] = values if len(names) == 2 else values[0]
     return doc
 
 
 def dump_scenario(config: ScenarioConfig) -> str:
     """Serialise a config back to YAML; parse_scenario round-trips it."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "game": {
-            "f1": _component_doc(config.game.f1, _BENEFITS, "benefit"),
-            "f2": _component_doc(config.game.f2, _BENEFITS, "benefit"),
-            "income": _component_doc(config.game.income, _INCOMES, "income"),
-            "tag": config.game.tag,
-        },
-    }
-    # each number as the Python value it holds: YAML cannot write numpy scalars
+    doc = {"schema_version": SCHEMA_VERSION, "game": _write(config.game, _GAME)}
     if config.beliefs is not None:
-        lam, gamma, l1, l2 = (np.asarray(getattr(config.beliefs, f.name)).item()
-                              for f in fields(BeliefSystem))
-        doc["beliefs"] = {"lambda": lam, "gamma": gamma, "loyalty": [l1, l2]}
-    doc["grid"] = {k: np.asarray(getattr(config, k)).item() for k in ("steps", "eps", "s_lo")}
+        doc["beliefs"] = _write(config.beliefs, _BELIEFS)
+    doc["grid"] = _write(config, _GRID)
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -277,12 +277,15 @@ INDEX_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("index", [True, np.True_], ids=["true", "numpy-true"])
+@pytest.mark.parametrize("index", [True, np.True_, 1.0, 2.0, np.float64(2.0), np.array([1, 2])],
+                         ids=["true", "numpy-true", "one", "two", "numpy-two", "array"])
 @pytest.mark.parametrize("site", list(INDEX_ARGUMENTS))
-def test_index_arguments_reject_booleans(site, index):
-    # True == 1, so a membership test alone would read it as index 1
+def test_index_arguments_reject_non_integers(site, index):
+    # True and 1.0 equal 1 and an array fails inside ``in``, so a membership
+    # test alone would not give the rule's error
     call, text = INDEX_ARGUMENTS[site]
     call(1)
+    call(np.int64(2))
     with pytest.raises(ValueError, match=f"^{text}$"):
         call(index)
 

@@ -1,5 +1,6 @@
 """Scenario parsing, validation, and result emission."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -23,6 +24,7 @@ from middleman import (
     ScenarioConfig,
     ScenarioError,
     TabulatedBenefit,
+    TabulatedIncome,
     dump_scenario,
     emit_results,
     full_exploitation_verdict,
@@ -188,6 +190,17 @@ def test_unconvertible_table_names_the_field(section, values):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("doc,text", [
+    ("game: {f1: {family: nope}}", "game.f1.family: unknown family 'nope'"),
+    (COBB_DOUGLAS_DOC.replace("  gamma: 0.5\n", "  lambda: x\n  gamma: y\n"),
+     "beliefs.lambda: expected a number"),
+], ids=["game", "beliefs"])
+def test_first_of_two_errors_in_key_order(doc, text):
+    # each key is read, a component through all of its own keys, before the next
+    with pytest.raises(ScenarioError, match=f"^{re.escape(text)}$"):
+        parse_scenario(doc)
+
+
 def test_missing_loyalty_names_the_field():
     doc = COBB_DOUGLAS_DOC.replace("  loyalty: [0.5, 0.5]\n", "")
     with pytest.raises(ScenarioError, match="beliefs.loyalty"):
@@ -267,9 +280,12 @@ def test_config_rejects_each_grid_setting_the_parser_rejects(field, value, error
     ("game", None, "game must be a HedonicGame"),
     ("beliefs", "nope", "beliefs must be a BeliefSystem or None"),
     ("beliefs", {"gamma": 0.5}, "beliefs must be a BeliefSystem or None"),
+    ("beliefs", BeliefSystem(0.0, np.array([0.1, 0.2]), 0.5, 0.5),
+     "beliefs must hold one number per field"),
 ], ids=repr)
 def test_config_rejects_sections_of_the_wrong_type(field, value, text):
-    # each would construct and then fail in dump_scenario on a missing attribute
+    # each would construct and then fail in dump_scenario, which writes one
+    # number per field
     sections = {"game": parse_scenario(COBB_DOUGLAS_DOC).game, field: value}
     with pytest.raises(FieldError, match=f"^{re.escape(text)}$") as info:
         ScenarioConfig(**sections)
@@ -751,6 +767,33 @@ def test_round_trip_numpy_fields():
         BeliefSystem(0.125, 0.5, 0.5, 0.25), steps=40, eps=1e-6, s_lo=0.1,
     )
     assert dump_scenario(config) == dump_scenario(plain)
+
+
+# SHA-256 of dump_scenario output, captured from the hand-written section
+# writers: the shipped scenarios, and numpy scalar fields with both tabulated
+# families, the externality tag and every grid setting.
+DUMP_SHA256 = {
+    "benchmark_sigma05.yaml": "d5f6c5e233355462963ae83206e9b076bdf9e03e59f591b5bedb8b70df948f3d",
+    "cobb_douglas_loyalty.yaml": "7c2b23c3b9b3012a924c82c9d90046d7c1ebf9d73e1476a9fafaf88893c53067",
+    "externality.yaml": "627469c5b6be0e9f1045046f2cbf97db68d2bc8e7d7b315c84c5e67ac658fa33",
+    "numpy": "8a3cf6729b19aca40abd62105b990836d04f8e8da1946b7e3a0c8650f33d1071",
+}
+
+
+@pytest.mark.parametrize("name", DUMP_SHA256)
+def test_dump_golden_bytes(name):
+    if name == "numpy":
+        game = HedonicGame(TabulatedBenefit(np.array([[0.0, 0.5], [0.5, 1.25]])),
+                           CobbDouglas(np.float32(0.5), np.int64(2)),
+                           TabulatedIncome(np.array(json.loads(TABLE_4D.format(x="2")), float),
+                                           (np.float64(1.0), 2.5)),
+                           tag="externality")
+        config = ScenarioConfig(
+            game, BeliefSystem(np.float64(0.125), np.float64(0.5), 0.5, np.float64(0.25)),
+            steps=np.int64(40), eps=np.float64(1e-6), s_lo=np.float64(0.1))
+    else:
+        config = parse_scenario((SCENARIOS / name).read_text())
+    assert hashlib.sha256(dump_scenario(config).encode()).hexdigest() == DUMP_SHA256[name]
 
 
 def _docstring_example():
