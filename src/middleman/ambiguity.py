@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import FieldError, GamePayoffs, Grid, StrategyProfile, Value, _numbers
+from .game import FieldError, Grid, StrategyProfile, Value, _numbers
 from .hedonic import (
     HedonicGame,
+    HedonicUsers,
     _as_scalar,
+    _fee_monotone_game,
     full_extraction_fees,
     game_payoffs,
     gated_income,
-    middleman_payoff,
 )
 from .oracles import epsilon_nash_check
 
@@ -161,26 +162,67 @@ def modified_payoff(
     same to the bit. Participation given as an array of ones takes the
     three-term path and its broadcast shape.
     """
-    best = optimistic_payoff(game, profile.rho)
-    worst = pessimistic_payoff(game, beliefs, profile.rho)
-    s1, s2 = profile.s1, profile.s2
+    return _weighted_income(game, beliefs, profile.rho1, profile.rho2, profile.s1, profile.s2)
+
+
+def _weighted_income(game, beliefs, rho1, rho2, s1, s2) -> Value:
+    """:func:`modified_payoff` at these profile fields, without a profile."""
+    best = optimistic_payoff(game, (rho1, rho2))
+    worst = pessimistic_payoff(game, beliefs, (rho1, rho2))
     if np.ndim(s1) == 0 and np.ndim(s2) == 0 and s1 == 1 and s2 == 1:
         plain = best
     else:
-        plain = middleman_payoff(game, profile)
+        plain = gated_income(game, rho1, rho2, s1, s2)
     lam, gam = beliefs.lambda_, beliefs.gamma
     out = lam * np.asarray(best) + gam * np.asarray(worst) + (1.0 - lam - gam) * np.asarray(plain)
     return _as_scalar(out)
 
 
-def modified_game(game: HedonicGame, beliefs: BeliefSystem) -> GamePayoffs:
+@dataclass(frozen=True)
+class ModifiedPayoffs(HedonicUsers):
+    """The bundle :func:`modified_game` builds: the users of ``game`` and the
+    middleman's :func:`modified_payoff` under ``beliefs``. Not a
+    ``HedonicPayoffs``, whose middleman the Pareto corner path reads as the
+    game's gated income."""
+
+    beliefs: BeliefSystem
+
+    def middleman(self, rho1, rho2, s1, s2):
+        return _weighted_income(self.game, self.beliefs, rho1, rho2, s1, s2)
+
+    def gates(self, s1, s2):
+        """Full participation, the loyalty levels and ``(s1, s2)`` (at full
+        participation the first again), for a fee-monotone game and one
+        belief system of floats whose plain weight is not negative. Array
+        fields hold many systems, and another number type would change the
+        loyalty levels' dtype once gathered with the others. Properness only
+        asks ``lambda_ + gamma`` to round to at most 1, while the weight
+        :func:`modified_payoff` computes, ``1.0 - lambda_ - gamma``, may
+        still round below 0."""
+        b = self.beliefs
+        if not (_fee_monotone_game(self.game)
+                and all(isinstance(v, float) for v in (b.lambda_, b.gamma, *b.loyalty))
+                and 1.0 - b.lambda_ - b.gamma >= 0.0):
+            return None
+        return ((1.0, 1.0), b.loyalty, (s1, s2))
+
+
+def modified_game(game: HedonicGame, beliefs: BeliefSystem) -> ModifiedPayoffs:
     """Transformed game: users keep their plain payoffs, the middleman is modified."""
     plain = game_payoffs(game)
-    return GamePayoffs(
+    return ModifiedPayoffs(
         payoff_user1=plain.payoff_user1,
         payoff_user2=plain.payoff_user2,
         payoff_middleman=lambda p: modified_payoff(game, beliefs, p),
+        game=game,
+        beliefs=beliefs,
     )
+
+
+def _require_one(beliefs: BeliefSystem) -> None:
+    """A check that returns one answer takes one belief system."""
+    if beliefs.shape:
+        raise FieldError("beliefs", f"must be one belief system, got fields of shape {beliefs.shape}")
 
 
 def ambiguity_equilibrium_check(
@@ -190,7 +232,8 @@ def ambiguity_equilibrium_check(
     grid: Grid,
     eps: float = 1e-9,
 ) -> bool:
-    """Nash check of the transformed game over the full deviation grid."""
+    """Nash check of the transformed game (see ``oracles.epsilon_nash_check``)."""
+    _require_one(beliefs)
     return epsilon_nash_check(modified_game(game, beliefs), profile, grid, eps)
 
 
@@ -201,6 +244,7 @@ def best_fee_response(game: HedonicGame, beliefs: BeliefSystem, grid: Grid) -> t
     pairs; this scan surfaces any third fee pair beating both (ties resolve to
     the first maximiser in row-major fee order).
     """
+    _require_one(beliefs)
     r1 = grid.fee_axis(1)
     r2 = grid.fee_axis(2)
     vals = np.asarray(

@@ -19,7 +19,9 @@ decide, which it scans. These counts are lattice points, not payoff calls,
 so they do not change with how many levels an oracle evaluates per call.
 ``dominance`` and the corner path keep their ``(steps + 1)^3`` budgets
 although they now evaluate O(n^2) points, so ``dominance --steps 300`` and
-``pareto --steps 300`` are still refused.
+``pareto --steps 300`` are still refused. Likewise ``verify-nash`` and
+``ambiguity-eq`` keep their ``(steps + 1)^2`` budgets although a hedonic
+game now evaluates O(n) of those points.
 
 Every check that can exit 2 is made before the first byte is written. Map
 output (the ``region`` CSV and both ``sweep`` formats) is then written one
@@ -211,6 +213,7 @@ def _cmd_report(args):
 
 
 def _build_verify_nash(config, args):
+    # points budgeted: (steps + 1)^2, of which a hedonic game evaluates O(n)
     grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = epsilon_nash_check(game_payoffs(config.game), profile, grid, eps)
@@ -245,6 +248,7 @@ def _build_pareto(config, args):
 
 def _build_ambiguity_eq(config, args):
     beliefs = _require_beliefs(config)
+    # points budgeted: (steps + 1)^2, of which a hedonic game evaluates O(n)
     grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = ambiguity_equilibrium_check(config.game, beliefs, profile, grid, eps)

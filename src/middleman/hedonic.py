@@ -233,11 +233,36 @@ def middleman_payoff(game: HedonicGame, profile: StrategyProfile) -> Value:
 
 
 @dataclass(frozen=True)
-class HedonicPayoffs(GamePayoffs):
-    """The payoff bundle of a :class:`HedonicGame`, carrying the game so an
-    oracle can use its structure (see ``oracles.pareto_check``)."""
+class HedonicUsers(GamePayoffs):
+    """A payoff bundle whose users are those of ``game`` (:func:`user_payoff`),
+    carrying the game so an oracle can use its structure (see
+    ``oracles.epsilon_nash_check``). A subclass says what its middleman earns."""
 
     game: HedonicGame
+
+    def middleman(self, rho1: Value, rho2: Value, s1: Value, s2: Value) -> Value:
+        """``payoff_middleman`` at these profile fields, without a profile."""
+        raise NotImplementedError
+
+    def gates(self, s1: float, s2: float) -> tuple | None:
+        """The participation levels ``(u1, u2)`` whose :func:`gated_income`
+        terms, with nonnegative weights, make up the middleman's payoff at
+        participation ``(s1, s2)`` as the fees vary, each term never falling as
+        a fee rises while its gate stays open, in floating point too. None
+        where that is not known, and the oracles scan the fee lattice."""
+        return None
+
+
+@dataclass(frozen=True)
+class HedonicPayoffs(HedonicUsers):
+    """The payoff bundle of a :class:`HedonicGame`, whose middleman earns the
+    game's :func:`gated_income` (see ``oracles.pareto_check``)."""
+
+    def middleman(self, rho1, rho2, s1, s2):
+        return gated_income(self.game, rho1, rho2, s1, s2)
+
+    def gates(self, s1, s2):
+        return ((s1, s2),) if _fee_monotone_game(self.game) else None
 
 
 def game_payoffs(game: HedonicGame) -> HedonicPayoffs:
@@ -264,10 +289,13 @@ def fee_monotone(payoffs: GamePayoffs) -> bool:
     inside the affordable box, in floating point too: the bundles
     ``oracles.pareto_check`` decides on its corner path. Tabulated income is
     not, since its interpolation can break fee monotonicity at the ulp level."""
-    if not isinstance(payoffs, HedonicPayoffs):
-        return False
-    income = payoffs.game.income
-    specs = [payoffs.game.f1, payoffs.game.f2]
+    return isinstance(payoffs, HedonicPayoffs) and _fee_monotone_game(payoffs.game)
+
+
+def _fee_monotone_game(game: HedonicGame) -> bool:
+    """:func:`fee_monotone`'s rule on the game alone."""
+    income = game.income
+    specs = [game.f1, game.f2]
     if type(income) is MultiplicativeIncome:
         specs.append(income.activity)
     return type(income) in _FEE_MONOTONE_INCOMES and all(

@@ -24,9 +24,13 @@ linear families, and O(log n) fees each otherwise. The search works at one
 corner of each affordable fee box: each index there is guessed, confirmed
 at its two neighbours, and found by bisection only where a guess fails
 (``game._prefix_len``, which also counts the region map's rows).
-Both paths evaluate the scan's own payoff expressions on the same floats,
-so each verdict is the scan's; their docstrings give the arguments. Every
-other game keeps the scan: tabulated income, for one, because its
+``epsilon_nash_check`` evaluates each user's deviations of a hedonic
+bundle, ``modified_game``'s included, in one benefit call, and for a
+fee-monotone game only the middleman's fees at the corners of the
+affordable fee boxes, at most 3 x 3 instead of (n + 1)^2.
+All these paths evaluate the scan's own payoff expressions on the same
+floats, so each verdict is the scan's; their docstrings give the arguments.
+Every other game keeps the scan: tabulated income, for one, because its
 interpolation can break fee monotonicity at the ulp level.
 """
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import _scan
 from .game import FieldError, GamePayoffs, Grid, StrategyProfile, _number, _player, _prefix_len
-from .hedonic import HedonicPayoffs, capped_surplus, fee_monotone
+from .hedonic import HedonicPayoffs, HedonicUsers, capped_surplus, fee_monotone
 
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
 _BLOCK_ELEMENTS = 2**14
@@ -83,22 +87,92 @@ def epsilon_nash_check(
 
     The three deviation sets are checked in order, stopping at the first
     gain: user 1 and then user 2 over their own participation axis, then the
-    middleman jointly over the full fee-pair lattice.
+    middleman jointly over the fee-pair lattice.
+
+    A bundle whose users are a hedonic game's (``hedonic.HedonicUsers``:
+    ``game_payoffs`` and ``ambiguity.modified_game`` build them), at a
+    profile of floats, evaluates each user's deviations in one
+    ``capped_surplus(f_i(...), rho_i)`` call with the profile's own level as
+    the last entry; elementwise ufuncs give that entry the bits of the
+    profile's own payoff. Where the bundle names the levels whose gated
+    incomes make up the middleman's payoff (``gates``), the middleman's fee
+    deviations shrink to the corners of the affordable boxes
+    ``r_i <= f_i(level)``, see :func:`_fee_corners`. Every other bundle,
+    and every case the corners refuse, scans the lattice.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
+    return not any(_scan.any_improvement(values, base, eps)
+                   for values, base in _nash_deviations(game, profile, grid))
+
+
+def _nash_deviations(game, profile, grid):
+    """Yield each deviation set's payoffs and the profile's own payoff, in
+    the order :func:`epsilon_nash_check` checks them."""
     s_axis = grid.participation_axis()
     r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
-    s1, s2, rho1, rho2 = profile.s1, profile.s2, profile.rho1, profile.rho2
-    deviations = (
-        (game.payoff_user1, (s_axis, s2, rho1, rho2)),
-        (game.payoff_user2, (s1, s_axis, rho1, rho2)),
-        (game.payoff_middleman, (s1, s2, r1[:, None], r2[None, :])),
-    )
-    for pay, fields in deviations:
-        if _scan.any_improvement(pay(StrategyProfile(*fields)), pay(profile), eps):
-            return False
-    return True
+    fields = s1, s2, rho1, rho2 = profile.s1, profile.s2, profile.rho1, profile.rho2
+    corners = None
+    # Another number type (an int, a float32, a 0-d array) would change the
+    # own entry's dtype once appended to a float axis.
+    if isinstance(game, HedonicUsers) and all(isinstance(v, float) for v in fields):
+        for f, i, rho in ((game.game.f1, 0, rho1), (game.game.f2, 1, rho2)):
+            at = [s1, s2]
+            at[i] = own = np.concatenate((s_axis, (fields[i],)))
+            b = f(*at)
+            if np.shape(b) != own.shape:  # a benefit that ignores the own level
+                b = np.broadcast_to(b, own.shape)
+            pays = capped_surplus(b, rho)
+            yield pays[:-1], pays[-1]
+        corners = _fee_corners(game, fields, r1, r2)
+    else:
+        for pay, at in ((game.payoff_user1, (s_axis, s2, rho1, rho2)),
+                        (game.payoff_user2, (s1, s_axis, rho1, rho2))):
+            yield pay(StrategyProfile(*at)), pay(profile)
+    if corners is None:
+        pay = game.payoff_middleman
+        corners = pay(StrategyProfile(s1, s2, r1[:, None], r2[None, :])), pay(profile)
+    yield corners
+
+
+def _fee_corners(game, fields, r1, r2):
+    """The middleman's payoffs at the corners of the affordable fee boxes,
+    and the profile's own payoff; None where the scan must decide.
+
+    Each level of ``game.gates`` opens a box ``r_i <= f_i(level)``, and each
+    fee axis keeps its last node inside each box. While the set of open
+    gates is fixed, the payoff, a nonnegative-weighted sum of gated incomes,
+    never falls as a fee rises, in floating point too, so its lattice
+    maximum over that set lies at the corner of the boxes' intersection. A
+    corner where more gates open only adds nonnegative terms, and fees
+    outside every box earn 0, which beats no payoff of these games (each is
+    0 or more, or NaN). So the lattice maximum lies on the product of the
+    kept nodes, at most 3 x 3. One call of ``game.middleman``, the payoff's
+    own expression, evaluates that product with the profile's own fee
+    appended to each axis: the last row and column, which mix the two, are
+    not compared, and every value that is, is the scan's to the bit.
+
+    A level whose benefit is not finite takes the scan, and so does a
+    corner whose payoff is not: an infinite activity earns NaN at zero fees,
+    an overflowing income inf, and a zero weight times inf is NaN. Each
+    open gate's income at its own box's corner, the largest in the box,
+    is a term of the payoff there.
+    """
+    s1, s2, rho1, rho2 = fields
+    levels = game.gates(s1, s2)
+    if levels is None:
+        return None
+    u1, u2 = np.array(levels).T
+    fees = []
+    for f, r, rho in ((game.game.f1, r1, rho1), (game.game.f2, r2, rho2)):
+        b = f(u1, u2)
+        if not np.isfinite(b).all():
+            return None
+        fees.append(np.concatenate((r[r.searchsorted(b, side="right") - 1], (rho,))))
+    pays = game.middleman(fees[0][:, None], fees[1], s1, s2)
+    if not np.isfinite(pays[:-1, :-1]).all():
+        return None
+    return pays[:-1, :-1], pays[-1, -1]
 
 
 def weak_dominance_check(

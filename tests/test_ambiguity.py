@@ -1,5 +1,6 @@
 """Belief systems, the modified payoff, and the full-exploitation threshold."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from middleman import (
 )
 from middleman import ambiguity
 from middleman.ambiguity import BeliefError
+from middleman.game import FieldError
 from _support import random_benchmark_game, random_proper_beliefs, sigma_benchmark_game
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -257,11 +259,12 @@ def test_modified_payoff_at_full_participation_skips_the_plain_income(monkeypatc
     beliefs = beliefs_at(0.3, lam=0.25)
     want = modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, 0.5, 0.5))
 
-    def plain(*args):
-        raise AssertionError("the plain income is evaluated")
-
-    monkeypatch.setattr(ambiguity, "middleman_payoff", plain)
+    incomes = []
+    gated = ambiguity.gated_income
+    monkeypatch.setattr(ambiguity, "gated_income", lambda *a: incomes.append(a) or gated(*a))
     assert modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, 0.5, 0.5)) == want
+    # the optimistic and the pessimistic income only: the plain one is not evaluated
+    assert [a[3:] for a in incomes] == [(1.0, 1.0), beliefs.loyalty]
     # participation as an array of ones keeps the three terms and their shape
     monkeypatch.undo()
     ones = StrategyProfile(np.ones(2), np.ones(2), 0.5, 0.5)
@@ -574,3 +577,21 @@ def test_best_fee_response_lands_on_a_threshold_candidate():
     grid = Grid(20, full_extraction_fees(game))
     assert best_fee_response(game, beliefs_at(0.5), grid) == (1.0, 1.0)
     assert best_fee_response(game, beliefs_at(0.8), grid) == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("size", [61, 2, 1])
+def test_checks_with_one_answer_reject_array_beliefs(size):
+    # broadcast, a gamma array would give one best fee pair that no entry
+    # gives (61 entries), one verdict for many systems, or numpy's broadcast
+    # error (2 entries)
+    game = sigma_benchmark_game()
+    beliefs = BeliefSystem(0.0, np.linspace(0.0, 0.9, size), 0.5, 0.5)
+    profile = StrategyProfile(1.0, 1.0, 1.0, 1.0)
+    text = f"beliefs must be one belief system, got fields of shape ({size},)"
+    for call in (lambda grid: best_fee_response(game, beliefs, grid),
+                 lambda grid: ambiguity_equilibrium_check(game, beliefs, profile, grid)):
+        grid = Grid(60, full_extraction_fees(game))
+        with pytest.raises(FieldError, match=f"^{re.escape(text)}$") as info:
+            call(grid)
+        assert info.value.field == "beliefs"
+        assert "_axes" not in vars(grid)  # refused before any grid work

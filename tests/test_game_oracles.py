@@ -614,6 +614,90 @@ def test_fee_monotone_pareto_path_matches_the_scan(case, eps):
     assert pareto_check(pay, profile, grid, eps) == pareto_check(bare(pay), profile, grid, eps)
 
 
+def nash_boundary_eps(pay, profile, grid):
+    """Each deviation set's largest gain over the profile's own payoff, from
+    one call on the whole set, and the float neighbours of each: the eps
+    where the set's verdict turns. Gains that are not finite are left out."""
+    s, r1, r2 = grid.participation_axis(), grid.fee_axis(1), grid.fee_axis(2)
+    sets = ((pay.payoff_user1, (s, profile.s2, profile.rho1, profile.rho2)),
+            (pay.payoff_user2, (profile.s1, s, profile.rho1, profile.rho2)),
+            (pay.payoff_middleman, (profile.s1, profile.s2, r1[:, None], r2)))
+    out = []
+    for f, fields in sets:
+        gain = max(0.0, float(np.max(np.asarray(f(StrategyProfile(*fields))) - f(profile))))
+        if gain < np.inf:
+            out += [gain, float(np.nextafter(gain, 0.0)), float(np.nextafter(gain, np.inf))]
+    return out
+
+
+@st.composite
+def belief_systems(draw):
+    """One proper belief system of floats. Its plain weight
+    ``1.0 - lambda_ - gamma`` may round below 0, as it does for
+    ``NEGATIVE_PLAIN_WEIGHT``, whose ``lambda_ + gamma`` rounds to 1."""
+    gamma = draw(st.floats(0.0, 1.0))
+    lam = draw(st.floats(0.0, 1.0 - gamma))
+    return BeliefSystem(lam, gamma, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+
+
+NEGATIVE_PLAIN_WEIGHT = BeliefSystem(0.5188076320551221, 0.4811923679448779, 0.5, 0.25)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=pareto_cases(st.one_of(benefits, tables)),
+       beliefs=st.one_of(belief_systems(), st.just(NEGATIVE_PLAIN_WEIGHT)))
+def test_hedonic_nash_path_matches_the_scan(case, beliefs):
+    # eps at EPS and at each deviation set's largest gain and its float
+    # neighbours, where one ulp of a payoff flips the verdict
+    game, grid, profile = case
+    pay, modified = game_payoffs(game), modified_game(game, beliefs)
+    for eps in (*EPS, *nash_boundary_eps(pay, profile, grid)):
+        assert epsilon_nash_check(pay, profile, grid, eps) == epsilon_nash_check(
+            bare(pay), profile, grid, eps), eps
+    for eps in (*EPS, *nash_boundary_eps(modified, profile, grid)):
+        assert ambiguity_equilibrium_check(game, beliefs, profile, grid, eps) == (
+            epsilon_nash_check(bare(modified), profile, grid, eps)), eps
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_hedonic_nash_path_matches_the_scan_where_the_corners_refuse():
+    # a plain weight below 0, array beliefs (one and two entries) and a
+    # benefit or income that is not finite: the corners take the scan
+    assert 1.0 - NEGATIVE_PLAIN_WEIGHT.lambda_ - NEGATIVE_PLAIN_WEIGHT.gamma == -2.0**-54
+    sigma = linear_activity_game()
+    grid = Grid(8, full_extraction_fees(sigma))
+    cases = []
+    for beliefs in (NEGATIVE_PLAIN_WEIGHT, BeliefSystem(0.1, np.array([0.3]), 0.5, 0.5),
+                    BeliefSystem(0.1, np.array([0.3, 0.6]), 0.5, 0.5)):
+        for point in ((1.0, 1.0, 1.0, 1.0), (0.75, 1.0, 0.5, 0.25), (0.5, 0.5, 0.125, 0.5)):
+            cases.append((modified_game(sigma, beliefs), grid, StrategyProfile(*point)))
+    # test_an_infinite_top_level_keeps_every_level's game: the activity
+    # 9e307 (s1 + s2) overflows at (1, 1) and earns NaN there at zero fees
+    game = HedonicGame(sigma.f1, sigma.f2, MultiplicativeIncome(Linear(9e307, 9e307)))
+    wide = Grid(20, (20.0, 20.0))
+    for point in ((0.9, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0),
+                  (0.5, 0.5, 0.25, 0.5)):
+        # no weight on the optimistic income: an infinite one weighs in as 0 * inf
+        for pay in (game_payoffs(game), modified_game(game, BeliefSystem(0.0, 0.5, 0.5, 0.5))):
+            cases.append((pay, wide, StrategyProfile(*point)))
+    verdicts = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pay, grid, profile in cases:
+            boundary = outcome(lambda: nash_boundary_eps(pay, profile, grid))
+            for eps in (*EPS, *(boundary if isinstance(boundary, list) else ())):
+                got = outcome(lambda: epsilon_nash_check(pay, profile, grid, eps))
+                assert got == outcome(lambda: epsilon_nash_check(bare(pay), profile, grid, eps))
+                verdicts.add(got if isinstance(got, bool) else "raises")
+    assert verdicts == {True, False, "raises"}
+
+
 def benchmark_resolution_cases():
     """The eight Cobb-Douglas/linear (f1, f2, activity) kinds with
     multiplicative income and the sigma game, at steps 37 and 60, each at
@@ -687,9 +771,12 @@ def test_an_infinite_top_level_keeps_every_level():
 
 
 def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
-    scans = []
+    scans, compared = [], []
     scan = _scan.any_strict_dominator
+    improvement = _scan.any_improvement
     monkeypatch.setattr(_scan, "any_strict_dominator", lambda *a: scans.append(1) or scan(*a))
+    monkeypatch.setattr(_scan, "any_improvement",
+                        lambda v, *a: compared.append(np.size(v)) or improvement(v, *a))
     half = Linear(0.5, 0.5)
     grid = Grid(6, (1.0, 1.0))
     profile = StrategyProfile(1.0, 1.0, 1.0, 1.0)
@@ -698,6 +785,13 @@ def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
         scans.clear()
         pareto_check(pay, profile, grid)
         return len(scans)
+
+    def fee_pairs_compared(pay, at=profile):
+        # no user gains at these profiles, so the third comparison is the middleman's
+        compared.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            epsilon_nash_check(pay, at, grid)
+        return compared[2]
 
     linear = game_payoffs(HedonicGame(half, half, MultiplicativeIncome(half)))
     tabulated = HedonicGame(half, half, TabulatedIncome(np.ones((2, 2, 2, 2)), (1.0, 1.0)))
@@ -708,17 +802,35 @@ def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
 
     beliefs = BeliefSystem(lambda_=0.0, gamma=0.2, loyalty1=0.5, loyalty2=0.5)
     shifted = Shifted(0.5, 0.5)
-    assert slices_scanned(linear) == 0
-    for pay in (
-        bare(linear),
+    modified = modified_game(linear.game, beliefs)
+    others = (
         game_payoffs(tabulated),
-        modified_game(linear.game, beliefs),
         # a benefit family the corner argument knows nothing about, as a
         # user's benefit or as the activity
         game_payoffs(HedonicGame(shifted, half, AdditiveFeesIncome())),
         game_payoffs(HedonicGame(half, half, MultiplicativeIncome(shifted))),
-    ):
+    )
+    assert slices_scanned(linear) == 0
+    # the modified bundle is no HedonicPayoffs: its middleman is not the game's
+    for pay in (bare(linear), modified, *others):
         assert slices_scanned(pay) > 0
+
+    lattice = grid.fee_axis(1).size * grid.fee_axis(2).size
+    # one box corner for the plain game; for the modified one a node per
+    # axis for each of its three gate levels (the plain one is the top's here)
+    assert fee_pairs_compared(linear) == 1 and fee_pairs_compared(modified) == 9
+    overflowing = game_payoffs(HedonicGame(half, half, MultiplicativeIncome(Linear(9e307, 9e307))))
+    for pay in (
+        bare(linear),
+        bare(modified),
+        *others,
+        modified_game(linear.game, NEGATIVE_PLAIN_WEIGHT),
+        modified_game(linear.game, BeliefSystem(0.0, np.array([0.2]), 0.5, 0.5)),
+        overflowing,
+    ):
+        assert fee_pairs_compared(pay) == lattice
+    # a profile field that is not a float keeps the scan for the users too
+    assert fee_pairs_compared(linear, StrategyProfile(1, 1.0, 1.0, 1.0)) == lattice
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1082,6 +1194,12 @@ def test_hedonic_bundles_never_call_the_user_payoffs(monkeypatch):
     cases = [(game, player, c) for game in games for player in (1, 2) for c in (0.1, 0.55, 1.0)]
     want = [weak_dominance_check(bare(game_payoffs(game)), *rest, grid) for game, *rest in cases]
     assert True in want and False in want
+    # the Nash check: each user's deviations, the profile's own level last
+    profiles = [StrategyProfile(*p) for p in ((1.0, 1.0, 0.0, 0.0), (0.55, 1.0, 0.25, 0.5),
+                                               (1.0, 0.1, 0.9, 0.3))]
+    nash = [(game, p) for game in games for p in profiles]
+    want_nash = [epsilon_nash_check(bare(game_payoffs(game)), p, grid) for game, p in nash]
+    assert True in want_nash and False in want_nash
 
     def raises(*args):
         raise AssertionError("user payoff evaluated")
@@ -1091,6 +1209,10 @@ def test_hedonic_bundles_never_call_the_user_payoffs(monkeypatch):
         assert weak_dominance_check(game_payoffs(game), player, c, grid) == verdict
         with pytest.raises(AssertionError, match="user payoff evaluated"):
             weak_dominance_check(bare(game_payoffs(game)), player, c, grid)
+    for (game, profile), verdict in zip(nash, want_nash):
+        assert epsilon_nash_check(game_payoffs(game), profile, grid) == verdict
+        with pytest.raises(AssertionError, match="user payoff evaluated"):
+            epsilon_nash_check(bare(game_payoffs(game)), profile, grid)
 
 
 def test_witnesses_planted_at_block_edges():
