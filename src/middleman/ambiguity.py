@@ -247,9 +247,7 @@ def best_fee_response(game: HedonicGame, beliefs: BeliefSystem, grid: Grid) -> t
     _require_one(beliefs)
     r1 = grid.fee_axis(1)
     r2 = grid.fee_axis(2)
-    vals = np.asarray(
-        modified_payoff(game, beliefs, StrategyProfile(1.0, 1.0, r1[:, None], r2[None, :]))
-    )
+    vals = np.asarray(_weighted_income(game, beliefs, r1[:, None], r2[None, :], 1.0, 1.0))
     i, j = divmod(int(np.argmax(vals)), r2.size)
     return (float(r1[i]), float(r2[j]))
 

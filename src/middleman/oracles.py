@@ -15,15 +15,18 @@ deviation sets in order (user 1, user 2, the middleman), and
 
 ``weak_dominance_check`` decides every bundle ``hedonic.game_payoffs``
 builds in O(n^2) instead of O(n^3), from the largest benefit over the own
-levels. ``pareto_check`` decides those whose income is multiplicative or
-additive over nonnegative benefit families in O(n^2) instead of O(n^4). No
-payoff at a participation level exceeds its value at the top level (1, 1)
-when neither benefit nor the activity does, so a fee search runs at the top
-and then only at the levels that rise above it: none for Cobb-Douglas or
-linear families, and O(log n) fees each otherwise. The search works at one
-corner of each affordable fee box: each index there is guessed, confirmed
-at its two neighbours, and found by bisection only where a guess fails
-(``game._prefix_len``, which also counts the region map's rows).
+levels, and compares fees only in the contexts where that benefit is not at
+most the candidate's. ``pareto_check`` decides those whose income is
+multiplicative or additive over nonnegative benefit families in O(n^2)
+instead of O(n^4). No payoff at a participation level exceeds its value at
+the top level (1, 1) when neither benefit nor the activity does, so the top
+is decided first, and a fee search runs only at the levels that rise above
+it: none for Cobb-Douglas or linear families. Both work at one corner of
+each affordable fee box. At the top each index there is a count along a
+whole fee axis, O(n) in a fixed number of numpy calls; at a raised level it
+is guessed, confirmed at its two neighbours, and found by bisection only
+where a guess fails, O(log n) fees each (``game._prefix_len``, which also
+counts the region map's rows).
 ``epsilon_nash_check`` evaluates each user's deviations of a hedonic
 bundle, ``modified_game``'s included, in one benefit call, and for a
 fee-monotone game only the middleman's fees at the corners of the
@@ -193,7 +196,11 @@ def weak_dominance_check(
     candidate's, each by the block's other levels and ``r_i``. ``np.fmax``
     takes the maximum over the benefit table's own levels: a NaN benefit pays
     0, and ``fmax`` skips it or, over a column of NaNs, gives NaN, which pays
-    0 too.
+    0 too. A block keeps only the contexts ``~(max b <= b_candidate)``:
+    where the best alternative's benefit is at most the candidate's, its
+    surplus is at most the candidate's at every fee, whatever the benefits'
+    signs, so no alternative gains there. A NaN benefit on either side keeps
+    its context.
     """
     _player(player, "player")
     eps = _validate_eps(eps)
@@ -211,7 +218,8 @@ def weak_dominance_check(
             b = f(own[:, None], other) if player == 1 else f(other, own[:, None])
             b = np.broadcast_to(b, (own.size, other.size))
             best = np.fmax.reduce(b[:-1], axis=0)
-            return capped_surplus(best[:, None], r), capped_surplus(b[-1, :, None], r)
+            kept = ~(best <= b[-1])  # the contexts the candidate does not already win
+            return capped_surplus(best[kept, None], r), capped_surplus(b[-1, kept, None], r)
     else:
         pay = game.payoff_user1 if player == 1 else game.payoff_user2
         r1 = grid.fee_axis(1)[:, None]
@@ -256,22 +264,27 @@ def pareto_check(
     At fixed (s1, s2), user i's payoff ignores the other fee and never
     rises with its own, so p_i >= t_i holds on a prefix [0, A_i] of its fee
     axis. Gated income never falls as a fee rises inside the affordable box
-    [0, aff_1] x [0, aff_2] and is 0 outside it. At the corner
+    [0, aff_1] x [0, aff_2] and is 0 outside it; an infinite activity earns
+    NaN at zero fees, which reaches no t3. At the corner
     C = (min(A_1, aff_1), min(A_2, aff_2)) a weak dominator exists iff
     p3(C) >= t3; the middleman's best among them is p3(C), user 1's is at the
     smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric.
 
-    Each of these indices ends a prefix of a sorted fee axis, found in
-    O(log n) per (s1, s2): the affordable fees r_i <= b_i are
-    ``searchsorted``'s count, the user's prefix lies inside them, and, only
-    where C is a weak dominator, the first fee reaching t3 on each edge ends
-    the prefix of income < t3 in [0, C_i). ``_prefix_len`` confirms a guess
-    for each prefix before it bisects: all of [0, C_i) for an edge, and the
-    fees r_i <= b_i - t_i for the user's, ``searchsorted`` again. The guess
-    is not always right: with b = 1.0, a top fee F = nextafter(1, 0) and
-    t = 1.5e-16, b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Every payoff
-    is the expression the scan evaluates, on the same floats, so the verdict
-    is exact; a level of a block holds one value per s2 level and table.
+    Each of these indices ends a prefix of a sorted fee axis: the affordable
+    fees r_i <= b_i, the user's prefix inside them, and, only where C is a
+    weak dominator, the prefix of each edge [0, C_i] whose income does not
+    reach t3. At the top each prefix's length is the count of its predicate's
+    true entries along the whole axis or edge: O(n) work in about fifteen
+    numpy calls, which measured faster than the search below, whose cost
+    there is its number of numpy calls, at steps 60 to 300, and no slower at
+    steps 1000. At the raised levels each is found in O(log n) per (s1, s2):
+    ``_prefix_len`` confirms a guess for each prefix before it bisects, all
+    of [0, C_i) for an edge, and the fees r_i <= b_i - t_i for the user's, a
+    ``searchsorted`` count as is the affordable one. The guess is not always right: with b = 1.0, a top fee
+    F = nextafter(1, 0) and t = 1.5e-16, b - t rounds to F, but
+    1.0 - F = 1.1e-16 < t. Either way every payoff compared is the
+    expression the scan evaluates, on the same floats, so the verdict is
+    exact; a level of a block holds one value per s2 level and table.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -302,16 +315,34 @@ def pareto_check(
             if _scan.any_improvement(p3[weak], t3, eps):
                 return True
             # At the weak corners the first fee reaching t3 on each edge is
-            # C_i or ends the prefix below t3 in [0, C_i).
+            # C_i or ends the prefix not reaching t3 in [0, C_i).
             b1, b2, c1, c2, u1, u2 = (x[weak] for x in (b1, b2, c1, c2, u1, u2))
-            first1 = _prefix_len(lambda k: g.income(r1[k], r2[c2], u1, u2) < t3, c1, c1)
-            first2 = _prefix_len(lambda k: g.income(r1[c1], r2[k], u1, u2) < t3, c2, c2)
+            first1 = _prefix_len(lambda k: ~(g.income(r1[k], r2[c2], u1, u2) >= t3), c1, c1)
+            first2 = _prefix_len(lambda k: ~(g.income(r1[c1], r2[k], u1, u2) >= t3), c2, c2)
+            return gains(b1, b2, first1, first2)
+
+        def gains(b1, b2, first1, first2):  # each user's best gain on its corner's edge
             return (_scan.any_improvement(capped_surplus(b1, r1[first1]), t1, eps)
                     or _scan.any_improvement(capped_surplus(b2, r2[first2]), t2, eps))
 
         one = s_axis[-1:]  # the top level (1, 1)
+
+        def top_dominated(b1, b2):  # dominated_at at the top alone, counting along fee axes
+            c1, c2 = (np.count_nonzero((r <= b) & (capped_surplus(b, r) >= t)) - 1
+                      for b, r, t in ((b1, r1, t1), (b2, r2, t2)))
+            if c1 < 0 or c2 < 0:
+                return False
+            edge1 = g.income(r1[:c1 + 1], r2[c2], one, one)  # ends at C
+            if not edge1[-1] >= t3:  # C is not a weak dominator
+                return False
+            if _scan.any_improvement(edge1[-1], t3, eps):
+                return True
+            edge2 = g.income(r1[c1], r2[:c2 + 1], one, one)
+            first1, first2 = (np.count_nonzero(~(edge >= t3)) for edge in (edge1, edge2))
+            return gains(b1, b2, first1, first2)
+
         top = tables(one, one)
-        if dominated_at(one, one, top[0], top[1]):
+        if top_dominated(top[0], top[1]):
             return False
         # (r1 + r2) * inf is NaN at zero fees, so an infinite top keeps every level.
         top = [np.where(x < np.inf, x, np.nan) for x in top]

@@ -579,6 +579,23 @@ def test_best_fee_response_lands_on_a_threshold_candidate():
     assert best_fee_response(game, beliefs_at(0.8), grid) == (0.5, 0.5)
 
 
+def test_best_fee_response_takes_the_first_maximiser_in_row_major_order():
+    # a zero activity ties every fee pair at 0, so the answer is the first
+    # lattice point, (0, 0), not the full-extraction fees; every answer is
+    # the argmax of modified_payoff over the lattice profile
+    sigma = sigma_benchmark_game()
+    idle = HedonicGame(sigma.f1, sigma.f2, MultiplicativeIncome(Linear(0.0, 0.0)))
+    grid = Grid(60, full_extraction_fees(sigma))
+    assert best_fee_response(idle, beliefs_at(0.5), grid) == (0.0, 0.0)
+    r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
+    lattice = StrategyProfile(1.0, 1.0, r1[:, None], r2[None, :])
+    for game in (idle, sigma):
+        for beliefs in (beliefs_at(0.0), beliefs_at(0.5, lam=0.2), beliefs_at(0.8)):
+            i, j = np.unravel_index(np.argmax(modified_payoff(game, beliefs, lattice)),
+                                    (r1.size, r2.size))
+            assert best_fee_response(game, beliefs, grid) == (r1[i], r2[j])
+
+
 @pytest.mark.parametrize("size", [61, 2, 1])
 def test_checks_with_one_answer_reject_array_beliefs(size):
     # broadcast, a gamma array would give one best fee pair that no entry

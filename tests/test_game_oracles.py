@@ -739,21 +739,89 @@ def test_fee_monotone_pareto_path_matches_the_scan_at_benchmark_resolution(game,
         assert pareto_check(bare(pay), profile, grid, 1e-9) == (not np.any(top > t + 1e-9))
 
 
-@pytest.mark.parametrize("game,grid,profile", benchmark_resolution_cases())
-def test_parametric_games_run_the_corner_search_at_the_top_level_alone(game, grid, profile):
-    # nondecreasing benefits and activity put no level above (1, 1), so every
-    # fee search looks at one point, the top, or at none
-    stops = []
+@contextmanager
+def prefix_searches():
+    """Run the oracles with ``_prefix_len`` recorded; yields the list of each
+    call's ``stop.size``, the number of points it searches, in order."""
+    sizes = []
     prefix_len = oracles._prefix_len
 
     def recorded(holds, stop, guess):
-        stops.append(stop.size)
+        sizes.append(stop.size)
         return prefix_len(holds, stop, guess)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_prefix_len", recorded)
+        yield sizes
+
+
+@pytest.mark.parametrize("game,grid,profile", benchmark_resolution_cases())
+def test_parametric_games_decide_pareto_without_a_prefix_search(game, grid, profile):
+    # nondecreasing benefits and activity put no level above (1, 1), and the
+    # top level is decided by counts along its fee axes, so no point is searched
+    with prefix_searches() as sizes:
         pareto_check(game_payoffs(game), profile, grid)
-    assert stops and max(stops) <= 1, stops
+    assert sizes == []
+
+
+def test_the_prefix_search_runs_on_the_raised_levels_alone():
+    # benefits of 0.5, 1 at (1, 1) and 2 at three other nodes of a grid that
+    # hits every node: the search runs on those three levels, in one block.
+    # At eps 0 the middleman gains at the first raised corner (two searches,
+    # one per user's corner); at eps 10 no one gains and both edges are
+    # searched too (four), on every raised level, since all are weak corners
+    grid = Grid(8, (2.0, 2.0))
+    values = np.full((9, 9), 0.5)
+    values[-1, -1] = 1.0
+    values[2, 0] = values[3, 5] = values[8, 1] = 2.0
+    peak = TabulatedBenefit(values)
+    pay = game_payoffs(HedonicGame(peak, peak, AdditiveFeesIncome()))
+    profile = StrategyProfile(1.0, 1.0, 0.0, 0.0)
+    for eps, want in ((0.0, [3] * 2), (10.0, [3] * 4)):
+        with prefix_searches() as sizes:
+            verdict = pareto_check(pay, profile, grid, eps)
+        assert sizes == want
+        assert verdict == pareto_check(bare(pay), profile, grid, eps) == (eps > 0)
+
+
+def top_level_cases():
+    """Profiles that the top level (1, 1) alone decides or leaves open on
+    the corner path, each with a reason: a zero user payoff at full
+    extraction, where every fee above F also leaves the user at least 0 but
+    is not affordable; a corner below the middleman's payoff; an infinite
+    benefit at the top; and an infinite activity there, which earns NaN at
+    zero fees, so the first fee reaching t3 on an edge is not the count of
+    incomes below it."""
+    sigma = linear_activity_game()
+    parametric = (sigma, externality_game(),
+                  HedonicGame(CobbDouglas(1.2, 0.7), Linear(0.25, 0.8), AdditiveFeesIncome()))
+    cases = []
+    for game in parametric:
+        F = full_extraction_fees(game)
+        cases.append(("zero-payoff", game, Grid(10, (1.5 * F[0], 1.5 * F[1]), 0.1),
+                      StrategyProfile(1.0, 1.0, *F)))
+    # users keep their payoffs only up to fees (0.9, 0), which earn 0.9 < 0.95
+    cases.append(("corner-below-t3", sigma, Grid(20, (1.0, 1.0)),
+                  StrategyProfile(1.0, 1.0, 0.91, 0.04)))
+    huge = Linear(1e308, 1e308)  # 2e308 overflows to inf at (1, 1) only
+    for income in (AdditiveFeesIncome(), MultiplicativeIncome(sigma.f1)):
+        for point in ((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.25, 2.0), (1.0, 0.5, 2.0, 0.0)):
+            cases.append(("infinite-benefit", HedonicGame(huge, huge, income),
+                          Grid(8, (2.0, 2.0)), StrategyProfile(*point)))
+    for point in ((1.0, 1.0, 0.3, 0.0), (1.0, 1.0, 0.0, 0.3), (1.0, 1.0, 0.25, 0.25)):
+        cases.append(("infinite-activity", HedonicGame(sigma.f1, sigma.f2,
+                                                       MultiplicativeIncome(huge)),
+                      Grid(4, (1.0, 1.0)), StrategyProfile(*point)))
+    return [pytest.param(*case[1:], id=f"{case[0]}-{i}") for i, case in enumerate(cases)]
+
+
+@pytest.mark.parametrize("game,grid,profile", top_level_cases())
+def test_top_level_cases_match_the_scan(game, grid, profile):
+    pay = game_payoffs(game)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps in (*EPS, 0.04, 0.06, 1.0):
+            assert pareto_check(pay, profile, grid, eps) == (
+                pareto_check(bare(pay), profile, grid, eps)), eps
 
 
 def test_an_infinite_top_level_keeps_every_level():
@@ -1137,16 +1205,28 @@ class Flat(BenefitSpec):
         return self.value
 
 
+class Shifted(BenefitSpec):
+    """``base`` minus a constant: negative at the levels where ``base`` is
+    below it."""
+
+    def __init__(self, base, shift):
+        self.base, self.shift = base, shift
+
+    def evaluate(self, s1, s2):
+        return self.base(s1, s2) - self.shift
+
+
 @st.composite
 def dominance_cases(draw):
-    """A game whose benefits may be NaN at some levels or a bare scalar, a
-    grid whose fee bounds lie below or above the benefits, and a candidate
-    per user, on the grid or off it."""
+    """A game whose benefits may be NaN or negative at some levels or a bare
+    scalar, a grid whose fee bounds lie below or above the benefits, and a
+    candidate per user, on the grid or off it."""
     steps, s_lo = draw(st.integers(3, 8)), draw(st.sampled_from((0.0, 0.1)))
     s = Grid(steps, s_lo=s_lo).participation_axis().tolist()
     levels = st.lists(st.sampled_from(s), max_size=2)
     family = st.one_of(benefits, tables, st.builds(Holes, st.one_of(benefits, tables), levels,
-                                                   levels), st.builds(Flat, st.floats(0.0, 1.5)))
+                                                   levels), st.builds(Flat, st.floats(0.0, 1.5)),
+                       st.builds(Shifted, benefits, st.floats(0.0, 1.0)))
     game = HedonicGame(draw(family), draw(family), AdditiveFeesIncome())
     grid = Grid(steps, (draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))), s_lo)
     candidates = [draw(st.one_of(st.sampled_from(s), st.floats(s_lo, 1.0))) for _ in (1, 2)]
