@@ -84,16 +84,23 @@ def _prefix_len(holds, stop, guess):
     """For each point, the length of the true prefix of ``range(stop)`` of a
     predicate that is true and then false along it.
 
-    ``stop`` and ``guess`` are integer arrays of one shape. ``holds(k)`` is
-    called with an index array ``k`` shaped like ``stop``, every entry below
-    ``max(stop)``, and never when every stop is 0. The ``guess``, clipped to
-    ``[0, stop]``, is confirmed first: where ``holds(guess - 1)`` holds (or
-    the guess is 0) and ``holds(guess)`` does not (or the guess is
-    ``stop``), the prefix has exactly that length. If any point fails, a
-    bisection over all points answers instead: each round tries to extend
-    every point's prefix by the next smaller power of two, in
-    ``max(stop).bit_length()`` rounds of one ``holds`` call.
+    ``stop`` and ``guess`` are integer arrays of one shape. A single point
+    (``stop`` of shape ``(1,)``) is counted: ``holds`` is called once, on
+    ``k = arange(stop)``, and its true entries are the length. That takes
+    fewer numpy calls than confirming a guess; the O(stop) evaluations it
+    spends are what the search below saves when it runs on many points.
+
+    Otherwise ``holds(k)`` is called with an index array ``k`` shaped like
+    ``stop``, every entry below ``max(stop)``, and never when every stop is
+    0. The ``guess``, clipped to ``[0, stop]``, is confirmed first: where
+    ``holds(guess - 1)`` holds (or the guess is 0) and ``holds(guess)`` does
+    not (or the guess is ``stop``), the prefix has exactly that length. If
+    any point fails, a bisection over all points answers instead: each round
+    tries to extend every point's prefix by the next smaller power of two,
+    in ``max(stop).bit_length()`` rounds of one ``holds`` call.
     """
+    if stop.shape == (1,):
+        return np.array([np.count_nonzero(holds(np.arange(stop[0])))])
     top = int(stop.max(initial=0))
     guess = np.minimum(np.maximum(guess, 0), stop)
     if not top:

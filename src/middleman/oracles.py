@@ -20,13 +20,12 @@ most the candidate's. ``pareto_check`` decides those whose income is
 multiplicative or additive over nonnegative benefit families in O(n^2)
 instead of O(n^4). No payoff at a participation level exceeds its value at
 the top level (1, 1) when neither benefit nor the activity does, so the top
-is decided first, and a fee search runs only at the levels that rise above
-it: none for Cobb-Douglas or linear families. Both work at one corner of
-each affordable fee box. At the top each index there is a count along a
-whole fee axis, O(n) in a fixed number of numpy calls; at a raised level it
-is guessed, confirmed at its two neighbours, and found by bisection only
-where a guess fails, O(log n) fees each (``game._prefix_len``, which also
-counts the region map's rows).
+is decided first, and then only the levels that rise above it: none for
+Cobb-Douglas or linear families. Each point is decided at one corner of its
+affordable fee box, whose indices end prefixes of the sorted fee axes
+(``game._prefix_len``, which also counts the region map's rows): the top's
+single point is counted along whole fee axes, O(n) in a fixed number of
+numpy calls, and many raised points are searched, O(log n) fees each.
 ``epsilon_nash_check`` evaluates each user's deviations of a hedonic
 bundle, ``modified_game``'s included, in one benefit call, and for a
 fee-monotone game only the middleman's fees at the corners of the
@@ -271,20 +270,21 @@ def pareto_check(
     smallest r1 with p3(r1, C_2) >= t3, and user 2's is symmetric.
 
     Each of these indices ends a prefix of a sorted fee axis: the affordable
-    fees r_i <= b_i, the user's prefix inside them, and, only where C is a
-    weak dominator, the prefix of each edge [0, C_i] whose income does not
-    reach t3. At the top each prefix's length is the count of its predicate's
-    true entries along the whole axis or edge: O(n) work in about fifteen
-    numpy calls, which measured faster than the search below, whose cost
-    there is its number of numpy calls, at steps 60 to 300, and no slower at
-    steps 1000. At the raised levels each is found in O(log n) per (s1, s2):
-    ``_prefix_len`` confirms a guess for each prefix before it bisects, all
-    of [0, C_i) for an edge, and the fees r_i <= b_i - t_i for the user's, a
-    ``searchsorted`` count as is the affordable one. The guess is not always right: with b = 1.0, a top fee
-    F = nextafter(1, 0) and t = 1.5e-16, b - t rounds to F, but
-    1.0 - F = 1.1e-16 < t. Either way every payoff compared is the
-    expression the scan evaluates, on the same floats, so the verdict is
-    exact; a level of a block holds one value per s2 level and table.
+    fees r_i <= b_i, a ``searchsorted`` count, the user's prefix inside them,
+    and, only where C is a weak dominator, the prefix of each edge [0, C_i)
+    whose income does not reach t3. ``_prefix_len`` finds each length for
+    all points at once, so the top and the raised levels run the same code.
+    At the top's single point it counts the predicate's true entries over
+    the whole prefix range: O(n) work in fewer numpy calls than confirming
+    a guess, and at one point the calls are the cost. At many points it
+    finds each length in O(log n) fees, confirming a guess before it
+    bisects: all of [0, C_i) for an edge, and the fees r_i <= b_i - t_i, a
+    second ``searchsorted`` count, for the user's. The guess is not always
+    right: with b = 1.0, a top fee F = nextafter(1, 0) and t = 1.5e-16,
+    b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Either way every payoff
+    compared is the expression the scan evaluates, on the same floats, so
+    the verdict is exact; a level of a block holds one value per s2 level
+    and table.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -319,30 +319,12 @@ def pareto_check(
             b1, b2, c1, c2, u1, u2 = (x[weak] for x in (b1, b2, c1, c2, u1, u2))
             first1 = _prefix_len(lambda k: ~(g.income(r1[k], r2[c2], u1, u2) >= t3), c1, c1)
             first2 = _prefix_len(lambda k: ~(g.income(r1[c1], r2[k], u1, u2) >= t3), c2, c2)
-            return gains(b1, b2, first1, first2)
-
-        def gains(b1, b2, first1, first2):  # each user's best gain on its corner's edge
             return (_scan.any_improvement(capped_surplus(b1, r1[first1]), t1, eps)
                     or _scan.any_improvement(capped_surplus(b2, r2[first2]), t2, eps))
 
         one = s_axis[-1:]  # the top level (1, 1)
-
-        def top_dominated(b1, b2):  # dominated_at at the top alone, counting along fee axes
-            c1, c2 = (np.count_nonzero((r <= b) & (capped_surplus(b, r) >= t)) - 1
-                      for b, r, t in ((b1, r1, t1), (b2, r2, t2)))
-            if c1 < 0 or c2 < 0:
-                return False
-            edge1 = g.income(r1[:c1 + 1], r2[c2], one, one)  # ends at C
-            if not edge1[-1] >= t3:  # C is not a weak dominator
-                return False
-            if _scan.any_improvement(edge1[-1], t3, eps):
-                return True
-            edge2 = g.income(r1[c1], r2[:c2 + 1], one, one)
-            first1, first2 = (np.count_nonzero(~(edge >= t3)) for edge in (edge1, edge2))
-            return gains(b1, b2, first1, first2)
-
         top = tables(one, one)
-        if top_dominated(top[0], top[1]):
+        if dominated_at(one, one, top[0], top[1]):
             return False
         # (r1 + r2) * inf is NaN at zero fees, so an infinite top keeps every level.
         top = [np.where(x < np.inf, x, np.nan) for x in top]

@@ -742,34 +742,44 @@ def test_fee_monotone_pareto_path_matches_the_scan_at_benchmark_resolution(game,
 @contextmanager
 def prefix_searches():
     """Run the oracles with ``_prefix_len`` recorded; yields the list of each
-    call's ``stop.size``, the number of points it searches, in order."""
-    sizes = []
+    call's ``(stop.size, holds calls)``, in order: the number of points it
+    searches and how many times it evaluated the predicate."""
+    searches = []
     prefix_len = oracles._prefix_len
 
     def recorded(holds, stop, guess):
-        sizes.append(stop.size)
-        return prefix_len(holds, stop, guess)
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return holds(k)
+
+        out = prefix_len(counted, stop, guess)
+        searches.append((stop.size, len(calls)))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_prefix_len", recorded)
-        yield sizes
+        yield searches
 
 
 @pytest.mark.parametrize("game,grid,profile", benchmark_resolution_cases())
-def test_parametric_games_decide_pareto_without_a_prefix_search(game, grid, profile):
-    # nondecreasing benefits and activity put no level above (1, 1), and the
-    # top level is decided by counts along its fee axes, so no point is searched
-    with prefix_searches() as sizes:
+def test_parametric_games_count_the_top_level_alone(game, grid, profile):
+    # nondecreasing benefits and activity put no level above (1, 1), so every
+    # prefix is the top's single point, counted in one predicate call
+    with prefix_searches() as searches:
         pareto_check(game_payoffs(game), profile, grid)
-    assert sizes == []
+    assert len(searches) in (2, 4)  # two corners, then two edges if weak
+    assert all(search == (1, 1) for search in searches)
 
 
 def test_the_prefix_search_runs_on_the_raised_levels_alone():
     # benefits of 0.5, 1 at (1, 1) and 2 at three other nodes of a grid that
-    # hits every node: the search runs on those three levels, in one block.
-    # At eps 0 the middleman gains at the first raised corner (two searches,
-    # one per user's corner); at eps 10 no one gains and both edges are
-    # searched too (four), on every raised level, since all are weak corners
+    # hits every node: after the top's four counts (two corners, two edges),
+    # the search runs on those three levels, in one block. At eps 0 the
+    # middleman gains at the first raised corner (two searches, one per
+    # user's corner); at eps 10 no one gains and both edges are searched too
+    # (four), on every raised level, since all are weak corners
     grid = Grid(8, (2.0, 2.0))
     values = np.full((9, 9), 0.5)
     values[-1, -1] = 1.0
@@ -777,10 +787,11 @@ def test_the_prefix_search_runs_on_the_raised_levels_alone():
     peak = TabulatedBenefit(values)
     pay = game_payoffs(HedonicGame(peak, peak, AdditiveFeesIncome()))
     profile = StrategyProfile(1.0, 1.0, 0.0, 0.0)
-    for eps, want in ((0.0, [3] * 2), (10.0, [3] * 4)):
-        with prefix_searches() as sizes:
+    for eps, raised in ((0.0, 2), (10.0, 4)):
+        with prefix_searches() as searches:
             verdict = pareto_check(pay, profile, grid, eps)
-        assert sizes == want
+        assert searches[:4] == [(1, 1)] * 4
+        assert [size for size, _ in searches[4:]] == [3] * raised
         assert verdict == pareto_check(bare(pay), profile, grid, eps) == (eps > 0)
 
 
@@ -1054,6 +1065,26 @@ def test_prefix_len_matches_the_first_false_index(n):
     zeros = np.zeros_like(stops)
     for guess in guesses:
         assert game._prefix_len(None, zeros, guess).tolist() == zeros.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_prefix_len_counts_a_single_point(n):
+    # one point is counted: holds is asked once, about every index below its
+    # stop, whatever the guess, and a stop of 0 asks about no index
+    rng = np.random.default_rng(n)
+    for cut in range(n + 1):
+        flags = np.arange(n) < cut
+        for stop in {0, 1, n, int(rng.integers(0, n + 1))}:
+            for guess in (0, stop, cut, int(rng.integers(-3, n + 4))):
+                asked = []
+
+                def holds(k):
+                    asked.append(k)
+                    return flags[k]
+
+                got = game._prefix_len(holds, np.array([stop]), np.array([guess]))
+                assert got.tolist() == [min(cut, stop)]
+                assert len(asked) == 1 and asked[0].tolist() == list(range(stop))
 
 
 def test_pareto_corner_guess_is_confirmed():
