@@ -144,7 +144,7 @@ def _region_verdicts(axis: np.ndarray) -> np.ndarray:
     verdict is bit-identical to the per-point test.
     """
     n = np.full(axis.size, axis.size)
-    count = _prefix_len(lambda k: _benchmark_inequality(axis, axis[k]), n, n)
+    count = _prefix_len(lambda k: _benchmark_inequality(axis, axis[k]), n)
     return np.arange(axis.size) < count[:, None]
 
 

@@ -167,12 +167,24 @@ def _at_flag(call, *args, **kwargs):  # a field error, reported at --<field>
         raise ScenarioError(f"--{exc.field}: {exc.problem}") from None
 
 
+def _full_extraction_fees(game):
+    """``full_extraction_fees(game)``, or a ``ScenarioError`` naming the
+    benefit whose value at full participation is not finite (a linear
+    benefit's weights may each be finite while their sum overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fees = full_extraction_fees(game)
+    for name, fee in zip(("f1", "f2"), fees):
+        if not np.isfinite(fee):
+            raise ScenarioError(f"game.{name}: {name}(1, 1) must be finite, got {fee:g}")
+    return fees
+
+
 def _grid_and_eps(config, args, dims):
     """Grid and tolerance of a check that counts ``(steps + 1)^dims`` points
     against :data:`MAX_POINTS`, with ``--steps`` and ``--eps`` applied."""
     flags = {key: getattr(args, key) for key in ("steps", "eps") if getattr(args, key) is not None}
     config = _at_flag(replace, config, **flags)
-    grid = Grid(config.steps, full_extraction_fees(config.game), config.s_lo)
+    grid = Grid(config.steps, _full_extraction_fees(config.game), config.s_lo)
     _check_points((config.steps + 1) ** dims, "--steps" if "steps" in flags else "grid.steps")
     return grid, config.eps
 
@@ -262,6 +274,7 @@ def _build_ambiguity_eq(config, args):
 
 def _build_threshold(config, args):
     beliefs = _require_beliefs(config)
+    fees = _full_extraction_fees(config.game)
     verdict = full_exploitation_verdict(config.game, beliefs)
     return verdict.full_exploitation, {
         "full_exploitation": verdict.full_exploitation,
@@ -270,7 +283,7 @@ def _build_threshold(config, args):
         "gamma": beliefs.gamma,
         "lambda": beliefs.lambda_,
         "loyalty_fees": loyalty_fees(config.game, beliefs),
-        "full_extraction_fees": full_extraction_fees(config.game),
+        "full_extraction_fees": fees,
     }
 
 
@@ -284,6 +297,7 @@ def _cmd_region(args):
 def _cmd_sweep(args):
     config = parse_scenario(Path(args.scenario).read_text())
     beliefs = _require_beliefs(config)
+    _full_extraction_fees(config.game)
     names = [name for name, *_ in args.sweeps]
     for i, name in enumerate(names):
         if name in names[:i]:

@@ -4,8 +4,8 @@ Two users choose participation levels in [0, 1] and a middleman a
 nonnegative fee pair. Profile fields may hold numpy arrays (broadcast
 together), so payoff functions evaluate whole deviation grids in one call.
 :func:`_numbers`, :func:`_integer`, :func:`_count` and :func:`_player` are the number,
-integer, lattice-count and player-index rules; :func:`_prefix_len` searches along
-a sorted lattice axis.
+integer, lattice-count and player-index rules; :func:`_prefix_len` counts or
+bisects a true prefix along a sorted lattice axis.
 """
 
 from __future__ import annotations
@@ -80,35 +80,19 @@ def _player(value, name: str):
         raise FieldError(name, "must be 1 or 2")
 
 
-def _prefix_len(holds, stop, guess):
-    """For each point, the length of the true prefix of ``range(stop)`` of a
-    predicate that is true and then false along it.
-
-    ``stop`` and ``guess`` are integer arrays of one shape. A single point
-    (``stop`` of shape ``(1,)``) is counted: ``holds`` is called once, on
-    ``k = arange(stop)``, and its true entries are the length. That takes
-    fewer numpy calls than confirming a guess; the O(stop) evaluations it
-    spends are what the search below saves when it runs on many points.
-
-    Otherwise ``holds(k)`` is called with an index array ``k`` shaped like
-    ``stop``, every entry below ``max(stop)``, and never when every stop is
-    0. The ``guess``, clipped to ``[0, stop]``, is confirmed first: where
-    ``holds(guess - 1)`` holds (or the guess is 0) and ``holds(guess)`` does
-    not (or the guess is ``stop``), the prefix has exactly that length. If
-    any point fails, a bisection over all points answers instead: each round
-    tries to extend every point's prefix by the next smaller power of two,
-    in ``max(stop).bit_length()`` rounds of one ``holds`` call.
+def _prefix_len(holds, stop):
+    """For each entry of the integer array ``stop``, the length of the true
+    prefix of ``range(stop)`` of a predicate that is true and then false
+    along it. One point (``stop`` of shape ``(1,)``) is counted: ``holds`` is
+    called once, on ``arange(stop)``. Many are bisected: ``holds(k)`` is
+    called with ``k`` shaped like ``stop``, every entry below ``max(stop)``,
+    once in each of ``max(stop).bit_length()`` rounds, each extending every
+    point's prefix by the next smaller power of two.
     """
     if stop.shape == (1,):
         return np.array([np.count_nonzero(holds(np.arange(stop[0])))])
     top = int(stop.max(initial=0))
-    guess = np.minimum(np.maximum(guess, 0), stop)
-    if not top:
-        return guess
-    if (((guess == 0) | holds(np.maximum(guess, 1) - 1))
-            & ((guess == stop) | ~holds(np.minimum(guess, top - 1)))).all():
-        return guess
-    length = np.zeros_like(guess)
+    length = np.zeros_like(stop)
     step = (1 << top.bit_length()) >> 1  # the largest power of two <= top
     while step:
         longer = length + step

@@ -13,19 +13,20 @@ and a small grid is one block. ``epsilon_nash_check`` checks its three
 deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
-``weak_dominance_check`` decides every bundle ``hedonic.game_payoffs``
-builds in O(n^2) instead of O(n^3), from the largest benefit over the own
-levels, and compares fees only in the contexts where that benefit is not at
-most the candidate's. ``pareto_check`` decides those whose income is
-multiplicative or additive over nonnegative benefit families in O(n^2)
-instead of O(n^4). No payoff at a participation level exceeds its value at
-the top level (1, 1) when neither benefit nor the activity does, so the top
-is decided first, and then only the levels that rise above it: none for
-Cobb-Douglas or linear families. Each point is decided at one corner of its
-affordable fee box, whose indices end prefixes of the sorted fee axes
-(``game._prefix_len``, which also counts the region map's rows): the top's
-single point is counted along whole fee axes, O(n) in a fixed number of
-numpy calls, and many raised points are searched, O(log n) fees each.
+``weak_dominance_check`` decides every ``hedonic.HedonicUsers`` bundle
+(``modified_game``'s too) in O(n^2) instead of O(n^3), from the largest
+benefit over the own levels, and compares fees only in the contexts where
+that benefit is not at most the candidate's. ``pareto_check`` decides the
+``game_payoffs`` bundles whose income is multiplicative or additive over
+nonnegative benefit families in O(n^2) instead of O(n^4). No payoff at a
+participation level exceeds its value at the top level (1, 1) when neither
+benefit nor the activity does, so the top is decided first, and then only
+the levels that rise above it: none for Cobb-Douglas or linear families.
+Each point is decided at one corner of its affordable fee box, whose indices
+end prefixes of the sorted fee axes (``game._prefix_len``, which also
+bisects the region map's rows): the top's single point is counted along
+whole fee axes, O(n) in a fixed number of numpy calls, and many raised
+points are bisected, O(log n) fees each.
 ``epsilon_nash_check`` evaluates each user's deviations of a hedonic
 bundle, ``modified_game``'s included, in one benefit call, and for a
 fee-monotone game only the middleman's fees at the corners of the
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import _scan
 from .game import FieldError, GamePayoffs, Grid, StrategyProfile, _number, _player, _prefix_len
-from .hedonic import HedonicPayoffs, HedonicUsers, capped_surplus, fee_monotone
+from .hedonic import HedonicUsers, capped_surplus, fee_monotone
 
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
 _BLOCK_ELEMENTS = 2**14
@@ -186,7 +187,8 @@ def weak_dominance_check(
     must be at least every alternative's payoff minus ``eps``: one payoff call
     per block of the other user's levels, with the candidate as the last row.
 
-    A hedonic bundle is decided in O(n^2). Its user payoff
+    A ``hedonic.HedonicUsers`` bundle (``modified_game``'s too) is decided
+    in O(n^2) from the game's benefits. Its user payoff
     ``capped_surplus(b, r_i)``, with ``b = f_i(s_own, s_other)``, ignores the
     other fee and is weakly increasing in ``b`` in floating point too: it is 0
     while ``r_i > b`` and ``b - r_i >= 0`` rounds monotonically. So in each
@@ -208,7 +210,7 @@ def weak_dominance_check(
 
     s_axis = grid.participation_axis()
     own = np.append(s_axis, candidate)
-    if isinstance(game, HedonicPayoffs):
+    if isinstance(game, HedonicUsers):
         f = game.game.f1 if player == 1 else game.game.f2
         r = grid.fee_axis(player)
         levels, per_level = s_axis, own.size  # the benefit table's rows
@@ -273,15 +275,10 @@ def pareto_check(
     fees r_i <= b_i, a ``searchsorted`` count, the user's prefix inside them,
     and, only where C is a weak dominator, the prefix of each edge [0, C_i)
     whose income does not reach t3. ``_prefix_len`` finds each length for
-    all points at once, so the top and the raised levels run the same code.
-    At the top's single point it counts the predicate's true entries over
-    the whole prefix range: O(n) work in fewer numpy calls than confirming
-    a guess, and at one point the calls are the cost. At many points it
-    finds each length in O(log n) fees, confirming a guess before it
-    bisects: all of [0, C_i) for an edge, and the fees r_i <= b_i - t_i, a
-    second ``searchsorted`` count, for the user's. The guess is not always
-    right: with b = 1.0, a top fee F = nextafter(1, 0) and t = 1.5e-16,
-    b - t rounds to F, but 1.0 - F = 1.1e-16 < t. Either way every payoff
+    all points at once, so the top and the raised levels run the same code:
+    at the top's single point it counts the predicate's true entries over
+    the whole prefix range, O(n) work in a fixed number of numpy calls, and
+    at many points it bisects, O(log n) fees each. Either way every payoff
     compared is the expression the scan evaluates, on the same floats, so
     the verdict is exact; a level of a block holds one value per s2 level
     and table.
@@ -303,8 +300,8 @@ def pareto_check(
 
         def corner(b, r, t):
             """C_i per point: the last affordable fee keeping t_i, or -1."""
-            stop, guess = np.searchsorted(r, (b, b - t), side="right")
-            return _prefix_len(lambda k: capped_surplus(b, r[k]) >= t, stop, guess) - 1
+            stop = np.searchsorted(r, b, side="right")
+            return _prefix_len(lambda k: capped_surplus(b, r[k]) >= t, stop) - 1
 
         def dominated_at(u1, u2, b1, b2):  # one entry per point (u1, u2)
             c1, c2 = corner(b1, r1, t1), corner(b2, r2, t2)
@@ -317,8 +314,8 @@ def pareto_check(
             # At the weak corners the first fee reaching t3 on each edge is
             # C_i or ends the prefix not reaching t3 in [0, C_i).
             b1, b2, c1, c2, u1, u2 = (x[weak] for x in (b1, b2, c1, c2, u1, u2))
-            first1 = _prefix_len(lambda k: ~(g.income(r1[k], r2[c2], u1, u2) >= t3), c1, c1)
-            first2 = _prefix_len(lambda k: ~(g.income(r1[c1], r2[k], u1, u2) >= t3), c2, c2)
+            first1 = _prefix_len(lambda k: ~(g.income(r1[k], r2[c2], u1, u2) >= t3), c1)
+            first2 = _prefix_len(lambda k: ~(g.income(r1[c1], r2[k], u1, u2) >= t3), c2)
             return (_scan.any_improvement(capped_surplus(b1, r1[first1]), t1, eps)
                     or _scan.any_improvement(capped_surplus(b2, r2[first2]), t2, eps))
 

@@ -747,14 +747,14 @@ def prefix_searches():
     searches = []
     prefix_len = oracles._prefix_len
 
-    def recorded(holds, stop, guess):
+    def recorded(holds, stop):
         calls = []
 
         def counted(k):
             calls.append(k)
             return holds(k)
 
-        out = prefix_len(counted, stop, guess)
+        out = prefix_len(counted, stop)
         searches.append((stop.size, len(calls)))
         return out
 
@@ -1039,60 +1039,58 @@ def test_dominance_blocks_broadcast_every_payoff_shape(payoff, budget):
 def test_prefix_len_matches_the_first_false_index(n):
     # a row of n true-then-false flags per prefix length (all-false and
     # all-true rows included) plus 40 random ones, each searched over
-    # range(stop) for stop 0, 1, n and three random stops, from guesses that
-    # are exact, one off either way, 0, the stop, or random (out of range
-    # ones are clipped); holds is asked only about indices below max(stop),
-    # and never when every stop is 0
+    # range(stop) for stop 0, 1, n and three random stops, and over the
+    # random stops alone; holds is asked only about indices below max(stop),
+    # once in each of max(stop).bit_length() bisection rounds, and never
+    # when every stop is 0
     rng = np.random.default_rng(n)
     cuts = np.concatenate([np.arange(n + 1), rng.integers(0, n + 1, 40)])
     flags = np.arange(n) < cuts[:, None]
     rows = np.arange(cuts.size)[:, None]
-    stops = np.column_stack([np.zeros_like(cuts), np.ones_like(cuts), np.full_like(cuts, n),
-                             rng.integers(0, n + 1, (cuts.size, 3))])
-    asked = []
+    all_stops = np.column_stack([np.zeros_like(cuts), np.ones_like(cuts), np.full_like(cuts, n),
+                                 rng.integers(0, n + 1, (cuts.size, 3))])
+    for stops in (all_stops, all_stops[:, 3:]):
+        asked = []
 
-    def holds(k):
-        asked.append(k)
-        return flags[rows, k]
+        def holds(k):
+            asked.append(k)
+            return flags[rows, k]
 
-    want = np.array([[next((k for k in range(stop) if not flags[r, k]), stop) for stop in row]
-                     for r, row in enumerate(stops.tolist())])
-    guesses = [want, want - 1, want + 1, np.zeros_like(stops), stops,
-               *rng.integers(-3, n + 4, (4, *stops.shape))]
-    for guess in guesses:
-        assert game._prefix_len(holds, stops, guess).tolist() == want.tolist()
-    assert all(k.shape == stops.shape and 0 <= k.min() and k.max() < n for k in asked)
-    zeros = np.zeros_like(stops)
-    for guess in guesses:
-        assert game._prefix_len(None, zeros, guess).tolist() == zeros.tolist()
+        want = [[next((k for k in range(stop) if not flags[r, k]), stop) for stop in row]
+                for r, row in enumerate(stops.tolist())]
+        assert game._prefix_len(holds, stops).tolist() == want
+        top = int(stops.max())
+        assert len(asked) == top.bit_length()
+        assert all(k.shape == stops.shape and 0 <= k.min() and k.max() < top for k in asked)
+    zeros = np.zeros_like(all_stops)
+    assert game._prefix_len(None, zeros).tolist() == zeros.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_prefix_len_counts_a_single_point(n):
     # one point is counted: holds is asked once, about every index below its
-    # stop, whatever the guess, and a stop of 0 asks about no index
+    # stop, and a stop of 0 asks about no index
     rng = np.random.default_rng(n)
     for cut in range(n + 1):
         flags = np.arange(n) < cut
         for stop in {0, 1, n, int(rng.integers(0, n + 1))}:
-            for guess in (0, stop, cut, int(rng.integers(-3, n + 4))):
-                asked = []
+            asked = []
 
-                def holds(k):
-                    asked.append(k)
-                    return flags[k]
+            def holds(k):
+                asked.append(k)
+                return flags[k]
 
-                got = game._prefix_len(holds, np.array([stop]), np.array([guess]))
-                assert got.tolist() == [min(cut, stop)]
-                assert len(asked) == 1 and asked[0].tolist() == list(range(stop))
+            assert game._prefix_len(holds, np.array([stop])).tolist() == [min(cut, stop)]
+            assert len(asked) == 1 and asked[0].tolist() == list(range(stop))
 
 
-def test_pareto_corner_guess_is_confirmed():
+def test_pareto_corner_where_one_minus_t_rounds_to_the_top_fee():
     # at s = (1, 1) user 1's benefit is 1.0 and the top fee F = nextafter(1, 0),
     # and the profile leaves user 1 t = 5 * 2^-55: 1.0 - t rounds to F, so
     # searchsorted counts F, but 1.0 - F = 2^-53 < t, so user 1 keeps t only
-    # below F. With F in user 1's corner the middleman would gain 2F - t3,
-    # more than any eps below; the scan's best weak gain is about 1.25.
+    # below F. A corner read off b - t would hold F, where the middleman
+    # would gain 2F - t3, more than any eps below; the scan's best weak gain
+    # is about 1.25.
     F = float(np.nextafter(1.0, 0.0))
     half = Linear(0.5, 0.5)
     pay = game_payoffs(HedonicGame(half, half, AdditiveFeesIncome()))
@@ -1278,14 +1276,16 @@ def dominance_gap(pay, player, candidate, grid):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=dominance_cases(), k=st.integers(1, 3))
-def test_hedonic_dominance_path_matches_the_scan_across_blocks(case, k):
+@given(case=dominance_cases(), k=st.integers(1, 3),
+       beliefs=st.one_of(st.none(), belief_systems()))
+def test_hedonic_dominance_path_matches_the_scan_across_blocks(case, k, beliefs):
     # k levels a block on both paths: a level holds the benefit table's n + 1
     # rows on the hedonic path and (n + 1) n^2 payoffs on the scan; eps also
     # sits at the largest gap and its float neighbours, where one ulp flips
-    # the verdict
+    # the verdict. With beliefs the bundle is modified_game's, whose users
+    # are the plain game's.
     game, grid, candidates = case
-    pay = game_payoffs(game)
+    pay = game_payoffs(game) if beliefs is None else modified_game(game, beliefs)
     n = grid.steps + 1
     for player, c in zip((1, 2), candidates):
         top = dominance_gap(pay, player, c, grid)
@@ -1316,8 +1316,10 @@ def test_hedonic_bundles_never_call_the_user_payoffs(monkeypatch):
         raise AssertionError("user payoff evaluated")
 
     monkeypatch.setattr(hedonic, "user_payoff", raises)
+    beliefs = BeliefSystem(0.1, 0.3, 0.5, 0.25)
     for (game, player, c), verdict in zip(cases, want):
         assert weak_dominance_check(game_payoffs(game), player, c, grid) == verdict
+        assert weak_dominance_check(modified_game(game, beliefs), player, c, grid) == verdict
         with pytest.raises(AssertionError, match="user payoff evaluated"):
             weak_dominance_check(bare(game_payoffs(game)), player, c, grid)
     for (game, profile), verdict in zip(nash, want_nash):
