@@ -23,7 +23,9 @@ although they now evaluate O(n^2) points, so ``dominance --steps 300`` and
 ``ambiguity-eq`` keep their ``(steps + 1)^2`` budgets although a hedonic
 game now evaluates O(n) of those points.
 
-Every check that can exit 2 is made before the first byte is written. Map
+Every check that can exit 2 is made before the first byte is written. A
+sweep decides its Cartesian product on an open mesh, one axis per swept
+field, so only the columns that depend on several axes have a row each. Map
 output (the ``region`` CSV and both ``sweep`` formats) is then written one
 block of rows at a time, as each is made, so peak memory holds about one
 block whatever the lattice size; ``region --format svg`` draws the analytic
@@ -168,15 +170,11 @@ def _at_flag(call, *args, **kwargs):  # a field error, reported at --<field>
 
 
 def _full_extraction_fees(game):
-    """``full_extraction_fees(game)``, or a ``ScenarioError`` naming the
-    benefit whose value at full participation is not finite (a linear
-    benefit's weights may each be finite while their sum overflows)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fees = full_extraction_fees(game)
-    for name, fee in zip(("f1", "f2"), fees):
-        if not np.isfinite(fee):
-            raise ScenarioError(f"game.{name}: {name}(1, 1) must be finite, got {fee:g}")
-    return fees
+    """``full_extraction_fees(game)``, its field error reported at ``game.<field>``."""
+    try:
+        return full_extraction_fees(game)
+    except FieldError as exc:
+        raise ScenarioError(f"game.{exc.field}: {exc.problem}") from None
 
 
 def _grid_and_eps(config, args, dims):
@@ -308,16 +306,17 @@ def _cmd_sweep(args):
     # a non-finite range gives NaN or infinite rows, which BeliefSystem rejects
     with np.errstate(invalid="ignore", over="ignore"):
         axes = [np.linspace(start, stop, count) for _, start, stop, count in args.sweeps]
-    swept = {
-        SWEEPABLE_FIELDS[name]: grid.ravel()
-        for name, grid in zip(names, np.meshgrid(*axes, indexing="ij"))
-    }
+    # an open mesh: one axis per swept field, each row a point in C order
+    swept = {SWEEPABLE_FIELDS[name]: grid
+             for name, grid in zip(names, np.meshgrid(*axes, indexing="ij", sparse=True))}
     try:
         sweep_beliefs = replace(beliefs, **swept)
     except BeliefError as exc:
         # rows before the offending one are valid belief systems, and a row
         # failing the threshold test's domain there is met first in row order
-        prefix = replace(beliefs, **{field: col[:exc.row] for field, col in swept.items()})
+        shape = tuple(axis.size for axis in axes)
+        prefix = replace(beliefs, **{field: np.broadcast_to(grid, shape).flat[:exc.row]
+                                     for field, grid in swept.items()})
         _require_threshold_domain(prefix)
         raise
     verdict = full_exploitation_verdict(config.game, sweep_beliefs)

@@ -304,8 +304,15 @@ def _fee_monotone_game(game: HedonicGame) -> bool:
 
 
 def full_extraction_fees(game: HedonicGame) -> tuple[float, float]:
-    """Fee pair extracting the entire benefit at maximal participation."""
-    return (float(game.f1(1.0, 1.0)), float(game.f2(1.0, 1.0)))
+    """Fee pair extracting the entire benefit at maximal participation. A
+    :class:`FieldError` names the benefit whose value there is not finite (a
+    linear benefit's weights may each be finite while their sum overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fees = (float(game.f1(1.0, 1.0)), float(game.f2(1.0, 1.0)))
+    for name, fee in zip(("f1", "f2"), fees):
+        if not math.isfinite(fee):
+            raise FieldError(name, f"{name}(1, 1) must be finite, got {fee:g}")
+    return fees
 
 
 def benefit_strictly_increasing(f: BenefitSpec, grid: Grid) -> bool:

@@ -33,9 +33,10 @@ output spell each number fixed at six decimals (``f"{v:.6f}"``); ``machine``
 output spells it as ``json.dumps(round(v, 6))``, the shortest form of the
 rounded value (``0.5``, ``5e-06``, ``-0.0``, ``NaN``, ``Infinity``). Output
 is made as bytes. Sweep text is made a block of byte rows at a time, a uint8
-matrix of NUL-padded slots filled from digit tables; the region CSV is cut,
-a group of gamma rows at a time, from runs of equal verdicts in two line
-templates. :func:`emit_blocks` and :func:`sweep_blocks` hand out a map's
+matrix of NUL-padded slots filled from digit tables, from columns that
+broadcast to one shape, each spelled in a block only along the axes it is
+not broadcast along; the region CSV is cut, a group of gamma rows at a
+time, from runs of equal verdicts in two line templates. :func:`emit_blocks` and :func:`sweep_blocks` hand out a map's
 bytes-like blocks for the CLI to write one at a time, none sharing memory
 with a later one; the string writers decode the joined blocks.
 """
@@ -395,14 +396,13 @@ _KEPT = np.ones(1, np.intp)
 for _n in range(2, 6):  # one more digit: 0 leaves the count, others set it
     _KEPT = np.hstack([_KEPT[:, None], np.full((len(_KEPT), 9), _n)]).ravel()
 _KEPT = np.concatenate([_KEPT, np.tile([0] + [1] * 9, 100)])
-_BOOL_BYTES = np.frombuffer(b"falsetrue\0", np.uint8).reshape(2, 5)
+_BOOL_TEXT = np.frombuffer(b"falsetrue\0", (np.void, 5))
 del _DIGITS, _n
 
 
 def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
     """uint8 matrix of each float's text, NUL-padded: ``_format_value(v)``,
-    or with ``machine`` ``json.dumps(_jsonable(v))``. Each distinct bit
-    pattern is spelled once (the int64 view keeps -0.0 apart from 0.0).
+    or with ``machine`` ``json.dumps(_jsonable(v))``, one row per value.
 
     For finite ``|v| < 1e7`` the product ``x = |v| * 1e6`` is off the exact
     one by at most ``x * 2**-53``. Where ``x`` lies more than ``x * 2**-50``
@@ -410,8 +410,6 @@ def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
     prints, and the digits are made here. JSON drops the trailing fraction
     zeros, which is ``repr(round(v, 6))`` for 0 and for rounded magnitudes
     of at least 1e-4. Every other value goes through the per-value rule."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
     mag = np.abs(values)
     fast = mag < 1e7  # False for NaN and infinities
     scaled = np.where(fast, mag, 0.0) * 1e6
@@ -441,23 +439,46 @@ def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
         slots = np.pad(slots, ((0, 0), (max(text.shape[1] - slots.shape[1], 0), 0)))
         slots[slow] = 0
         slots[slow, :text.shape[1]] = text
-    return slots.take(inverse, axis=0)
+    return slots
 
 
 def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", tail=""):
-    """``head``, rows a block at a time, then ``tail``, as bytes: each row's
-    float or bool cells between ``seps`` (one before each, one after), led by
-    ``row_sep``."""
+    """``head``, the C-order rows of ``columns`` (broadcast to one shape) a block
+    at a time, then ``tail``, as bytes: each row's float or bool cells between
+    ``seps`` (one before each, one after), led by ``row_sep``. A block runs
+    along the first axis whose trailing rows fit in ``_SWEEP_BLOCK_ROWS``. In
+    it a column is spelled only along its axes of nonzero stride, and its
+    texts go into the rows, a line of the separators, as one strided copy."""
     yield head.encode()
-    arrays = [np.asarray(c) for c in columns.values()]
-    seps = [np.frombuffer(s.encode(), np.uint8) for s in [row_sep + seps[0], *seps[1:]]]
-    for lo in range(0, len(arrays[0]), _SWEEP_BLOCK_ROWS):
-        cells = [a[lo:lo + _SWEEP_BLOCK_ROWS] for a in arrays]
-        slots = [_BOOL_BYTES.take(c.astype(np.intp), axis=0) if c.dtype == bool
-                 else _slots(c.astype(np.float64, copy=False), machine) for c in cells]
-        parts = [p for pair in zip(seps, slots) for p in pair] + seps[-1:]
-        block = np.hstack([np.broadcast_to(p, (len(cells[0]), p.shape[-1])) for p in parts])
-        if lo == 0:
+    arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
+    shape = arrays[0].shape
+    axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= _SWEEP_BLOCK_ROWS)
+    step = _SWEEP_BLOCK_ROWS // max(math.prod(shape[axis + 1:]), 1)
+    seps = [s.encode() for s in [row_sep + seps[0], *seps[1:]]]
+    cuts = [lead + (slice(lo, lo + step),) for lead in np.ndindex(shape[:axis])
+            for lo in range(0, shape[axis], step)] if arrays[0].size else []
+    for n, cut in enumerate(cuts):
+        cells = [a[cut] for a in arrays]
+        texts = []
+        for c in cells:
+            c = c[tuple(slice(None) if stride else slice(1) for stride in c.strides)]
+            if c.dtype == bool:
+                texts.append(_BOOL_TEXT[c.view(np.uint8)])
+            else:
+                slots = _slots(np.ravel(c.astype(np.float64, copy=False)), machine)
+                texts.append(slots.view((np.void, slots.shape[1])).reshape(c.shape))
+        # the separators, NUL where the texts go
+        line = b"".join(s + bytes(t.itemsize) for s, t in zip(seps, texts)) + seps[-1]
+        rows = cells[0].shape
+        block = np.empty((math.prod(rows), len(line)), np.uint8)
+        block[...] = np.frombuffer(line, np.uint8)
+        strides = [len(line) * math.prod(rows[i + 1:]) for i in range(len(rows))]
+        at = 0
+        for s, t in zip(seps, texts):
+            at += len(s)
+            np.ndarray(rows, t.dtype, block, at, strides)[...] = t
+            at += t.itemsize
+        if n == 0:
             block[0, :len(row_sep)] = 0
         yield block[block != 0]
     yield tail.encode()
@@ -466,7 +487,9 @@ def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", t
 def sweep_blocks(columns: dict, fmt: str = "csv"):
     """The text of :func:`sweep_csv` (``csv``) or :func:`sweep_machine`
     (``machine``) as an iterable of bytes-like blocks, made one at a time as
-    it is read. The format is checked here, before any block is made."""
+    it is read. That the columns broadcast together and the format are
+    checked here, before any block is made."""
+    np.broadcast_shapes(*map(np.shape, columns.values()))
     if fmt == "csv":
         seps = ["", *[","] * (len(columns) - 1), "\n"]
         return _row_blocks(columns, False, seps, "", ",".join(columns) + "\n")
@@ -479,13 +502,14 @@ def sweep_blocks(columns: dict, fmt: str = "csv"):
 
 
 def sweep_csv(columns: dict) -> str:
-    """CSV of equal-length float or bool columns, one row per index, in
-    mapping order."""
+    """CSV of float or bool columns that broadcast to one shape, one row per
+    entry in C order, columns in mapping order."""
     return b"".join(sweep_blocks(columns, "csv")).decode()
 
 
 def sweep_machine(columns: dict) -> str:
-    """JSON list of one object per row of equal-length float or bool columns."""
+    """JSON list of one object per row of float or bool columns that
+    broadcast to one shape, rows in C order."""
     return b"".join(sweep_blocks(columns, "machine")).decode()
 
 

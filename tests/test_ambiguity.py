@@ -419,6 +419,22 @@ def test_critical_gamma_is_one_without_income():
     assert full_exploitation_verdict(game, beliefs_at(0.9)).full_exploitation
 
 
+@pytest.mark.parametrize("field", ["f1", "f2"])
+def test_threshold_refuses_an_infinite_full_extraction_fee(field):
+    # each weight is finite, but f_i(1, 1) = 1e308 + 1e308 overflows: the
+    # library names the benefit, without numpy's overflow warning (an error
+    # under this suite's warning filter)
+    half = Linear(0.5, 0.5)
+    benefits = {"f1": half, "f2": half, field: Linear(1e308, 1e308)}
+    game = HedonicGame(**benefits, income=MultiplicativeIncome(half))
+    for call in (full_extraction_fees, lambda g: full_exploitation_verdict(g, beliefs_at(0.5)),
+                 lambda g: critical_gamma(g, beliefs_at(0.5))):
+        with pytest.raises(FieldError) as exc:
+            call(game)
+        assert exc.value.field == field
+        assert exc.value.problem == f"{field}(1, 1) must be finite, got inf"
+
+
 def test_critical_gamma_broadcasts_over_array_beliefs():
     game = _shipped_game("cobb_douglas_loyalty")
     loyalty = np.linspace(0.0, 0.99, 12).reshape(3, 4)

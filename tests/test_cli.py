@@ -555,6 +555,42 @@ def test_sweep_across_row_blocks_matches_reference(scenario, tmp_path, fmt):
     assert first_difference(out.read_text(), reference(columns)) is None
 
 
+@pytest.mark.parametrize(
+    "sweeps,calls",
+    [
+        # 12 x 10 rows in blocks of 5, 5 and 2 gamma rows: gamma, loyalty1,
+        # delta (a function of loyalty1) and rhs, in column order
+        (["gamma=0:0.9:12", "loyalty1=0:0.9:10"],
+         [[5, 10, 10, 50], [5, 10, 10, 50], [2, 10, 10, 20]]),
+        # lambda x gamma x loyalty1 in blocks of two lambdas: rhs does not
+        # depend on lambda, so it is spelled at gamma x loyalty1 entries
+        (["lambda=0:0.01:3", "gamma=0:0.9:4", "loyalty1=0:0.9:5"],
+         [[2, 4, 5, 5, 20], [1, 4, 5, 5, 20]]),
+        # one axis of 120 rows: 50 a block, delta is one number
+        (["gamma=0:0.9:120"], [[50, 1, 50], [50, 1, 50], [20, 1, 20]]),
+    ],
+    ids=["gamma-loyalty1", "lambda-gamma-loyalty1", "gamma"],
+)
+def test_sweep_spells_each_column_at_its_block_entries(scenario, tmp_path, monkeypatch, sweeps,
+                                                       calls):
+    # no spelling call sees more than one block's rows, and an axis a column
+    # is broadcast along is spelled once a block, not once a row
+    sizes, spell = [], writers._slots
+
+    def slots(values, machine):
+        sizes.append(values.size)
+        return spell(values, machine)
+
+    monkeypatch.setattr(writers, "_SWEEP_BLOCK_ROWS", 50)
+    monkeypatch.setattr(writers, "_slots", slots)
+    argv = ["sweep", "--scenario", scenario, "--out", str(tmp_path / "sweep.csv")]
+    for spec in sweeps:
+        argv += ["--sweep", spec]
+    assert cli.main(argv) == 0
+    assert max(sizes) <= 50
+    assert sizes == [n for block in calls for n in block]
+
+
 def _sweep_columns(scenario, **axes):
     """The columns the sweep subcommand writes for ``axes``, in their order."""
     grids = np.meshgrid(*axes.values(), indexing="ij")
@@ -573,7 +609,7 @@ def _sweep_columns(scenario, **axes):
         (("region", "--resolution", "7"), lambda s: region_csv(region_sample(7))),
         (("region", "--resolution", "7", "--format", "svg"),
          lambda s: region_svg(region_sample(7))),
-        # 20 rows: three blocks of 7 rows, the last one short
+        # 5 x 4 rows: at 7 rows a block, five blocks of one gamma row each
         (("sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:5",
           "--sweep", "loyalty1=0:0.75:4"),
          lambda s: sweep_csv(_sweep_columns(s, gamma=np.linspace(0, 0.8, 5),

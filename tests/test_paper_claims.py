@@ -6,6 +6,11 @@
   too, ``gamma / (1 - gamma)`` never falls as ``gamma`` rises (each rounded
   step is monotone), and the loyalty income ``I_L`` is at least 0, so the
   right-hand side never falls while ``delta`` stays put.
+- More loyalty leaves less room to exploit: at fixed ``gamma`` the verdict
+  never turns from false to true as either loyalty level rises. The loyalty
+  fees ``phi`` never fall as a level rises (each benefit is a monotone
+  rounded expression of it), so ``delta = I(F) - I(phi)`` never rises and
+  the retained income ``I_L``, with it the right-hand side, never falls.
 - Optimism never moves the verdict: at full participation the optimistic and
   the plain payoff coincide, so ``lambda_`` enters neither ``delta`` nor the
   right-hand side, and a ``sweep`` over it writes identical verdict columns.
@@ -85,6 +90,39 @@ def test_full_exploitation_never_turns_true_as_gamma_rises_on_shipped_games(path
        extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
 def test_full_exploitation_never_turns_true_as_gamma_rises(game, loyalty, extra):
     assert_never_turns_true(game, *zip(*loyalty), extra)
+
+
+def assert_loyalty_never_turns_true(game, gamma, levels):
+    """Decide every point of a ``gamma x loyalty1 x loyalty2`` open mesh in
+    one verdict call: at fixed gamma, no verdict goes from false to true as
+    either loyalty level rises."""
+    mesh = np.meshgrid(gamma, levels, levels, indexing="ij", sparse=True)
+    full = full_exploitation_verdict(game, BeliefSystem(0.0, *mesh)).full_exploitation
+    assert full.shape == (gamma.size, levels.size, levels.size)
+    assert not np.any(~full[:, :-1] & full[:, 1:])
+    assert not np.any(~full[:, :, :-1] & full[:, :, 1:])
+    return full
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_full_exploitation_never_turns_true_as_loyalty_rises_on_shipped_games(path):
+    config = parse_scenario(path.read_text())
+    gamma = levels = np.linspace(0.0, 0.99, 60)
+    if config.beliefs is not None:  # the scenario's own point among them
+        gamma = np.append(gamma, config.beliefs.gamma)
+        levels = np.append(levels, config.beliefs.loyalty)
+    full = assert_loyalty_never_turns_true(config.game, np.unique(gamma), np.unique(levels))
+    # some gamma turns the verdict along a loyalty axis, so the property is not vacuous
+    assert np.any(full[:, :-1] & ~full[:, 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(game=games, gamma=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6),
+       levels=st.lists(loyalty_levels, max_size=8))
+def test_full_exploitation_never_turns_true_as_loyalty_rises(game, gamma, levels):
+    gamma = np.unique(np.append(np.linspace(0.0, 0.99, 12), gamma))
+    levels = np.unique(np.append(np.linspace(0.0, 0.99, 25), levels))
+    assert_loyalty_never_turns_true(game, gamma, levels)
 
 
 def sweep_rows(path, tmp_path, *sweeps):

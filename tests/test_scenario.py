@@ -586,6 +586,70 @@ def test_slow_path_values_where_blocks_meet(monkeypatch, value):
         assert b"".join(scenario_module.sweep_blocks(columns, fmt)).decode() == text
 
 
+# Awkward floats for a column: repeats, both zeros, NaN, infinities and
+# six-decimal near-ties of both signs, which the blocks spell entry by entry.
+_HARD_FLOATS = np.array([0.5, 0.5, -0.0, 0.0, -0.0, np.nan, np.inf, -np.inf, 1e7, 5e-06,
+                         _near_tie(123, 1), _near_tie(123, -1), _near_tie(10**9, 1), 0.1, 0.1])
+
+
+def _mesh_columns(*sizes):
+    """Columns on an open mesh of ``sizes``: each axis (hard floats first),
+    one full-shape float column, a float column broadcast from the last
+    axis, a bool column broadcast from the first, and a full bool column."""
+    rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+    axes = [np.resize(_HARD_FLOATS, n) * (i + 1) for i, n in enumerate(sizes)]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    shape = tuple(sizes)
+    scale = 10.0 ** rng.integers(0, 9, shape)  # a random count of decimals
+    full = np.rint(rng.normal(0.0, 100.0, shape) * scale) / scale
+    full.flat[:len(_HARD_FLOATS)] = _HARD_FLOATS[:full.size]
+    columns = {f"x{i}": m for i, m in enumerate(mesh)}
+    columns.update(full=full, last=np.broadcast_to(np.sqrt(mesh[-1] ** 2 + 1e-3), shape),
+                   first=np.broadcast_to(mesh[0] > 0.25, shape), up=full > 0)
+    return columns
+
+
+def _raveled(columns):
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns.values()))
+    return {name: np.broadcast_to(c, shape).ravel() for name, c in columns.items()}
+
+
+@pytest.mark.parametrize("block_rows", [7, scenario_module._SWEEP_BLOCK_ROWS])
+@pytest.mark.parametrize("sizes", [(30,), (3, 20), (2, 7), (5, 2, 3), (4, 3, 5), (2, 9, 4)],
+                         ids=str)
+def test_sweep_writers_on_broadcast_columns_match_the_raveled_reference(monkeypatch, sizes,
+                                                                        block_rows):
+    # at 7 rows a block is cut inside a leading row, (3, 20), or ends at its
+    # edge, (2, 7) and (5, 2, 3); broadcast axes are spelled once a block
+    monkeypatch.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", block_rows)
+    columns = _mesh_columns(*sizes)
+    flat = _raveled(columns)
+    for fmt, writer, reference in (("csv", sweep_csv, reference_sweep_csv),
+                                   ("machine", sweep_machine, reference_sweep_machine)):
+        text = reference(flat)
+        assert first_difference(writer(columns), text) is None
+        assert first_difference(writer(flat), text) is None
+        assert b"".join(scenario_module.sweep_blocks(columns, fmt)).decode() == text
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_sweep_writers_on_flat_columns_with_repeats(monkeypatch, block_rows):
+    # no value is shared between rows: each is spelled where it stands
+    monkeypatch.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", block_rows)
+    x = np.tile(_HARD_FLOATS, 3)
+    columns = {"x": x, "neg": -x, "nan": x != x, "y": x[::-1]}
+    assert sweep_csv(columns) == reference_sweep_csv(columns)
+    assert sweep_machine(columns) == reference_sweep_machine(columns)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "machine"])
+def test_sweep_columns_that_do_not_broadcast_are_refused_before_any_block(fmt):
+    for columns in ({"a": np.zeros(3), "b": np.zeros(4)},
+                    {"a": np.zeros((2, 1)), "b": np.zeros((3, 1))}):
+        with pytest.raises(ValueError):
+            scenario_module.sweep_blocks(columns, fmt)
+
+
 def reference_region_csv(region):
     """``region_csv`` spelled a cell at a time."""
     axis = region.axis.tolist()
