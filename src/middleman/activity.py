@@ -76,14 +76,18 @@ def benchmark_full_exploitation_condition(point: BenchmarkPoint) -> bool:
     return bool(_benchmark_inequality(point.gamma, point.sigma))
 
 
-def boundary_curve(sigma: float) -> float:
+def boundary_curve(sigma):
     """The pessimism threshold gamma*(sigma) where the benchmark inequality binds.
 
     Full exploitation holds iff gamma <= gamma*(sigma). The closed form
     (1 - sigma) / (1 - sigma + sigma**2) follows from solving the equality
     case; the denominator stays >= 3/4 on [0, 1].
+
+    A float ``sigma`` gives a float; a numpy array gives the array of
+    thresholds, entry by entry, each bit-identical to the float call. Every
+    entry must lie in [0, 1] (a NaN does not), else ``ValueError``.
     """
-    if not 0.0 <= sigma <= 1.0:
+    if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
         raise ValueError("sigma must lie in [0, 1]")
     return (1.0 - sigma) / ((1.0 - sigma) + sigma * sigma)
 

@@ -33,11 +33,19 @@ boundary and evaluates no verdict lattice. After a crash mid-write (exit 3)
 an ``--out`` file may therefore be partial. All output is written as bytes,
 to stdout's binary stream (after any text already written to stdout) or to
 the ``--out`` file opened in binary mode.
+
+:func:`main` builds its argument parser once per process, on its first
+call, and reuses it for every later call: parsing leaves the parser as it
+was, so no ``--sweep`` list or ``--steps`` override carries over. The parser
+names each subcommand's ``_cmd_*`` and ``_build_*`` function, and ``main``
+looks the name up in this module when the command runs, so a handler
+replaced after the first call is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -103,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # handlers go by name, looked up in this module when the command runs
     def add(name, help_text, handler, formats, *, scenario=True, profile=False):
         p = sub.add_parser(name, help=help_text)
         if scenario:
@@ -128,14 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text, build, profile in (
         ("verify-nash", "check a profile for unilateral grid deviations",
-         _build_verify_nash, True),
+         "_build_verify_nash", True),
         ("dominance", "check the profile's participation levels for weak dominance",
-         _build_dominance, True),
-        ("pareto", "check a profile for grid Pareto efficiency", _build_pareto, True),
-        ("ambiguity-eq", "Nash check of the belief-modified game", _build_ambiguity_eq, True),
-        ("threshold", "full-exploitation threshold verdict", _build_threshold, False),
+         "_build_dominance", True),
+        ("pareto", "check a profile for grid Pareto efficiency", "_build_pareto", True),
+        ("ambiguity-eq", "Nash check of the belief-modified game", "_build_ambiguity_eq", True),
+        ("threshold", "full-exploitation threshold verdict", "_build_threshold", False),
     ):
-        report = add(name, help_text, _cmd_report, ("text", "machine"), profile=profile)
+        report = add(name, help_text, "_cmd_report", ("text", "machine"), profile=profile)
         report.set_defaults(build=build)
         report.add_argument(
             "--assert",
@@ -144,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="exit 1 when the verdict is false",
         )
 
-    region = add("region", "benchmark (gamma, sigma) region map", _cmd_region,
+    region = add("region", "benchmark (gamma, sigma) region map", "_cmd_region",
                  ("csv", "svg"), scenario=False)
     region.add_argument("--resolution", type=int, default=100, help="lattice subdivisions")
 
-    sweep = add("sweep", "threshold verdicts over belief-parameter ranges", _cmd_sweep,
+    sweep = add("sweep", "threshold verdicts over belief-parameter ranges", "_cmd_sweep",
                 ("csv", "machine"))
     sweep.add_argument(
         "--sweep",
@@ -212,11 +221,11 @@ def _deliver(blocks, args):
 
 
 def _cmd_report(args):
-    """Run a verdict report. The subcommand's ``_build_*`` function, set as
+    """Run a verdict report. The subcommand's ``_build_*`` function, named by
     ``args.build``, takes the parsed scenario and returns the verdict and the
     report entries; a false verdict under ``--assert`` exits 1."""
     config = parse_scenario(Path(args.scenario).read_text())
-    verdict, entries = args.build(config, args)
+    verdict, entries = globals()[args.build](config, args)
     # one block, through emit_results, so traces still count report emission
     _deliver([emit_results(entries, args.format).encode()], args)
     return 1 if args.assert_ and not verdict else 0
@@ -328,11 +337,13 @@ def _cmd_sweep(args):
     return 0
 
 
+_parser = functools.cache(build_parser)  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except BrokenPipeError:
         if not args.out:
             # stdout's reader is gone: point stdout at the null device, so

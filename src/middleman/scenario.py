@@ -358,12 +358,11 @@ def region_svg(region: RegionMap) -> str:
     lattice is never evaluated.
     """
     size = 500
-
-    def pt(gamma, sigma):
-        return f"{gamma * size:.2f},{(1.0 - sigma) * size:.2f}"
-
-    curve = [pt(boundary_curve(sig), sig) for sig in region.axis.tolist()]
-    shade = " ".join([pt(0.0, 0.0), *curve, pt(0.0, 1.0)])
+    point = "{:.2f},{:.2f}".format  # (gamma * size, (1 - sigma) * size)
+    sigma = region.axis
+    curve = list(map(point, (boundary_curve(sigma) * size).tolist(),
+                     ((1.0 - sigma) * size).tolist()))
+    shade = " ".join([point(0.0, size), *curve, point(0.0, 0.0)])
     line = " ".join(curve)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">\n'
@@ -446,17 +445,20 @@ def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", t
     """``head``, the C-order rows of ``columns`` (broadcast to one shape) a block
     at a time, then ``tail``, as bytes: each row's float or bool cells between
     ``seps`` (one before each, one after), led by ``row_sep``. A block runs
-    along the first axis whose trailing rows fit in ``_SWEEP_BLOCK_ROWS``. In
-    it a column is spelled only along its axes of nonzero stride, and its
-    texts go into the rows, a line of the separators, as one strided copy."""
+    along the first axis whose trailing rows fit in ``_SWEEP_BLOCK_ROWS``, cut
+    into as few near-equal blocks as that allows. In it a column is spelled
+    only along its axes of nonzero stride, and its texts go into the rows, a
+    line of the separators, as one strided copy."""
     yield head.encode()
     arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
     shape = arrays[0].shape
     axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= _SWEEP_BLOCK_ROWS)
     step = _SWEEP_BLOCK_ROWS // max(math.prod(shape[axis + 1:]), 1)
+    count = max(-(-shape[axis] // step), 1)  # blocks of near-equal rows, the larger first
+    bounds = [-(-k * shape[axis] // count) for k in range(count + 1)]
     seps = [s.encode() for s in [row_sep + seps[0], *seps[1:]]]
-    cuts = [lead + (slice(lo, lo + step),) for lead in np.ndindex(shape[:axis])
-            for lo in range(0, shape[axis], step)] if arrays[0].size else []
+    cuts = [lead + (slice(lo, hi),) for lead in np.ndindex(shape[:axis])
+            for lo, hi in zip(bounds, bounds[1:])] if arrays[0].size else []
     for n, cut in enumerate(cuts):
         cells = [a[cut] for a in arrays]
         texts = []

@@ -140,6 +140,15 @@ def test_boundary_curve_rejects_sigma_outside_the_unit_interval(sigma):
         boundary_curve(sigma)
 
 
+def test_boundary_curve_of_an_array_is_the_float_call_entry_by_entry():
+    sigmas = np.concatenate([np.linspace(0.0, 1.0, 1001), [1e-300, 0.1, 1 - 2**-53]])
+    values = boundary_curve(sigmas)
+    assert values.tolist() == [boundary_curve(s) for s in sigmas.tolist()]
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(ValueError, match=r"^sigma must lie in \[0, 1\]$"):
+            boundary_curve(np.array(bad))
+
+
 def test_boundary_curve_strictly_decreasing_into_unit_interval():
     sigmas = np.linspace(0.0, 1.0, 201)
     values = np.array([boundary_curve(s) for s in sigmas])

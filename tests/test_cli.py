@@ -15,6 +15,7 @@ from middleman import activity, cli, full_exploitation_verdict, parse_scenario, 
 from middleman import scenario as writers
 from middleman.scenario import (
     _SWEEP_BLOCK_ROWS,
+    emit_results,
     region_csv,
     region_svg,
     sweep_csv,
@@ -354,6 +355,73 @@ def test_unexpected_error_exits_3(scenario, monkeypatch, capsys, error):
     assert f"{error.__name__}: boom" in err
 
 
+def test_main_runs_a_handler_replaced_after_its_first_call(scenario, monkeypatch, capsys):
+    # the parser is built once per process; handlers are found by name when
+    # the command runs, so a replacement made after the build is called
+    assert cli.main(["threshold", "--scenario", scenario]) == 0
+    capsys.readouterr()
+    parser, calls = cli._parser(), []
+
+    def build(config, args):
+        calls.append(args.scenario)
+        return False, {"check": "replaced", "verdict": False}
+
+    monkeypatch.setattr(cli, "_build_threshold", build)
+    assert cli.main(["threshold", "--scenario", scenario, "--assert"]) == 1
+    assert calls == [scenario]
+    assert capsys.readouterr() == (emit_results({"check": "replaced", "verdict": False}), "")
+    assert cli._parser() is parser
+
+
+# Calls whose flags differ from the call before: --sweep counts, --steps and
+# --eps overrides, --format values, --assert, and errors of both kinds
+_REUSE_CALLS = [
+    ["sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.8:3", "--sweep",
+     "loyalty1=0:0.5:2"],
+    ["sweep", "--scenario", "{scenario}", "--sweep", "lambda=0:0.1:2", "--format", "machine"],
+    ["sweep", "--scenario", "{scenario}", "--sweep", "loyalty2=0:0.5:3"],
+    ["sweep", "--scenario", "{scenario}", "--sweep", "gamma=0:0.5:2", "--sweep", "gamma=0:1:2"],
+    ["sweep", "--scenario", "{scenario}"],
+    ["verify-nash", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5", "--steps", "4",
+     "--eps", "0.5", "--format", "machine"],
+    ["verify-nash", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5"],
+    ["dominance", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5", "--eps", "0.25"],
+    ["dominance", "--scenario", "{scenario}", "--profile", "1,1,0.5,0.5", "--steps", "5"],
+    ["threshold", "--scenario", "{scenario}", "--format", "machine", "--assert"],
+    ["threshold", "--scenario", "{scenario}"],
+    ["region", "--resolution", "3", "--format", "svg"],
+    ["region", "--resolution", "3"],
+]
+
+
+def _main_result(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # an argparse error
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def test_reused_parser_answers_each_call_as_a_fresh_one(scenario, capsys):
+    calls = [[a.format(scenario=scenario) for a in argv] for argv in _REUSE_CALLS]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_main_result(argv, capsys))
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    for _ in range(2):
+        assert [_main_result(argv, capsys) for argv in calls] == fresh
+    assert cli._parser() is parser
+    assert [code for code, *_ in fresh] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+    # and no list or override carries over in the parsed arguments
+    two = parser.parse_args(calls[0])
+    one = parser.parse_args(calls[2])
+    assert [name for name, *_ in two.sweeps] == ["gamma", "loyalty1"]
+    assert [name for name, *_ in one.sweeps] == ["loyalty2"]
+    assert (parser.parse_args(calls[6]).steps, parser.parse_args(calls[6]).eps) == (None, None)
+
+
 # SHA-256 of stdout, captured from the per-point implementation of the
 # region map and the sweep and from the three-copy gated-income payoffs;
 # every later implementation must reproduce them.
@@ -558,16 +626,16 @@ def test_sweep_across_row_blocks_matches_reference(scenario, tmp_path, fmt):
 @pytest.mark.parametrize(
     "sweeps,calls",
     [
-        # 12 x 10 rows in blocks of 5, 5 and 2 gamma rows: gamma, loyalty1,
+        # 12 x 10 rows in three blocks of 4 gamma rows: gamma, loyalty1,
         # delta (a function of loyalty1) and rhs, in column order
         (["gamma=0:0.9:12", "loyalty1=0:0.9:10"],
-         [[5, 10, 10, 50], [5, 10, 10, 50], [2, 10, 10, 20]]),
+         [[4, 10, 10, 40], [4, 10, 10, 40], [4, 10, 10, 40]]),
         # lambda x gamma x loyalty1 in blocks of two lambdas: rhs does not
         # depend on lambda, so it is spelled at gamma x loyalty1 entries
         (["lambda=0:0.01:3", "gamma=0:0.9:4", "loyalty1=0:0.9:5"],
          [[2, 4, 5, 5, 20], [1, 4, 5, 5, 20]]),
-        # one axis of 120 rows: 50 a block, delta is one number
-        (["gamma=0:0.9:120"], [[50, 1, 50], [50, 1, 50], [20, 1, 20]]),
+        # one axis of 120 rows: three blocks of 40, delta is one number
+        (["gamma=0:0.9:120"], [[40, 1, 40], [40, 1, 40], [40, 1, 40]]),
     ],
     ids=["gamma-loyalty1", "lambda-gamma-loyalty1", "gamma"],
 )

@@ -67,6 +67,17 @@ def test_threshold_is_the_boundary():
         assert solved == sp.Interval(0, BOUNDARY.subs(at)).intersect(domain)
 
 
+def test_boundary_falls_in_sigma():
+    """The loyalty claim on the benchmark: ``d gamma*/d sigma =
+    sigma (sigma - 2) / (sigma^2 - sigma + 1)^2``, negative on (0, 1), since
+    there ``sigma > 0``, ``sigma - 2 < 0`` and the denominator is positive."""
+    derivative = sp.diff(BOUNDARY, sigma)
+    assert sp.simplify(derivative - sigma * (sigma - 2) / (sigma**2 - sigma + 1) ** 2) == 0
+    assert sp.solveset(sp.Ge(derivative, 0), sigma, sp.Interval.open(0, 1)) == sp.S.EmptySet
+    assert sp.solveset(sp.Lt(derivative, 0), sigma, sp.S.Reals).is_superset(
+        sp.Interval.open(0, 1))
+
+
 def test_ratio_and_difference_forms_agree_where_the_ratio_is_defined():
     """For multiplicative income ``(rho1 + rho2) g``, ``delta - rhs`` is the
     ratio form's margin times the pessimistic income ``phi_hat g(l)``, which

@@ -25,6 +25,7 @@ from middleman import (
     ScenarioError,
     TabulatedBenefit,
     TabulatedIncome,
+    boundary_curve,
     dump_scenario,
     emit_results,
     full_exploitation_verdict,
@@ -496,6 +497,25 @@ def test_region_svg_contains_shade_and_boundary():
     assert "<polygon" in text and "<polyline" in text
 
 
+def reference_region_svg_points(axis):
+    """The region SVG's polygon points, spelled a point at a time from the
+    scalar boundary curve."""
+    def pt(gamma, sigma):
+        return f"{gamma * 500:.2f},{(1.0 - sigma) * 500:.2f}"
+
+    curve = [pt(boundary_curve(s), s) for s in axis.tolist()]
+    return " ".join([pt(0.0, 0.0), *curve, pt(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("axis", [region_sample(n).axis for n in (2, 7, 333, 1000)]
+                         + [np.sort(np.random.default_rng(3).random(500)),
+                            np.array([0.0, 1e-300, 0.5 - 2**-54, 0.5, 1 - 2**-53, 1.0])],
+                         ids=["2", "7", "333", "1000", "random", "edges"])
+def test_region_svg_matches_the_per_point_reference(axis):
+    points = re.search(r'<polygon points="([^"]*)"', region_svg(RegionMap(axis))).group(1)
+    assert points == reference_region_svg_points(axis)
+
+
 def test_sweep_csv_layout():
     columns = {
         "gamma": [0.0, 0.99],
@@ -630,6 +650,19 @@ def test_sweep_writers_on_broadcast_columns_match_the_raveled_reference(monkeypa
         assert first_difference(writer(columns), text) is None
         assert first_difference(writer(flat), text) is None
         assert b"".join(scenario_module.sweep_blocks(columns, fmt)).decode() == text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "machine"])
+def test_sweep_blocks_are_near_equal(monkeypatch, fmt):
+    # trailing rows just over a block cut each leading row into two blocks
+    # of 26 and 25 rows, not one of 50 and one of a single row
+    monkeypatch.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", 50)
+    columns = _mesh_columns(2, 51)
+    head, *blocks, tail = map(bytes, scenario_module.sweep_blocks(columns, fmt))
+    assert [b.count(b"\n" if fmt == "csv" else b"{") for b in blocks] == [26, 25, 26, 25]
+    reference = reference_sweep_csv if fmt == "csv" else reference_sweep_machine
+    text = b"".join([head, *blocks, tail]).decode()
+    assert first_difference(text, reference(_raveled(columns))) is None
 
 
 @pytest.mark.parametrize("block_rows", [1, 7])
