@@ -17,9 +17,8 @@ import numpy as np
 from .game import FieldError, Grid, StrategyProfile, Value, _numbers
 from .hedonic import (
     HedonicGame,
-    HedonicUsers,
+    HedonicPayoffs,
     _as_scalar,
-    _fee_monotone_game,
     full_extraction_fees,
     game_payoffs,
     gated_income,
@@ -179,11 +178,11 @@ def _weighted_income(game, beliefs, rho1, rho2, s1, s2) -> Value:
 
 
 @dataclass(frozen=True)
-class ModifiedPayoffs(HedonicUsers):
+class ModifiedPayoffs(HedonicPayoffs):
     """The bundle :func:`modified_game` builds: the users of ``game`` and the
-    middleman's :func:`modified_payoff` under ``beliefs``. Not a
-    ``HedonicPayoffs``, whose middleman the Pareto corner path reads as the
-    game's gated income."""
+    middleman's :func:`modified_payoff` under ``beliefs``. Its gates name
+    three levels, so ``hedonic.fee_monotone`` refuses it and the Pareto
+    check scans it."""
 
     beliefs: BeliefSystem
 
@@ -192,15 +191,15 @@ class ModifiedPayoffs(HedonicUsers):
 
     def gates(self, s1, s2):
         """Full participation, the loyalty levels and ``(s1, s2)`` (at full
-        participation the first again), for a fee-monotone game and one
-        belief system of floats whose plain weight is not negative. Array
-        fields hold many systems, and another number type would change the
-        loyalty levels' dtype once gathered with the others. Properness only
-        asks ``lambda_ + gamma`` to round to at most 1, while the weight
+        participation the first again), where the plain game has its gate,
+        for one belief system of floats whose plain weight is not negative.
+        Array fields hold many systems, and another number type would change
+        the loyalty levels' dtype once gathered with the others. Properness
+        only asks ``lambda_ + gamma`` to round to at most 1, while the weight
         :func:`modified_payoff` computes, ``1.0 - lambda_ - gamma``, may
         still round below 0."""
         b = self.beliefs
-        if not (_fee_monotone_game(self.game)
+        if not (super().gates(s1, s2)
                 and all(isinstance(v, float) for v in (b.lambda_, b.gamma, *b.loyalty))
                 and 1.0 - b.lambda_ - b.gamma >= 0.0):
             return None

@@ -105,7 +105,9 @@ def _prefix_len(holds, stop):
 class StrategyProfile:
     """A joint strategy: participation levels (s1, s2) and fee pair (rho1, rho2).
 
-    Each field, checked in that order, is a number or an array of numbers."""
+    Each field, checked in that order, is a number or an array of numbers.
+    A number that is not a float (an int, a float32, a 0-d array) is stored
+    as one, so no payoff or oracle meets another scalar type."""
 
     s1: Value
     s2: Value
@@ -114,16 +116,15 @@ class StrategyProfile:
 
     def __post_init__(self):
         for name in ("s1", "s2", "rho1", "rho2"):
-            v = _numbers(getattr(self, name), name)
+            value = getattr(self, name)
+            v = _numbers(value, name)
             if name[0] == "s":
                 if not ((v >= 0.0) & (v <= 1.0)).all():
                     raise ValueError(f"{name} must lie in [0, 1]")
             elif not (v >= 0.0).all():
                 raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def rho(self) -> tuple[Value, Value]:
-        return (self.rho1, self.rho2)
+            if not isinstance(value, float) and not v.ndim:
+                object.__setattr__(self, name, float(v))
 
 
 def _axis(lo: float, hi: float, steps: int) -> np.ndarray:

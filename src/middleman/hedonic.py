@@ -232,37 +232,42 @@ def middleman_payoff(game: HedonicGame, profile: StrategyProfile) -> Value:
     return gated_income(game, profile.rho1, profile.rho2, profile.s1, profile.s2)
 
 
+# Benefit families that are nonnegative on the participation box (so a zero
+# fee is always affordable), and income families that never fall as a fee
+# rises when such a family is their activity (sums and products of
+# nonnegative floats round monotonically; tabulated income's interpolation
+# can break fee monotonicity at the ulp level).
+_NONNEGATIVE_BENEFITS = (CobbDouglas, Linear, TabulatedBenefit)
+_FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
+
+
 @dataclass(frozen=True)
-class HedonicUsers(GamePayoffs):
-    """A payoff bundle whose users are those of ``game`` (:func:`user_payoff`),
-    carrying the game so an oracle can use its structure (see
-    ``oracles.epsilon_nash_check``). A subclass says what its middleman earns."""
+class HedonicPayoffs(GamePayoffs):
+    """The payoff bundle of a :class:`HedonicGame`, carrying the game so an
+    oracle can use its structure. Users earn :func:`user_payoff` and the
+    middleman the game's :func:`gated_income`, unless a subclass says otherwise."""
 
     game: HedonicGame
 
     def middleman(self, rho1: Value, rho2: Value, s1: Value, s2: Value) -> Value:
         """``payoff_middleman`` at these profile fields, without a profile."""
-        raise NotImplementedError
+        return gated_income(self.game, rho1, rho2, s1, s2)
 
     def gates(self, s1: float, s2: float) -> tuple | None:
         """The participation levels ``(u1, u2)`` whose :func:`gated_income`
         terms, with nonnegative weights, make up the middleman's payoff at
         participation ``(s1, s2)`` as the fees vary, each term never falling as
         a fee rises while its gate stays open, in floating point too. None
-        where that is not known, and the oracles scan the fee lattice."""
+        where that is not known, and the oracles scan the fee lattice. Here
+        ``(s1, s2)`` alone, for the families named above."""
+        income = self.game.income
+        specs = [self.game.f1, self.game.f2]
+        if type(income) is MultiplicativeIncome:
+            specs.append(income.activity)
+        if type(income) in _FEE_MONOTONE_INCOMES and all(
+                type(f) in _NONNEGATIVE_BENEFITS for f in specs):
+            return ((s1, s2),)
         return None
-
-
-@dataclass(frozen=True)
-class HedonicPayoffs(HedonicUsers):
-    """The payoff bundle of a :class:`HedonicGame`, whose middleman earns the
-    game's :func:`gated_income` (see ``oracles.pareto_check``)."""
-
-    def middleman(self, rho1, rho2, s1, s2):
-        return gated_income(self.game, rho1, rho2, s1, s2)
-
-    def gates(self, s1, s2):
-        return ((s1, s2),) if _fee_monotone_game(self.game) else None
 
 
 def game_payoffs(game: HedonicGame) -> HedonicPayoffs:
@@ -275,43 +280,26 @@ def game_payoffs(game: HedonicGame) -> HedonicPayoffs:
     )
 
 
-# Benefit families that are nonnegative on the participation box (so a zero
-# fee is always affordable), and income families that never fall as a fee
-# rises when such a family is their activity (sums and products of
-# nonnegative floats round monotonically).
-_NONNEGATIVE_BENEFITS = (CobbDouglas, Linear, TabulatedBenefit)
-_FEE_MONOTONE_INCOMES = (MultiplicativeIncome, AdditiveFeesIncome)
-
-
 def fee_monotone(payoffs: GamePayoffs) -> bool:
-    """True iff ``payoffs`` is a :class:`HedonicPayoffs` bundle whose benefit
-    families are nonnegative and whose income never falls as a fee rises
-    inside the affordable box, in floating point too: the bundles
-    ``oracles.pareto_check`` decides on its corner path. Tabulated income is
-    not, since its interpolation can break fee monotonicity at the ulp level."""
-    return isinstance(payoffs, HedonicPayoffs) and _fee_monotone_game(payoffs.game)
-
-
-def _fee_monotone_game(game: HedonicGame) -> bool:
-    """:func:`fee_monotone`'s rule on the game alone."""
-    income = game.income
-    specs = [game.f1, game.f2]
-    if type(income) is MultiplicativeIncome:
-        specs.append(income.activity)
-    return type(income) in _FEE_MONOTONE_INCOMES and all(
-        type(f) in _NONNEGATIVE_BENEFITS for f in specs
-    )
+    """True iff ``payoffs`` is a :class:`HedonicPayoffs` whose ``gates`` name
+    its own level and nothing else: the bundles ``oracles.pareto_check``
+    decides on its corner path (the modified game's name three levels)."""
+    return isinstance(payoffs, HedonicPayoffs) and payoffs.gates(1.0, 1.0) == ((1.0, 1.0),)
 
 
 def full_extraction_fees(game: HedonicGame) -> tuple[float, float]:
-    """Fee pair extracting the entire benefit at maximal participation. A
-    :class:`FieldError` names the benefit whose value there is not finite (a
-    linear benefit's weights may each be finite while their sum overflows)."""
+    """Fee pair ``F`` extracting the entire benefit at maximal participation.
+    A :class:`FieldError` names the benefit whose value there is not finite
+    (a linear benefit's weights may each be finite while their sum
+    overflows), or else the income, if ``income(F1, F2, 1, 1)`` is not."""
     with np.errstate(over="ignore", invalid="ignore"):
         fees = (float(game.f1(1.0, 1.0)), float(game.f2(1.0, 1.0)))
-    for name, fee in zip(("f1", "f2"), fees):
-        if not math.isfinite(fee):
-            raise FieldError(name, f"{name}(1, 1) must be finite, got {fee:g}")
+        for name, fee in zip(("f1", "f2"), fees):
+            if not math.isfinite(fee):
+                raise FieldError(name, f"{name}(1, 1) must be finite, got {fee:g}")
+        income = float(game.income(*fees, 1.0, 1.0))
+    if not math.isfinite(income):
+        raise FieldError("income", f"income(F1, F2, 1, 1) must be finite, got {income:g}")
     return fees
 
 

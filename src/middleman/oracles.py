@@ -13,7 +13,7 @@ and a small grid is one block. ``epsilon_nash_check`` checks its three
 deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
-``weak_dominance_check`` decides every ``hedonic.HedonicUsers`` bundle
+``weak_dominance_check`` decides every ``hedonic.HedonicPayoffs`` bundle
 (``modified_game``'s too) in O(n^2) instead of O(n^3), from the largest
 benefit over the own levels, and compares fees only in the contexts where
 that benefit is not at most the candidate's. ``pareto_check`` decides the
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _scan
 from .game import FieldError, GamePayoffs, Grid, StrategyProfile, _number, _player, _prefix_len
-from .hedonic import HedonicUsers, capped_surplus, fee_monotone
+from .hedonic import HedonicPayoffs, capped_surplus, fee_monotone
 
 # Elements one block's payoffs may hold; measured in BENCH_oracle_blocks.json.
 _BLOCK_ELEMENTS = 2**14
@@ -92,16 +92,15 @@ def epsilon_nash_check(
     gain: user 1 and then user 2 over their own participation axis, then the
     middleman jointly over the fee-pair lattice.
 
-    A bundle whose users are a hedonic game's (``hedonic.HedonicUsers``:
-    ``game_payoffs`` and ``ambiguity.modified_game`` build them), at a
-    profile of floats, evaluates each user's deviations in one
-    ``capped_surplus(f_i(...), rho_i)`` call with the profile's own level as
-    the last entry; elementwise ufuncs give that entry the bits of the
-    profile's own payoff. Where the bundle names the levels whose gated
-    incomes make up the middleman's payoff (``gates``), the middleman's fee
-    deviations shrink to the corners of the affordable boxes
-    ``r_i <= f_i(level)``, see :func:`_fee_corners`. Every other bundle,
-    and every case the corners refuse, scans the lattice.
+    A ``hedonic.HedonicPayoffs`` bundle (``game_payoffs`` and
+    ``ambiguity.modified_game`` build them) evaluates each user's deviations
+    in one ``capped_surplus(f_i(...), rho_i)`` call with the profile's own
+    level, a float (see ``StrategyProfile``), as the last entry; elementwise
+    ufuncs give that entry the bits of the profile's own payoff. Where the
+    bundle names the levels whose gated incomes make up the middleman's
+    payoff (``gates``), the middleman's fee deviations shrink to the corners
+    of the affordable boxes ``r_i <= f_i(level)``, see :func:`_fee_corners`.
+    Every other bundle, and every case the corners refuse, scans the lattice.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -116,9 +115,7 @@ def _nash_deviations(game, profile, grid):
     r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
     fields = s1, s2, rho1, rho2 = profile.s1, profile.s2, profile.rho1, profile.rho2
     corners = None
-    # Another number type (an int, a float32, a 0-d array) would change the
-    # own entry's dtype once appended to a float axis.
-    if isinstance(game, HedonicUsers) and all(isinstance(v, float) for v in fields):
+    if isinstance(game, HedonicPayoffs):
         for f, i, rho in ((game.game.f1, 0, rho1), (game.game.f2, 1, rho2)):
             at = [s1, s2]
             at[i] = own = np.concatenate((s_axis, (fields[i],)))
@@ -187,7 +184,7 @@ def weak_dominance_check(
     must be at least every alternative's payoff minus ``eps``: one payoff call
     per block of the other user's levels, with the candidate as the last row.
 
-    A ``hedonic.HedonicUsers`` bundle (``modified_game``'s too) is decided
+    A ``hedonic.HedonicPayoffs`` bundle (``modified_game``'s too) is decided
     in O(n^2) from the game's benefits. Its user payoff
     ``capped_surplus(b, r_i)``, with ``b = f_i(s_own, s_other)``, ignores the
     other fee and is weakly increasing in ``b`` in floating point too: it is 0
@@ -210,7 +207,7 @@ def weak_dominance_check(
 
     s_axis = grid.participation_axis()
     own = np.append(s_axis, candidate)
-    if isinstance(game, HedonicUsers):
+    if isinstance(game, HedonicPayoffs):
         f = game.game.f1 if player == 1 else game.game.f2
         r = grid.fee_axis(player)
         levels, per_level = s_axis, own.size  # the benefit table's rows

@@ -419,20 +419,23 @@ def test_critical_gamma_is_one_without_income():
     assert full_exploitation_verdict(game, beliefs_at(0.9)).full_exploitation
 
 
-@pytest.mark.parametrize("field", ["f1", "f2"])
+@pytest.mark.parametrize("field", ["f1", "f2", "income"])
 def test_threshold_refuses_an_infinite_full_extraction_fee(field):
-    # each weight is finite, but f_i(1, 1) = 1e308 + 1e308 overflows: the
-    # library names the benefit, without numpy's overflow warning (an error
+    # each weight is finite, but f_i(1, 1) = 1e308 + 1e308 overflows, or the
+    # activity's does and so the income at the full-extraction fees: the
+    # library names the field, without numpy's overflow warning (an error
     # under this suite's warning filter)
-    half = Linear(0.5, 0.5)
-    benefits = {"f1": half, "f2": half, field: Linear(1e308, 1e308)}
-    game = HedonicGame(**benefits, income=MultiplicativeIncome(half))
+    half, huge = Linear(0.5, 0.5), Linear(1e308, 1e308)
+    parts = {"f1": half, "f2": half, "income": MultiplicativeIncome(half)}
+    parts[field] = MultiplicativeIncome(huge) if field == "income" else huge
+    value = "income(F1, F2, 1, 1)" if field == "income" else f"{field}(1, 1)"
+    game = HedonicGame(**parts)
     for call in (full_extraction_fees, lambda g: full_exploitation_verdict(g, beliefs_at(0.5)),
                  lambda g: critical_gamma(g, beliefs_at(0.5))):
         with pytest.raises(FieldError) as exc:
             call(game)
         assert exc.value.field == field
-        assert exc.value.problem == f"{field}(1, 1) must be finite, got inf"
+        assert exc.value.problem == f"{value} must be finite, got inf"
 
 
 def test_critical_gamma_broadcasts_over_array_beliefs():

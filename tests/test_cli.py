@@ -284,7 +284,7 @@ def test_nonfinite_scenario_number_exits_2(tmp_path, old, new, field):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("field", ["f1", "f2"])
+@pytest.mark.parametrize("field", ["f1", "f2", "income"])
 @pytest.mark.parametrize(
     "command",
     [["threshold"], ["sweep", "--sweep", "gamma=0:1:3"],
@@ -293,15 +293,18 @@ def test_nonfinite_scenario_number_exits_2(tmp_path, old, new, field):
     ids=lambda command: command[0],
 )
 def test_infinite_full_extraction_fee_exits_2(tmp_path, command, field):
-    # each weight is finite, but f_i(1, 1) = 1e308 + 1e308 overflows; the
-    # error names the benefit, and numpy's overflow warning is not printed
+    # each weight is finite, but f_i(1, 1) = 1e308 + 1e308 overflows, or the
+    # activity's does and so the income at the full-extraction fees; the
+    # error names the field, and numpy's overflow warning is not printed
+    spec = "activity" if field == "income" else field
+    value = "income(F1, F2, 1, 1)" if field == "income" else f"{field}(1, 1)"
     path = tmp_path / "huge.yaml"
     path.write_text(BENCHMARK_DOC.replace(
-        f"{field}: {{family: linear, w1: 0.5, w2: 0.5}}",
-        f"{field}: {{family: linear, w1: 1.0e+308, w2: 1.0e+308}}"))
+        f"{spec}: {{family: linear, w1: 0.5, w2: 0.5}}",
+        f"{spec}: {{family: linear, w1: 1.0e+308, w2: 1.0e+308}}"))
     result = run_cli(command[0], "--scenario", str(path), *command[1:])
     assert result.returncode == 2
-    assert result.stderr == f"error: game.{field}: {field}(1, 1) must be finite, got inf\n"
+    assert result.stderr == f"error: game.{field}: {value} must be finite, got inf\n"
     assert result.stdout == ""
 
 

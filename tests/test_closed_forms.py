@@ -94,6 +94,57 @@ def test_ratio_and_difference_forms_agree_where_the_ratio_is_defined():
     assert (phi_hat * g_loyal).is_positive
 
 
+# The fee ratio p = phi_hat / F_hat (loyalty over full-extraction fee sums)
+# and the activity ratio q = g(l) / g(1, 1); every parametric game's
+# critical_gamma is the ratio form below, and the benchmark is its diagonal.
+P, Q = sp.symbols("p q", positive=True)
+D = 1 - P + P * Q
+RATIO_FORM = (1 - P) / D
+
+
+def test_critical_gamma_is_the_ratio_form():
+    """``critical_gamma = delta / (delta + I_L)``, with ``delta = I(F; 1, 1)
+    - I(phi; 1, 1)`` and ``I_L = I(phi; l)``, is ``(1 - p) / (1 - p + p q)``
+    for multiplicative income ``(rho1 + rho2) g`` and ``1 - p`` for additive
+    income ``rho1 + rho2``."""
+    F1, F2, phi1, phi2, g_full, g_loyal = sp.symbols(
+        "F1 F2 phi1 phi2 g_full g_loyal", positive=True
+    )
+    ratios = {P: (phi1 + phi2) / (F1 + F2), Q: g_loyal / g_full}
+    for g_at_full, g_at_loyalty, form in ((g_full, g_loyal, RATIO_FORM), (1, 1, 1 - P)):
+        delta = (F1 + F2) * g_at_full - (phi1 + phi2) * g_at_full
+        loyalty_income = (phi1 + phi2) * g_at_loyalty
+        share = delta / (delta + loyalty_income)
+        assert sp.simplify(share - form.subs(ratios)) == 0
+
+
+def test_critical_gamma_falls_in_both_ratios():
+    """``d gamma*/dp = -q / D^2`` and ``d gamma*/dq = -p (1 - p) / D^2``,
+    with ``D = 1 - p + p q``: both negative for p in (0, 1) and q > 0,
+    where ``D = (1 - p) + p q > 0``. For nondecreasing families p and q never
+    fall as a loyalty level rises, so neither does the verdict turn true."""
+    d_p, d_q = sp.diff(RATIO_FORM, P), sp.diff(RATIO_FORM, Q)
+    assert sp.simplify(d_p + Q / D**2) == 0
+    assert sp.simplify(d_q + P * (1 - P) / D**2) == 0
+    a = sp.symbols("a", positive=True)
+    inside = {P: 1 / (1 + a)}  # every p in (0, 1)
+    assert sp.factor(D.subs(inside)).is_positive
+    assert sp.factor(d_p.subs(inside)).is_negative
+    assert sp.factor(d_q.subs(inside)).is_negative
+
+
+def test_the_benchmark_is_the_diagonal_p_equals_q_equals_sigma():
+    """The sigma game's fee and activity ratios are both sigma, and the ratio
+    form there is the boundary ``gamma*(sigma)``."""
+    s1, s2 = sp.symbols("s1 s2")
+    component = sp.Lambda((s1, s2), (s1 + s2) / 2)  # every benefit and g
+    F_hat = 2 * component(1, 1)
+    phi_hat = 2 * component(sigma, sigma)
+    assert sp.simplify(phi_hat / F_hat - sigma) == 0
+    assert sp.simplify(component(sigma, sigma) / component(1, 1) - sigma) == 0
+    assert sp.simplify(RATIO_FORM.subs({P: sigma, Q: sigma}) - BOUNDARY) == 0
+
+
 @pytest.mark.parametrize("k", range(LATTICE + 1))
 def test_boundary_curve_matches_the_closed_form(k):
     s = k / LATTICE

@@ -248,6 +248,14 @@ def test_number_arguments_take_numpy_numbers(name, value):
     assert call(value) == call(float(value))
 
 
+def test_profile_stores_each_number_as_a_float_and_keeps_arrays():
+    profile = StrategyProfile(1, np.float32(0.5), np.array(0.25), np.int64(1))
+    assert [(type(v), v) for v in (profile.s1, profile.s2, profile.rho1, profile.rho2)] == [
+        (float, 1.0), (float, 0.5), (float, 0.25), (float, 1.0)]
+    axis = np.array([0.5, 1.0], np.float32)
+    assert StrategyProfile(axis, 1.0, 0.0, 0.0).s1 is axis
+
+
 def test_an_int_beyond_the_float_range_is_the_infinity_of_its_sign():
     values = game._numbers([10**400, -(10**400), 2, np.float32(0.5)], "values")
     assert values.tolist() == [np.inf, -np.inf, 2.0, 0.5]
@@ -890,7 +898,7 @@ def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
         game_payoffs(HedonicGame(half, half, MultiplicativeIncome(shifted))),
     )
     assert slices_scanned(linear) == 0
-    # the modified bundle is no HedonicPayoffs: its middleman is not the game's
+    # the modified bundle's gates name three levels: its middleman is not the game's
     for pay in (bare(linear), modified, *others):
         assert slices_scanned(pay) > 0
 
@@ -908,8 +916,52 @@ def test_tabulated_income_and_other_bundles_take_the_scan(monkeypatch):
         overflowing,
     ):
         assert fee_pairs_compared(pay) == lattice
-    # a profile field that is not a float keeps the scan for the users too
-    assert fee_pairs_compared(linear, StrategyProfile(1, 1.0, 1.0, 1.0)) == lattice
+    # a profile stores an int field as a float, so it takes its float twin's path
+    assert fee_pairs_compared(linear, StrategyProfile(1, 1.0, 1.0, 1.0)) == 1
+
+
+def number_twins(point):
+    """The profile of ``point`` as float32s, as 0-d arrays and, where every
+    entry is whole, as ints."""
+    twins = [StrategyProfile(*map(np.float32, point)), StrategyProfile(*map(np.array, point))]
+    if all(float(x).is_integer() for x in point):
+        twins.append(StrategyProfile(*map(int, point)))
+    return twins
+
+
+@pytest.mark.parametrize("income", ["multiplicative", "tabulated"])
+def test_profiles_of_other_number_types_take_the_float_profiles_verdict(monkeypatch, income):
+    # the fee-monotone game takes every exact path, the tabulated one the
+    # scans; each point is exact in float32. A twin compares as many payoffs
+    # as its float profile does, so it takes the same path.
+    compared = []
+    improvement = _scan.any_improvement
+    monkeypatch.setattr(_scan, "any_improvement",
+                        lambda v, *a: compared.append(np.size(v)) or improvement(v, *a))
+
+    def run(check, profile):
+        compared.clear()
+        return check(profile), list(compared)
+
+    half = Linear(0.5, 0.5)
+    incomes = {"multiplicative": MultiplicativeIncome(half),
+               "tabulated": TabulatedIncome(np.ones((2, 2, 2, 2)), (1.0, 1.0))}
+    game = HedonicGame(half, half, incomes[income])
+    grid = Grid(8, full_extraction_fees(game))
+    beliefs = BeliefSystem(0.0, 0.25, 0.5, 0.5)
+    bundles = (game_payoffs(game), bare(game_payoffs(game)), modified_game(game, beliefs))
+    checks = [lambda p, pay=pay, check=check: check(pay, p, grid)
+              for pay in bundles for check in (epsilon_nash_check, pareto_check)]
+    checks.append(lambda p: ambiguity_equilibrium_check(game, beliefs, p, grid))
+    verdicts = set()
+    for point in ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0), (0.5, 1.0, 0.25, 0.75),
+                  (0.75, 0.5, 0.375, 0.25)):
+        for check in checks:
+            want = run(check, StrategyProfile(*point))
+            verdicts.add(want[0])
+            for twin in number_twins(point):
+                assert run(check, twin) == want, (point, twin)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

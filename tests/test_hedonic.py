@@ -341,6 +341,34 @@ def test_fee_monotone_accepts_the_parametric_incomes_over_nonnegative_families()
     assert not any(fee_monotone(pay) for pay in rejected)
 
 
+BUILT_IN_BENEFITS = {"cd": CobbDouglas(1.0, 2.0), "lin": Linear(0.5, 0.5),
+                     "tab": TabulatedBenefit([[0, 1], [1, 2]])}
+# the family table: every built-in benefit family is nonnegative, and the
+# income families that never fall as a fee rises are the parametric ones
+BUILT_IN_INCOMES = {
+    **{f"mult-{name}": (MultiplicativeIncome(f), True) for name, f in BUILT_IN_BENEFITS.items()},
+    "additive": (AdditiveFeesIncome(), True),
+    "tabulated": (TabulatedIncome(np.ones((2, 2, 2, 2)), (1.0, 1.0)), False),
+}
+
+
+@pytest.mark.parametrize("income", list(BUILT_IN_INCOMES))
+@pytest.mark.parametrize("f2", list(BUILT_IN_BENEFITS))
+@pytest.mark.parametrize("f1", list(BUILT_IN_BENEFITS))
+def test_gates_and_fee_monotone_follow_the_family_table(f1, f2, income):
+    income, monotone = BUILT_IN_INCOMES[income]
+    game = HedonicGame(BUILT_IN_BENEFITS[f1], BUILT_IN_BENEFITS[f2], income)
+    pay = game_payoffs(game)
+    assert fee_monotone(pay) is monotone
+    beliefs = BeliefSystem(0.25, 0.5, 0.75, 0.5)
+    modified = modified_game(game, beliefs)
+    # the modified bundle is a HedonicPayoffs whose gates name three levels
+    assert not fee_monotone(modified)
+    for s in ((1.0, 1.0), (0.5, 0.25), (0.0, 1.0)):
+        assert pay.gates(*s) == ((s,) if monotone else None)
+        assert modified.gates(*s) == (((1.0, 1.0), (0.75, 0.5), s) if monotone else None)
+
+
 # ---------------------------------------------------------------------------
 # full-extraction fees
 # ---------------------------------------------------------------------------

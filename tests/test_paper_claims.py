@@ -11,6 +11,10 @@
   fees ``phi`` never fall as a level rises (each benefit is a monotone
   rounded expression of it), so ``delta = I(F) - I(phi)`` never rises and
   the retained income ``I_L``, with it the right-hand side, never falls.
+  On every parametric game the threshold ``critical_gamma`` is
+  ``(1 - p) / (1 - p + p q)`` in the fee ratio ``p`` and the activity ratio
+  ``q`` (``1 - p`` for additive income), which ``test_closed_forms`` proves
+  falls in both.
 - Optimism never moves the verdict: at full participation the optimistic and
   the plain payoff coincide, so ``lambda_`` enters neither ``delta`` nor the
   right-hand side, and a ``sweep`` over it writes identical verdict columns.
@@ -25,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from middleman import (
+    AdditiveFeesIncome,
     BeliefSystem,
     CobbDouglas,
     HedonicGame,
@@ -33,6 +38,8 @@ from middleman import (
     cli,
     critical_gamma,
     full_exploitation_verdict,
+    full_extraction_fees,
+    loyalty_fees,
     parse_scenario,
 )
 
@@ -165,3 +172,22 @@ def test_optimism_never_moves_the_verdict(game, gamma, loyalty, shares):
     for field in ("delta", "rhs", "full_exploitation"):
         column = getattr(got, field)
         assert np.array_equal(column, np.full(lam.shape, getattr(want, field)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(game=st.one_of(games, st.builds(lambda f1, f2: HedonicGame(f1, f2, AdditiveFeesIncome()),
+                                       benefits, benefits)),
+       loyalty=st.lists(st.tuples(loyalty_levels, loyalty_levels), min_size=1, max_size=8))
+def test_critical_gamma_is_the_ratio_form(game, loyalty):
+    # p = phi_hat / F_hat and q = g(l) / g(1, 1), in floats, one loyalty pair per entry
+    l1, l2 = (np.array(levels) for levels in zip(*loyalty))
+    beliefs = BeliefSystem(0.0, 0.0, l1, l2)
+    F, phi = full_extraction_fees(game), loyalty_fees(game, beliefs)
+    p = (phi[0] + phi[1]) / (F[0] + F[1])
+    if isinstance(game.income, MultiplicativeIncome):
+        g = game.income.activity
+        q = g(l1, l2) / g(1.0, 1.0)
+        form = (1.0 - p) / (1.0 - p + p * q)
+    else:
+        form = 1.0 - p
+    assert np.abs(critical_gamma(game, beliefs) - form).max() <= 1e-15
