@@ -18,12 +18,11 @@ from .game import FieldError, Grid, StrategyProfile, Value, _numbers
 from .hedonic import (
     HedonicGame,
     HedonicPayoffs,
-    _as_scalar,
     full_extraction_fees,
     game_payoffs,
     gated_income,
 )
-from .oracles import epsilon_nash_check
+from .oracles import _blocks, epsilon_nash_check
 
 
 class BeliefError(FieldError):
@@ -54,15 +53,11 @@ def _raise_first(shape: tuple, checks: list) -> None:
 def _require_threshold_domain(beliefs: BeliefSystem) -> None:
     """The threshold test's hypotheses on the beliefs: gamma < 1 and loyalty
     levels < 1, checked entry by entry in C order."""
-    gamma = np.asarray(beliefs.gamma)
-    l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
-    _raise_first(
-        beliefs.shape,
-        [
-            (gamma >= 1.0, None, "threshold test requires gamma < 1"),
-            ((l1 >= 1.0) | (l2 >= 1.0), None, "threshold test requires loyalty levels < 1"),
-        ],
-    )
+    l1, l2 = beliefs.loyalty
+    _raise_first(beliefs.shape, [
+        (beliefs.gamma >= 1.0, None, "threshold test requires gamma < 1"),
+        ((l1 >= 1.0) | (l2 >= 1.0), None, "threshold test requires loyalty levels < 1"),
+    ])
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,8 @@ class BeliefSystem:
     broadcast together, one belief system per entry; validation then raises
     the error of the first offending entry in C order, exactly as checking
     the entries one at a time would. A field that is not a number fails first.
+    Each is checked in the type it was given, then stored as a float or a
+    float64 array, so no payoff or oracle meets another number type.
     """
 
     lambda_: Value
@@ -86,9 +83,10 @@ class BeliefSystem:
         checks, values = [], {}
         for name in ("lambda_", "gamma", "loyalty1", "loyalty2"):
             try:
-                v = values[name] = _numbers(getattr(self, name), name)
+                v = _numbers(getattr(self, name), name)
             except FieldError as exc:
                 raise BeliefError(name, exc.problem, 0) from None
+            values[name] = v if v.ndim else float(v)
             checks.append((~((v >= 0.0) & (v <= 1.0)), name, "must lie in [0, 1]"))
         try:  # in the fields' dtype
             total = np.add(self.lambda_, self.gamma)
@@ -101,6 +99,8 @@ class BeliefSystem:
             f"{float(np.broadcast_to(total, shape).flat[row]):g} exceeds 1",
         ))
         _raise_first(shape, checks)
+        for name, v in values.items():
+            object.__setattr__(self, name, v)
 
     @property
     def shape(self) -> tuple:
@@ -173,8 +173,7 @@ def _weighted_income(game, beliefs, rho1, rho2, s1, s2) -> Value:
     else:
         plain = gated_income(game, rho1, rho2, s1, s2)
     lam, gam = beliefs.lambda_, beliefs.gamma
-    out = lam * np.asarray(best) + gam * np.asarray(worst) + (1.0 - lam - gam) * np.asarray(plain)
-    return _as_scalar(out)
+    return lam * best + gam * worst + (1.0 - lam - gam) * plain
 
 
 @dataclass(frozen=True)
@@ -192,16 +191,12 @@ class ModifiedPayoffs(HedonicPayoffs):
     def gates(self, s1, s2):
         """Full participation, the loyalty levels and ``(s1, s2)`` (at full
         participation the first again), where the plain game has its gate,
-        for one belief system of floats whose plain weight is not negative.
-        Array fields hold many systems, and another number type would change
-        the loyalty levels' dtype once gathered with the others. Properness
-        only asks ``lambda_ + gamma`` to round to at most 1, while the weight
-        :func:`modified_payoff` computes, ``1.0 - lambda_ - gamma``, may
-        still round below 0."""
+        for one belief system (array fields hold many) whose plain weight is
+        not negative. Properness only asks ``lambda_ + gamma`` to round to at
+        most 1, while the weight :func:`modified_payoff` computes,
+        ``1.0 - lambda_ - gamma``, may still round below 0."""
         b = self.beliefs
-        if not (super().gates(s1, s2)
-                and all(isinstance(v, float) for v in (b.lambda_, b.gamma, *b.loyalty))
-                and 1.0 - b.lambda_ - b.gamma >= 0.0):
+        if not (super().gates(s1, s2) and not b.shape and 1.0 - b.lambda_ - b.gamma >= 0.0):
             return None
         return ((1.0, 1.0), b.loyalty, (s1, s2))
 
@@ -240,26 +235,31 @@ def best_fee_response(game: HedonicGame, beliefs: BeliefSystem, grid: Grid) -> t
     """Grid argmax of the modified payoff at full participation.
 
     The threshold test only ever compares the full-extraction and loyalty fee
-    pairs; this scan surfaces any third fee pair beating both (ties resolve to
-    the first maximiser in row-major fee order).
+    pairs; this scan surfaces any third fee pair beating both. It keeps
+    ``np.argmax``'s rule over the lattice in row-major fee order (the first
+    NaN if there is one, else the first maximum) while evaluating one block
+    of ``r1`` rows at a time: the rule again over the blocks' picks finds
+    the block, and within it the pick.
     """
     _require_one(beliefs)
-    r1 = grid.fee_axis(1)
-    r2 = grid.fee_axis(2)
-    vals = np.asarray(_weighted_income(game, beliefs, r1[:, None], r2[None, :], 1.0, 1.0))
-    i, j = divmod(int(np.argmax(vals)), r2.size)
-    return (float(r1[i]), float(r2[j]))
+    r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
+    picks, tops = [], []
+    for rows, vals in _blocks(
+            r1, lambda r: _weighted_income(game, beliefs, r[:, None], r2, 1.0, 1.0), r2.size):
+        i, j = divmod(int(np.argmax(vals)), r2.size)
+        picks.append((float(rows[i]), float(r2[j])))
+        tops.append(vals[i, j])
+    return picks[int(np.argmax(tops))]
 
 
 def _threshold_terms(game: HedonicGame, beliefs: BeliefSystem) -> tuple[np.ndarray, np.ndarray]:
     """``delta``, the income gained at full participation by charging the
     full-extraction fees ``F`` instead of the loyalty fees ``phi``, and
     ``I_L``, the income at ``phi`` and the loyalty levels."""
-    l1, l2 = (np.asarray(v) for v in beliefs.loyalty)
     F = full_extraction_fees(game)
     phi = loyalty_fees(game, beliefs)
     delta = np.asarray(game.income(F[0], F[1], 1.0, 1.0)) - game.income(phi[0], phi[1], 1.0, 1.0)
-    return delta, np.asarray(game.income(phi[0], phi[1], l1, l2))
+    return delta, np.asarray(game.income(phi[0], phi[1], *beliefs.loyalty))
 
 
 def critical_gamma(game: HedonicGame, beliefs: BeliefSystem) -> Value:
@@ -304,8 +304,7 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
     offending entry in C order. Scalar beliefs give float/bool fields.
     """
     _require_threshold_domain(beliefs)
-    shape = beliefs.shape
-    gamma = np.asarray(beliefs.gamma)
+    shape, gamma = beliefs.shape, beliefs.gamma
     delta, loyal = _threshold_terms(game, beliefs)
     rhs = gamma / (1.0 - gamma) * loyal
     delta, rhs = (np.broadcast_to(v, shape) for v in (delta, rhs))

@@ -19,9 +19,9 @@ decide, which it scans. These counts are lattice points, not payoff calls,
 so they do not change with how many levels an oracle evaluates per call.
 ``dominance`` and the corner path keep their ``(steps + 1)^3`` budgets
 although they now evaluate O(n^2) points, so ``dominance --steps 300`` and
-``pareto --steps 300`` are still refused. Likewise ``verify-nash`` and
-``ambiguity-eq`` keep their ``(steps + 1)^2`` budgets although a hedonic
-game now evaluates O(n) of those points.
+``pareto --steps 300`` are still refused. Likewise ``verify-nash`` keeps its
+``(steps + 1)^2`` budget although a hedonic game's Nash check evaluates O(n)
+of those points; ``ambiguity-eq``'s ``best_fee_response`` evaluates them all.
 
 Every check that can exit 2 is made before the first byte is written. A
 sweep decides its Cartesian product on an open mesh, one axis per swept
@@ -171,27 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_flag(call, *args, **kwargs):  # a field error, reported at --<field>
+def _reported(prefix, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, a field error reported at ``<prefix><field>``."""
     try:
         return call(*args, **kwargs)
     except FieldError as exc:
-        raise ScenarioError(f"--{exc.field}: {exc.problem}") from None
-
-
-def _full_extraction_fees(game):
-    """``full_extraction_fees(game)``, its field error reported at ``game.<field>``."""
-    try:
-        return full_extraction_fees(game)
-    except FieldError as exc:
-        raise ScenarioError(f"game.{exc.field}: {exc.problem}") from None
+        raise ScenarioError(f"{prefix}{exc.field}: {exc.problem}") from None
 
 
 def _grid_and_eps(config, args, dims):
     """Grid and tolerance of a check that counts ``(steps + 1)^dims`` points
     against :data:`MAX_POINTS`, with ``--steps`` and ``--eps`` applied."""
     flags = {key: getattr(args, key) for key in ("steps", "eps") if getattr(args, key) is not None}
-    config = _at_flag(replace, config, **flags)
-    grid = Grid(config.steps, _full_extraction_fees(config.game), config.s_lo)
+    config = _reported("--", replace, config, **flags)
+    grid = Grid(config.steps, _reported("game.", full_extraction_fees, config.game), config.s_lo)
     _check_points((config.steps + 1) ** dims, "--steps" if "steps" in flags else "grid.steps")
     return grid, config.eps
 
@@ -267,7 +260,7 @@ def _build_pareto(config, args):
 
 def _build_ambiguity_eq(config, args):
     beliefs = _require_beliefs(config)
-    # points budgeted: (steps + 1)^2, of which a hedonic game evaluates O(n)
+    # points budgeted: (steps + 1)^2, all evaluated by best_fee_response
     grid, eps = _grid_and_eps(config, args, 2)
     profile = StrategyProfile(*args.profile)
     verdict = ambiguity_equilibrium_check(config.game, beliefs, profile, grid, eps)
@@ -281,7 +274,7 @@ def _build_ambiguity_eq(config, args):
 
 def _build_threshold(config, args):
     beliefs = _require_beliefs(config)
-    fees = _full_extraction_fees(config.game)
+    fees = _reported("game.", full_extraction_fees, config.game)
     verdict = full_exploitation_verdict(config.game, beliefs)
     return verdict.full_exploitation, {
         "full_exploitation": verdict.full_exploitation,
@@ -295,7 +288,8 @@ def _build_threshold(config, args):
 
 
 def _cmd_region(args):
-    _at_flag(_count, args.resolution, "resolution")  # first: -5000 gets this text, not the budget's
+    # first: -5000 gets this text, not the budget's
+    _reported("--", _count, args.resolution, "resolution")
     _check_points((args.resolution + 1) ** 2, "--resolution")
     _deliver(emit_blocks(region_sample(args.resolution), args.format), args)
     return 0
@@ -304,7 +298,7 @@ def _cmd_region(args):
 def _cmd_sweep(args):
     config = parse_scenario(Path(args.scenario).read_text())
     beliefs = _require_beliefs(config)
-    _full_extraction_fees(config.game)
+    _reported("game.", full_extraction_fees, config.game)
     names = [name for name, *_ in args.sweeps]
     for i, name in enumerate(names):
         if name in names[:i]:

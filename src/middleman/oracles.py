@@ -6,11 +6,12 @@ treat improvements of at most ``eps`` as ties, so verdicts are monotone in
 ``eps``, a rule ``_scan`` alone applies. The brute-force scans are the
 reference. Dominance and Pareto each run one loop over blocks of an outer
 participation axis, choosing by bundle kind what a block's payoffs are, how
-many elements one level of them holds, and which ``_scan`` rule judges them.
-Every block, the first included, holds as many levels as keep that count
-within ``_BLOCK_ELEMENTS`` elements, so memory stays flat at any resolution
-and a small grid is one block. ``epsilon_nash_check`` checks its three
-deviation sets in order (user 1, user 2, the middleman), and
+many elements one level of them holds, and which ``_scan`` rule judges them;
+the Nash scan of the middleman's fee lattice loops over blocks of ``r1``
+rows the same way. Every block, the first included, holds as many levels as
+keep that count within ``_BLOCK_ELEMENTS`` elements, so memory stays flat at
+any resolution and a small grid is one block. ``epsilon_nash_check`` checks
+its three deviation sets in order (user 1, user 2, the middleman), and
 ``weak_dominance_check`` evaluates the candidate as the last row of a block.
 
 ``weak_dominance_check`` decides every ``hedonic.HedonicPayoffs`` bundle
@@ -100,7 +101,8 @@ def epsilon_nash_check(
     bundle names the levels whose gated incomes make up the middleman's
     payoff (``gates``), the middleman's fee deviations shrink to the corners
     of the affordable boxes ``r_i <= f_i(level)``, see :func:`_fee_corners`.
-    Every other bundle, and every case the corners refuse, scans the lattice.
+    Every other bundle, and every case the corners refuse, scans the
+    lattice, one block of ``r1`` rows at a time.
     """
     eps = _validate_eps(eps)
     _require_in_box(profile, grid)
@@ -110,7 +112,8 @@ def epsilon_nash_check(
 
 def _nash_deviations(game, profile, grid):
     """Yield each deviation set's payoffs and the profile's own payoff, in
-    the order :func:`epsilon_nash_check` checks them."""
+    the order :func:`epsilon_nash_check` checks them; a middleman scan one
+    block of ``r1`` rows at a time, against one own payoff."""
     s_axis = grid.participation_axis()
     r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
     fields = s1, s2, rho1, rho2 = profile.s1, profile.s2, profile.rho1, profile.rho2
@@ -129,10 +132,12 @@ def _nash_deviations(game, profile, grid):
         for pay, at in ((game.payoff_user1, (s_axis, s2, rho1, rho2)),
                         (game.payoff_user2, (s1, s_axis, rho1, rho2))):
             yield pay(StrategyProfile(*at)), pay(profile)
-    if corners is None:
-        pay = game.payoff_middleman
-        corners = pay(StrategyProfile(s1, s2, r1[:, None], r2[None, :])), pay(profile)
-    yield corners
+    if corners is not None:
+        yield corners
+        return
+    pay, own = game.payoff_middleman, game.payoff_middleman(profile)
+    for _, pays in _blocks(r1[:, None], lambda r: pay(StrategyProfile(s1, s2, r, r2)), r2.size):
+        yield pays, own
 
 
 def _fee_corners(game, fields, r1, r2):

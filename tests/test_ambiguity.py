@@ -15,6 +15,7 @@ from middleman import (
     ContestationVerdict,
     Grid,
     HedonicGame,
+    IncomeSpec,
     Linear,
     MultiplicativeIncome,
     StrategyProfile,
@@ -35,7 +36,7 @@ from middleman import (
     parse_scenario,
     pessimistic_payoff,
 )
-from middleman import ambiguity
+from middleman import ambiguity, oracles
 from middleman.ambiguity import BeliefError
 from middleman.game import FieldError
 from _support import random_benchmark_game, random_proper_beliefs, sigma_benchmark_game
@@ -104,6 +105,20 @@ def test_belief_properness_sums_in_the_fields_own_precision():
     with pytest.raises(BeliefError, match=r"^lambda_ must lie in \[0, 1\]$") as info:
         BeliefSystem([0.5, 10**400], 0.2, 0.5, 0.5)
     assert info.value.row == 1
+
+
+def test_beliefs_store_each_number_as_a_float_and_arrays_as_float64():
+    # each field is checked in the type it was given, then stored as the
+    # float or float64 array the payoffs and oracles see
+    beliefs = BeliefSystem(0, np.float32(0.5), np.array(0.25), np.int64(1))
+    assert [(type(v), v) for v in (beliefs.lambda_, beliefs.gamma, *beliefs.loyalty)] == [
+        (float, 0.0), (float, 0.5), (float, 0.25), (float, 1.0)]
+    beliefs = BeliefSystem([0, 0.5], np.array([0.25], np.float32), 0.5, np.array([[0.5]]))
+    for field, want in ((beliefs.lambda_, [0.0, 0.5]), (beliefs.gamma, [0.25]),
+                        (beliefs.loyalty2, [[0.5]])):
+        assert type(field) is np.ndarray and field.dtype == np.float64
+        assert field.tolist() == want
+    assert beliefs.shape == (1, 2)
 
 
 def test_verdict_consistency_enforced():
@@ -613,6 +628,70 @@ def test_best_fee_response_takes_the_first_maximiser_in_row_major_order():
             i, j = np.unravel_index(np.argmax(modified_payoff(game, beliefs, lattice)),
                                     (r1.size, r2.size))
             assert best_fee_response(game, beliefs, grid) == (r1[i], r2[j])
+
+
+class Planted(IncomeSpec):
+    """Income read from a table indexed by the fees on the eighths lattice,
+    whatever the participation."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def evaluate(self, rho1, rho2, s1, s2):
+        return self.table[np.rint(rho1 * 8).astype(int), np.rint(rho2 * 8).astype(int)]
+
+
+def planted(cells, fill=0.0):
+    table = np.full((9, 9), fill)
+    for (i, j), value in cells.items():
+        table[i, j] = value
+    return table
+
+
+@pytest.mark.parametrize("budget", [9, 27, 36, 2**14], ids=["rows-1", "rows-3", "rows-4", "one"])
+def test_best_fee_response_keeps_the_lattice_argmax_across_blocks(monkeypatch, budget):
+    # on Grid(8) a block holds budget // 9 rows of r1: its edges fall after
+    # rows 2, 5 (three a block) or 3, 7 (four a block). The answer is always
+    # np.argmax over the whole lattice: the first NaN in row-major order if
+    # there is one, else the first maximum, whichever block holds it.
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", budget)
+    grid = Grid(8, (1.0, 1.0))
+    r1, r2 = grid.fee_axis(1), grid.fee_axis(2)
+    lattice = StrategyProfile(1.0, 1.0, r1[:, None], r2[None, :])
+    beliefs = beliefs_at(0.25, lam=0.25)
+    one = Linear(1.0, 1.0)  # every fee affordable at every level the payoff reads
+
+    def reference(game):
+        i, j = np.unravel_index(np.argmax(modified_payoff(game, beliefs, lattice)),
+                                (r1.size, r2.size))
+        return (float(r1[i]), float(r2[j]))
+
+    nan = np.nan
+    cases = [
+        # a tie lattice and a NaN lattice: a zero activity, and an activity
+        # overflowing at (1, 1), whose income is NaN at zero fees and inf after
+        ((0, 0), HedonicGame(one, one, MultiplicativeIncome(Linear(0.0, 0.0)))),
+        ((0, 0), HedonicGame(one, one, MultiplicativeIncome(Linear(1e308, 1e308)))),
+        # ties across block edges keep the first
+        ((2, 8), planted({(2, 8): 1.0, (3, 0): 1.0, (5, 8): 1.0, (6, 0): 1.0})),
+        ((3, 0), planted({(2, 8): 0.5, (3, 0): 1.0, (7, 8): 1.0, (8, 0): 1.0})),
+        ((8, 8), planted({(8, 8): 2.0}, fill=1.0)),
+        # a NaN beats any maximum, earlier or later
+        ((4, 0), planted({(0, 0): 2.0, (4, 0): nan, (8, 8): nan, (6, 3): 3.0})),
+        ((3, 8), planted({(3, 8): nan, (5, 0): nan, (8, 8): nan})),
+    ]
+    for (i, j), game in cases:
+        if isinstance(game, np.ndarray):
+            game = HedonicGame(one, one, Planted(game))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference(game)
+            assert best_fee_response(game, beliefs, grid) == want == (r1[i], r2[j])
+    rng = np.random.default_rng(0)
+    for _ in range(40):  # small integers tie often; a few NaNs
+        table = rng.integers(0, 4, (9, 9)).astype(float)
+        table[rng.random((9, 9)) < 0.02] = nan
+        game = HedonicGame(one, one, Planted(table))
+        assert best_fee_response(game, beliefs, grid) == reference(game)
 
 
 @pytest.mark.parametrize("size", [61, 2, 1])

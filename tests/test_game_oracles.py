@@ -25,6 +25,7 @@ from middleman import (
     TabulatedBenefit,
     TabulatedIncome,
     ambiguity_equilibrium_check,
+    best_fee_response,
     epsilon_nash_check,
     full_extraction_fees,
     game_payoffs,
@@ -948,11 +949,17 @@ def test_profiles_of_other_number_types_take_the_float_profiles_verdict(monkeypa
                "tabulated": TabulatedIncome(np.ones((2, 2, 2, 2)), (1.0, 1.0))}
     game = HedonicGame(half, half, incomes[income])
     grid = Grid(8, full_extraction_fees(game))
-    beliefs = BeliefSystem(0.0, 0.25, 0.5, 0.5)
+    fields = (0.0, 0.25, 0.5, 0.5)
+    beliefs = BeliefSystem(*fields)
     bundles = (game_payoffs(game), bare(game_payoffs(game)), modified_game(game, beliefs))
     checks = [lambda p, pay=pay, check=check: check(pay, p, grid)
               for pay in bundles for check in (epsilon_nash_check, pareto_check)]
     checks.append(lambda p: ambiguity_equilibrium_check(game, beliefs, p, grid))
+    # beliefs store their numbers as floats too: an int lambda_, float32s
+    # and 0-d arrays take the float beliefs' path, the corners for the
+    # fee-monotone game (at most 4 x 4 middleman payoffs)
+    belief_twins = (BeliefSystem(0, 0.25, 0.5, 0.5), BeliefSystem(*map(np.float32, fields)),
+                    BeliefSystem(*map(np.array, fields)))
     verdicts = set()
     for point in ((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0), (0.5, 1.0, 0.25, 0.75),
                   (0.75, 0.5, 0.375, 0.25)):
@@ -961,6 +968,11 @@ def test_profiles_of_other_number_types_take_the_float_profiles_verdict(monkeypa
             verdicts.add(want[0])
             for twin in number_twins(point):
                 assert run(check, twin) == want, (point, twin)
+        at = StrategyProfile(*point)
+        want = run(lambda p: ambiguity_equilibrium_check(game, beliefs, p, grid), at)
+        assert income == "tabulated" or all(n <= 16 for n in want[1][2:])
+        for twin in belief_twins:
+            assert run(lambda p: ambiguity_equilibrium_check(game, twin, p, grid), at) == want
     assert verdicts == {True, False}
 
 
@@ -1428,17 +1440,44 @@ def test_witnesses_planted_at_block_edges():
         assert not pareto_check(bare(tabulated), profile, fees)
 
 
+def test_nash_scan_witnesses_planted_at_block_edges():
+    # the middleman's scan runs over blocks of r1 rows: on Grid(8) at three
+    # rows a block, a gain at row 2 closes the first block, one at row 3
+    # opens the second, and one at row 8 closes the last; with no gain every
+    # block is visited, each against the one own payoff
+    grid = Grid(8, (1.0, 1.0))
+    r1 = grid.fee_axis(1)
+    profile = StrategyProfile(1.0, 1.0, 0.0, 0.0)
+    for row, visited in ((2, [3]), (3, [3, 3]), (8, [3, 3, 3]), (None, [3, 3, 3])):
+        gain_at = np.nan if row is None else r1[row]  # NaN: no gain anywhere
+        own = []  # True for each call on the profile itself
+
+        def middleman(p, gain_at=gain_at, own=own):
+            own.append(np.ndim(p.rho1) == 0)
+            return np.where((p.rho1 == gain_at) & (p.rho2 == 1.0), 1.0, 0.0)
+
+        pay = GamePayoffs(lambda p: 0.0, lambda p: 0.0, middleman)
+        with small_blocks(3 * r1.size) as sizes:
+            assert epsilon_nash_check(pay, profile, grid) == (row is None)
+        assert sizes == visited
+        assert own.count(True) == 1
+
+
 def test_exact_paths_keep_memory_flat_as_the_grid_grows():
-    # from steps 200 on, a block of the corner path or of hedonic dominance
-    # holds fewer levels than the grid, so the traced peak stays put while
-    # the lattice grows; blocks sized by the table instead of the budget
-    # would make the peak at steps 400 about four times that at steps 200
+    # from steps 200 on, a block of the corner path, of hedonic dominance, of
+    # the Nash scan or of the fee response holds fewer levels than the grid,
+    # so the traced peak stays put while the lattice grows; blocks sized by
+    # the table instead of the budget, or the fee lattice in one call, would
+    # make the peak at steps 400 about four times that at steps 200
     pay = game_payoffs(linear_activity_game())
     F = full_extraction_fees(pay.game)
     profile = StrategyProfile(1.0, 1.0, *F)
+    beliefs = BeliefSystem(0.0, 0.25, 0.5, 0.5)
     checks = (lambda grid: pareto_check(pay, profile, grid),
               lambda grid: weak_dominance_check(pay, 1, 1.0, grid),
-              lambda grid: weak_dominance_check(pay, 2, 1.0, grid))
+              lambda grid: weak_dominance_check(pay, 2, 1.0, grid),
+              lambda grid: epsilon_nash_check(bare(pay), profile, grid),
+              lambda grid: best_fee_response(pay.game, beliefs, grid))
     for check in checks:
         peaks = []
         for steps in (200, 400):
