@@ -18,6 +18,10 @@ from .game import FieldError, Grid, StrategyProfile, Value, _numbers
 from .hedonic import (
     HedonicGame,
     HedonicPayoffs,
+    TabulatedIncome,
+    _fee_fall_text,
+    _fee_falls,
+    fee_monotone,
     full_extraction_fees,
     game_payoffs,
     gated_income,
@@ -42,7 +46,7 @@ def _raise_first(shape: tuple, checks: list) -> None:
     the :class:`FieldError` field and ``problem`` its text, or a function of
     the flat row index giving it.
     """
-    if not any(np.count_nonzero(bad) for bad, _, _ in checks):
+    if not any(np.count_nonzero(np.broadcast_to(bad, shape)) for bad, _, _ in checks):
         return
     bad = np.stack([np.broadcast_to(b, shape) for b, _, _ in checks]).reshape(len(checks), -1)
     row = int(np.argmax(bad.any(axis=0)))
@@ -50,14 +54,20 @@ def _raise_first(shape: tuple, checks: list) -> None:
     raise BeliefError(field, problem if isinstance(problem, str) else problem(row), row)
 
 
-def _require_threshold_domain(beliefs: BeliefSystem) -> None:
-    """The threshold test's hypotheses on the beliefs: gamma < 1 and loyalty
-    levels < 1, checked entry by entry in C order."""
+def _domain_checks(beliefs: BeliefSystem) -> list:
+    """The threshold test's hypotheses on the beliefs, as checks for
+    :func:`_raise_first`: gamma < 1 and loyalty levels < 1."""
     l1, l2 = beliefs.loyalty
-    _raise_first(beliefs.shape, [
+    return [
         (beliefs.gamma >= 1.0, None, "threshold test requires gamma < 1"),
         ((l1 >= 1.0) | (l2 >= 1.0), None, "threshold test requires loyalty levels < 1"),
-    ])
+    ]
+
+
+def _require_threshold_domain(beliefs: BeliefSystem) -> None:
+    """The threshold test's hypotheses on the beliefs, checked entry by entry
+    in C order."""
+    _raise_first(beliefs.shape, _domain_checks(beliefs))
 
 
 @dataclass(frozen=True)
@@ -252,12 +262,81 @@ def best_fee_response(game: HedonicGame, beliefs: BeliefSystem, grid: Grid) -> t
     return picks[int(np.argmax(tops))]
 
 
-def _threshold_terms(game: HedonicGame, beliefs: BeliefSystem) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_fees(game: HedonicGame, beliefs: BeliefSystem, checks=()) -> tuple[tuple, tuple]:
+    """The fee pairs the threshold compares, the full-extraction fees ``F``
+    and the loyalty fees ``phi``, once the game meets the hypotheses
+    :func:`full_exploitation_verdict` rests on at the loyalty levels ``l``:
+
+    - ``F`` finite (:func:`hedonic.full_extraction_fees`);
+    - ``phi <= F``, that is ``f_i(l) <= f_i(1, 1)`` for each user;
+    - income weakly increasing in both fees on ``[0, F]`` at ``s = (1, 1)``
+      and on ``[0, phi]`` at ``s = l``. The fee-monotone families
+      (:func:`hedonic.fee_monotone`) are by construction; a
+      :class:`TabulatedIncome` is checked on the cells of its table that meet
+      each box (``hedonic._fee_falls``), exact in real numbers; any other
+      income is refused, since nothing can check it.
+
+    A :class:`BeliefError` names ``f1``, ``f2`` or ``income``, with the fee
+    cell and the difference that falls, at the first offending entry of the
+    beliefs in C order (checked in that order within an entry, after the
+    ``checks`` given, so a loop over the entries meets the same error first).
+    """
+    shape, loyalty = beliefs.shape, beliefs.loyalty
+    try:
+        F = full_extraction_fees(game)
+    except FieldError as exc:  # every entry fails it
+        _raise_first(shape, [*checks, (True, exc.field, exc.problem)])
+        raise  # beliefs with no entries
+    phi = loyalty_fees(game, beliefs)
+
+    def exceeds(name, p, f):  # phi_i > F_i, and its text at a row
+        def problem(row):
+            l1, l2, v = (float(np.broadcast_to(x, shape).flat[row]) for x in (*loyalty, p))
+            return (f"threshold test requires {name}(l) <= {name}(1, 1) = {f:g}, got "
+                    f"{name}({l1:g}, {l2:g}) = {v:g}")
+        return np.greater(p, f), name, problem
+
+    checks = [*checks, *map(exceeds, ("f1", "f2"), phi, F)]
+    if type(game.income) is TabulatedIncome:
+        checks.append(_table_check(game.income, F, phi, loyalty, shape))
+    elif not fee_monotone(game_payoffs(game)):
+        checks.append((True, "income", "threshold test requires a fee-monotone income family "
+                       "or a tabulated income, whose monotonicity it can check"))
+    _raise_first(shape, checks)
+    return F, phi
+
+
+def _table_check(income: TabulatedIncome, F, phi, loyalty, shape) -> tuple:
+    """The ``income`` check of :func:`_threshold_fees` for a tabulated
+    income: its table at full participation on ``[0, F]``, then at each
+    loyalty point on ``[0, phi]``, a block of points at a time."""
+    first, step = _fee_falls(income, [np.array([f]) for f in F], [np.ones(1), np.ones(1)])
+    if first[0] >= 0:
+        return True, "income", _fee_fall_text(income, first[0], step[0], (1, 1))
+    points = np.broadcast(*loyalty).shape  # one per entry of the loyalty fields' shape
+    flat = [np.broadcast_to(v, points).ravel() for v in (*phi, *loyalty)]
+    bad = np.zeros(len(flat[0]), bool)
+    for block, (first, _) in _blocks(
+            np.arange(bad.size), lambda b: _fee_falls(income, [v[b] for v in flat[:2]],
+                                                      [v[b] for v in flat[2:]]),
+            income.values.shape[0] * income.values.shape[1]):
+        bad[block] = first >= 0
+
+    def problem(row):
+        k = np.broadcast_to(np.arange(bad.size).reshape(points), shape).flat[row]
+        point = [v[k:k + 1] for v in flat]
+        first, step = _fee_falls(income, point[:2], point[2:])
+        return _fee_fall_text(income, first[0], step[0], (point[2][0], point[3][0]))
+
+    return bad.reshape(points), "income", problem
+
+
+def _threshold_terms(game: HedonicGame, beliefs: BeliefSystem, checks=()) -> tuple:
     """``delta``, the income gained at full participation by charging the
     full-extraction fees ``F`` instead of the loyalty fees ``phi``, and
-    ``I_L``, the income at ``phi`` and the loyalty levels."""
-    F = full_extraction_fees(game)
-    phi = loyalty_fees(game, beliefs)
+    ``I_L``, the income at ``phi`` and the loyalty levels, once the game
+    meets the threshold's hypotheses (:func:`_threshold_fees`)."""
+    F, phi = _threshold_fees(game, beliefs, checks)
     delta = np.asarray(game.income(F[0], F[1], 1.0, 1.0)) - game.income(phi[0], phi[1], 1.0, 1.0)
     return delta, np.asarray(game.income(phi[0], phi[1], *beliefs.loyalty))
 
@@ -269,9 +348,11 @@ def critical_gamma(game: HedonicGame, beliefs: BeliefSystem) -> Value:
     For gamma < 1, ``delta >= gamma / (1 - gamma) * I_L`` holds iff
     ``gamma <= critical_gamma`` in real numbers, so this explains the
     verdict of :func:`full_exploitation_verdict`, which still decides it:
-    at a tie the two forms may round apart. The beliefs' gamma is not read.
-    On the sigma benchmark this is :func:`activity.boundary_curve`.
-    Broadcasts over array-valued belief fields; scalar beliefs give a float.
+    at a tie the two forms may round apart. The beliefs' gamma is not read,
+    but the game must meet the verdict's hypotheses at their loyalty levels
+    (:func:`_threshold_fees`). On the sigma benchmark this is
+    :func:`activity.boundary_curve`. Broadcasts over array-valued belief
+    fields; scalar beliefs give a float.
     """
     delta, loyal = _threshold_terms(game, beliefs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,9 +366,12 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
 
     Compares the income differential ``delta`` against the pessimism-weighted
     income at the loyalty point; equality counts as full exploitation. Valid
-    for gamma < 1 and loyalty levels < 1, with benefits strictly increasing
-    and income weakly increasing on the working grid (the caller's
-    responsibility, checkable via the monotonicity helpers).
+    for gamma < 1 and loyalty levels < 1 (checked first), and for a game
+    whose full-extraction fees ``F`` are finite, whose loyalty fees ``phi``
+    are at most ``F``, and whose income is weakly increasing in both fees at
+    full participation on ``[0, F]`` and at the loyalty levels on
+    ``[0, phi]``; :func:`_threshold_fees` checks the game and raises a
+    :class:`FieldError` naming ``f1``, ``f2`` or ``income`` where it fails.
 
     Two candidates suffice. At full participation ``s = (1, 1)`` the
     optimistic and the plain payoff coincide, so the modified payoff is
@@ -300,12 +384,13 @@ def full_exploitation_verdict(game: HedonicGame, beliefs: BeliefSystem) -> Conte
     ``delta >= rhs`` after dividing by ``1 - gamma > 0``.
 
     Broadcasts over array-valued belief fields: the verdict's fields then
-    have the belief system's shape, and a domain error names the first
-    offending entry in C order. Scalar beliefs give float/bool fields.
+    have the belief system's shape, and an error names the first offending
+    entry in C order, as a loop over the entries would meet it: within an
+    entry, the beliefs' hypotheses come before the game's. Scalar beliefs
+    give float/bool fields.
     """
-    _require_threshold_domain(beliefs)
     shape, gamma = beliefs.shape, beliefs.gamma
-    delta, loyal = _threshold_terms(game, beliefs)
+    delta, loyal = _threshold_terms(game, beliefs, _domain_checks(beliefs))
     rhs = gamma / (1.0 - gamma) * loyal
     delta, rhs = (np.broadcast_to(v, shape) for v in (delta, rhs))
     full = delta >= rhs

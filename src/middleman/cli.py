@@ -40,6 +40,15 @@ was, so no ``--sweep`` list or ``--steps`` override carries over. The parser
 names each subcommand's ``_cmd_*`` and ``_build_*`` function, and ``main``
 looks the name up in this module when the command runs, so a handler
 replaced after the first call is the one called.
+
+Likewise a process that calls :func:`main` again on one scenario parses it
+once: the file is read on every call, and its text keys the parsed
+scenarios of the last :data:`_SCENARIOS_KEPT` distinct texts, so an edited
+file is parsed again. A parse error is not kept; it is raised, and exits 2
+with the same text, on every call. ``--steps`` and ``--eps`` make a new
+config with :func:`dataclasses.replace` and never alter the kept one, whose
+game and beliefs are immutable down to their tables. A fresh process parses
+each file once either way and gains nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +67,6 @@ import numpy as np
 from .activity import region_sample
 from .ambiguity import (
     BeliefError,
-    _require_threshold_domain,
     ambiguity_equilibrium_check,
     best_fee_response,
     full_exploitation_verdict,
@@ -172,10 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _reported(prefix, call, *args, **kwargs):
-    """``call(*args, **kwargs)``, a field error reported at ``<prefix><field>``."""
+    """``call(*args, **kwargs)``, a field error reported at ``<prefix><field>``;
+    an error of a rule over several fields (no field) as it is."""
     try:
         return call(*args, **kwargs)
     except FieldError as exc:
+        if exc.field is None:
+            raise
         raise ScenarioError(f"{prefix}{exc.field}: {exc.problem}") from None
 
 
@@ -213,11 +224,23 @@ def _deliver(blocks, args):
         sys.stdout.buffer.flush()  # a closed pipe raises here, not at exit
 
 
+# A long-lived process that reads many large tabulated files keeps the
+# parsed configs of at most this many scenario texts.
+_SCENARIOS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_SCENARIOS_KEPT)
+def _parsed(text):
+    # by its module-global name, so a wrapper on cli.parse_scenario sees
+    # every parse; lru_cache keeps no call that raised
+    return parse_scenario(text)
+
+
 def _cmd_report(args):
     """Run a verdict report. The subcommand's ``_build_*`` function, named by
     ``args.build``, takes the parsed scenario and returns the verdict and the
     report entries; a false verdict under ``--assert`` exits 1."""
-    config = parse_scenario(Path(args.scenario).read_text())
+    config = _parsed(Path(args.scenario).read_text())
     verdict, entries = globals()[args.build](config, args)
     # one block, through emit_results, so traces still count report emission
     _deliver([emit_results(entries, args.format).encode()], args)
@@ -275,7 +298,7 @@ def _build_ambiguity_eq(config, args):
 def _build_threshold(config, args):
     beliefs = _require_beliefs(config)
     fees = _reported("game.", full_extraction_fees, config.game)
-    verdict = full_exploitation_verdict(config.game, beliefs)
+    verdict = _reported("game.", full_exploitation_verdict, config.game, beliefs)
     return verdict.full_exploitation, {
         "full_exploitation": verdict.full_exploitation,
         "delta": verdict.delta,
@@ -296,7 +319,7 @@ def _cmd_region(args):
 
 
 def _cmd_sweep(args):
-    config = parse_scenario(Path(args.scenario).read_text())
+    config = _parsed(Path(args.scenario).read_text())
     beliefs = _require_beliefs(config)
     _reported("game.", full_extraction_fees, config.game)
     names = [name for name, *_ in args.sweeps]
@@ -316,13 +339,14 @@ def _cmd_sweep(args):
         sweep_beliefs = replace(beliefs, **swept)
     except BeliefError as exc:
         # rows before the offending one are valid belief systems, and a row
-        # failing the threshold test's domain there is met first in row order
+        # failing the threshold test's domain, or the game's hypotheses at
+        # its loyalty levels, there is met first in row order
         shape = tuple(axis.size for axis in axes)
         prefix = replace(beliefs, **{field: np.broadcast_to(grid, shape).flat[:exc.row]
                                      for field, grid in swept.items()})
-        _require_threshold_domain(prefix)
+        _reported("game.", full_exploitation_verdict, config.game, prefix)
         raise
-    verdict = full_exploitation_verdict(config.game, sweep_beliefs)
+    verdict = _reported("game.", full_exploitation_verdict, config.game, sweep_beliefs)
     columns = dict(zip(names, swept.values()))
     columns.update(
         delta=verdict.delta, rhs=verdict.rhs, full_exploitation=verdict.full_exploitation

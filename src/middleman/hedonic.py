@@ -79,8 +79,9 @@ class Linear(BenefitSpec):
 
 
 def _node_table(values, ndim: int) -> np.ndarray:
-    """``values`` as a float table of ``ndim`` axes, each with at least 2
-    nodes, every entry finite and nonnegative."""
+    """``values`` as a read-only float table of ``ndim`` axes, each with at
+    least 2 nodes, every entry finite and nonnegative. The table is a copy,
+    so the caller's array stays writable."""
     try:
         v = _numbers(values, "values")
     except ValueError:
@@ -89,6 +90,7 @@ def _node_table(values, ndim: int) -> np.ndarray:
         raise FieldError("values", f"must be a {ndim}-D table, at least 2 nodes per axis")
     if not np.all((v >= 0) & (v < np.inf)):
         raise FieldError("values", "must be finite and nonnegative")
+    v.setflags(write=False)
     return v
 
 
@@ -100,15 +102,16 @@ def _node_coords(x, size):
 
 
 def _multilinear(values: np.ndarray, coords) -> Value:
-    """Multilinear interpolation of a node table at one position in [0, 1]
-    per axis: the weighted sum over the corners of each point's cell."""
-    nodes = [_node_coords(x, n) for x, n in zip(coords, values.shape)]
+    """Multilinear interpolation of a node table's last ``len(coords)`` axes
+    at one position in [0, 1] per axis: the weighted sum over the corners of
+    each point's cell. Leading axes are kept, ahead of the points' axes."""
+    nodes = [_node_coords(x, n) for x, n in zip(coords, values.shape[values.ndim - len(coords):])]
     out = 0.0
-    for corner in product((0, 1), repeat=values.ndim):
+    for corner in product((0, 1), repeat=len(coords)):
         w = 1.0
         for (_, f), bit in zip(nodes, corner):
             w = w * (f if bit else 1 - f)
-        out = out + values[tuple(i + bit for (i, _), bit in zip(nodes, corner))] * w
+        out = out + values[(..., *(i + bit for (i, _), bit in zip(nodes, corner)))] * w
     return out
 
 
@@ -187,6 +190,49 @@ class TabulatedIncome(IncomeSpec):
     def evaluate(self, rho1, rho2, s1, s2):
         r1, r2 = (np.clip(r / b, 0.0, 1.0) for r, b in zip((rho1, rho2), self.fee_bounds))
         return _multilinear(self.values, (r1, r2, s1, s2))
+
+
+def _fee_falls(income: TabulatedIncome, fees, s) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``income`` may fall as a fee rises on the box ``[0, fees]`` at
+    participation ``s``, for each point of the 1-D arrays in the pairs
+    ``fees`` and ``s``: the index of the first node difference below 0 of
+    the table interpolated at ``s``, on the cells that meet the box, and its
+    value. Differences run along ``rho1`` (``(n1 - 1) x n2`` of them), then
+    along ``rho2`` (``n1 x (n2 - 1)``), each in C order; the index is -1
+    where none falls (see :func:`_fee_fall_text`).
+
+    At fixed ``s`` the income is bilinear in the fees on each cell, so it
+    rises in a fee on the cell iff the cell's two node differences along that
+    fee are >= 0: exact on whole cells, and safe where the box cuts one. The
+    box's fees are scaled and clamped as :meth:`TabulatedIncome.evaluate`
+    scales them."""
+    n1, n2 = income.values.shape[:2]
+    table = _multilinear(income.values, s)  # (n1, n2, points)
+    # the nodes of the cells the box meets: 0..top along each axis
+    top1, top2 = (np.ceil(np.clip(f / b, 0.0, 1.0) * (n - 1))
+                  for f, b, n in zip(fees, income.fee_bounds, (n1, n2)))
+    i, j = np.arange(n1)[:, None, None], np.arange(n2)[None, :, None]
+    steps = np.concatenate([np.diff(table, axis=0).reshape(-1, table.shape[-1]),
+                            np.diff(table, axis=1).reshape(-1, table.shape[-1])])
+    inside = np.concatenate([((i[1:] <= top1) & (j <= top2)).reshape(-1, top1.size),
+                             ((i <= top1) & (j[:, 1:] <= top2)).reshape(-1, top1.size)])
+    falls = (steps < 0) & inside
+    first = np.where(falls.any(axis=0), np.argmax(falls, axis=0), -1)
+    return first, steps[first, np.arange(first.size)]
+
+
+def _fee_fall_text(income: TabulatedIncome, first: int, step: float, s) -> str:
+    """Names the difference :func:`_fee_falls` found: its two fee nodes."""
+    n1, n2 = income.values.shape[:2]
+    if first < (n1 - 1) * n2:
+        (i, j), (di, dj) = divmod(first, n2), (1, 0)
+    else:
+        (i, j), (di, dj) = divmod(first - (n1 - 1) * n2, n2 - 1), (0, 1)
+    b1, b2 = income.fee_bounds
+    lo, hi = (f"({a * b1 / (n1 - 1):g}, {b * b2 / (n2 - 1):g})"
+              for a, b in ((i, j), (i + di, j + dj)))
+    return (f"threshold test requires income weakly increasing in the fees, but at "
+            f"s = ({s[0]:g}, {s[1]:g}) it changes by {step:g} from fees {lo} to {hi}")
 
 
 @dataclass(frozen=True)
@@ -304,7 +350,10 @@ def full_extraction_fees(game: HedonicGame) -> tuple[float, float]:
 
 
 def benefit_strictly_increasing(f: BenefitSpec, grid: Grid) -> bool:
-    """True iff f strictly increases along every grid line in each coordinate."""
+    """True iff f strictly increases along every grid line in each coordinate.
+
+    A lattice sample, not the threshold's hypothesis: the verdict checks
+    ``f_i(l) <= f_i(1, 1)`` itself (``ambiguity._threshold_fees``)."""
     ax = grid.participation_axis()
     vals = np.asarray(f(ax[:, None], ax[None, :]))
     return all(bool((np.diff(vals, axis=a) > STRICT_TOL).all()) for a in (0, 1))
@@ -312,6 +361,9 @@ def benefit_strictly_increasing(f: BenefitSpec, grid: Grid) -> bool:
 
 def income_weakly_increasing(income: IncomeSpec, grid: Grid) -> bool:
     """True iff income is nondecreasing in each of its four arguments on the lattice.
+
+    A lattice sample, not the threshold's hypothesis: the verdict checks the
+    income's fee monotonicity on its own boxes (``ambiguity._threshold_fees``).
 
     Evaluation streams one rho1 hyperplane, a (rho2, s1, s2) block, at a
     time, so large grids never materialise the full 4-D tensor. Each block is

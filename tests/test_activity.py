@@ -229,10 +229,12 @@ def test_region_sample_matches_pointwise_condition_and_boundary():
             assert s.full_exploitation == (s.point.gamma <= boundary_curve(s.point.sigma))
 
 
-@pytest.mark.parametrize("n", [7, 100, 1000])
+@pytest.mark.parametrize("n", [7, 100, 300, 1000, 3161])
 def test_region_verdicts_match_the_integer_certificate(n):
     # at gamma = i/n, sigma = j/n the region test (1 - gamma)(1 - sigma) >=
-    # gamma sigma^2 is (n - i)(n - j) n >= i j^2, exact in integers
+    # gamma sigma^2 is (n - i)(n - j) n >= i j^2, exact in integers. n = 300
+    # holds the exact tie (i, j) = (200, 150); n = 3161 is the largest
+    # resolution the point budget accepts.
     i = np.arange(n + 1, dtype=np.int64)[:, None]
     j = np.arange(n + 1, dtype=np.int64)[None, :]
     exact = (n - i) * (n - j) * n >= i * j * j

@@ -464,6 +464,107 @@ def test_critical_gamma_broadcasts_over_array_beliefs():
 
 
 # ---------------------------------------------------------------------------
+# the threshold's hypotheses on the game
+# ---------------------------------------------------------------------------
+
+
+def _falling_table_game():
+    # income i + j at fee nodes (i, j) on [0, 1]^2, whatever the
+    # participation, except 10 at the middle node: it falls from (0.5, 0.5)
+    # to (1, 0.5) and to (0.5, 1)
+    nodes = np.add.outer(np.arange(3.0), np.arange(3.0))
+    values = np.broadcast_to(nodes[:, :, None, None], (3, 3, 2, 2)).copy()
+    values[1, 1] = 10.0
+    half = Linear(0.5, 0.5)
+    return HedonicGame(half, half, TabulatedIncome(values, (1.0, 1.0)))
+
+
+FALLING_TEXT = ("threshold test requires income weakly increasing in the fees, but at "
+                "s = (1, 1) it changes by -7 from fees (0.5, 0.5) to (1, 0.5)")
+
+
+def test_threshold_refuses_an_income_table_that_falls_in_a_fee():
+    game, beliefs = _falling_table_game(), beliefs_at(0.5, loyalty=(0.25, 0.25))
+    # the two-candidate argument fails here: the best fee pair is neither F
+    # nor phi, so a verdict would be wrong
+    assert best_fee_response(game, beliefs, Grid(20, (1.0, 1.0))) == (0.5, 0.5)
+    for call in (full_exploitation_verdict, critical_gamma):
+        with pytest.raises(FieldError) as info:
+            call(game, beliefs)
+        assert (info.value.field, info.value.problem) == ("income", FALLING_TEXT)
+    # the named difference is the income's own
+    income = game.income
+    assert income(1.0, 0.5, 1.0, 1.0) - income(0.5, 0.5, 1.0, 1.0) == -7.0
+
+
+def _low_participation_fall_game():
+    # i + j at every participation, except 5 at the zero fees where s1 = 0:
+    # the table interpolated at s falls from (0, 0) to (0.5, 0) for s1 < 0.8
+    values = _falling_table_game().income.values.copy()
+    values[1, 1] = 2.0
+    values[0, 0, 0] = 5.0
+    half = Linear(0.5, 0.5)
+    return HedonicGame(half, half, TabulatedIncome(values, (1.0, 1.0)))
+
+
+def test_threshold_checks_a_tabulated_income_at_the_loyalty_levels():
+    game = _low_participation_fall_game()
+    with pytest.raises(FieldError) as info:
+        full_exploitation_verdict(game, beliefs_at(0.5, loyalty=(0.0, 0.9)))
+    assert info.value.field == "income"
+    assert info.value.problem.endswith(
+        "at s = (0, 0.9) it changes by -4 from fees (0, 0) to (0.5, 0)")
+    assert full_exploitation_verdict(game, beliefs_at(0.5, loyalty=(0.95, 0.0)))
+
+
+def test_threshold_refuses_loyalty_fees_above_the_full_extraction_fees():
+    # f1 peaks inside the square: f1(l) > f1(1, 1) makes phi1 > F1
+    game = HedonicGame(TabulatedBenefit([[0.0, 1.0], [5.0, 0.5]]), Linear(0.5, 0.5),
+                       MultiplicativeIncome(Linear(0.5, 0.5)))
+    with pytest.raises(FieldError) as info:
+        full_exploitation_verdict(game, beliefs_at(0.3, loyalty=(0.9, 0.1)))
+    assert (info.value.field, info.value.problem) == (
+        "f1", "threshold test requires f1(l) <= f1(1, 1) = 0.5, got f1(0.9, 0.1) = 4.105")
+    assert critical_gamma(game, beliefs_at(0.3, loyalty=(0.05, 0.05))) >= 0.0
+
+
+def test_threshold_refuses_an_income_family_it_cannot_check():
+    game = HedonicGame(Linear(0.5, 0.5), Linear(0.5, 0.5), Planted(planted({})))
+    for call in (full_exploitation_verdict, critical_gamma):
+        with pytest.raises(FieldError) as info:
+            call(game, beliefs_at(0.5))
+        assert info.value.field == "income"
+        assert info.value.problem.startswith("threshold test requires a fee-monotone income")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_tabulated_income_the_threshold_accepts_rises_on_both_boxes(seed):
+    # tables of mostly rising steps: where the check passes, the income
+    # sampled on a fine fee lattice over [0, F] at s = (1, 1) and over
+    # [0, phi] at s = l never falls
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.uniform(-0.3, 1.0, (3, 4, 2, 3)), axis=0)
+    values = np.cumsum(values, axis=1)
+    values -= min(values.min(), 0.0)
+    income = TabulatedIncome(values, tuple(rng.uniform(0.3, 1.5, 2)))
+    game = HedonicGame(Linear(*rng.uniform(0.1, 1.0, 2)), Linear(*rng.uniform(0.1, 1.0, 2)),
+                       income)
+    beliefs = beliefs_at(0.5, loyalty=tuple(rng.uniform(0.0, 0.99, 2)))
+    try:
+        full_exploitation_verdict(game, beliefs)
+    except FieldError as exc:
+        assert exc.field == "income"
+        return
+    for fees, s in ((full_extraction_fees(game), (1.0, 1.0)),
+                    (loyalty_fees(game, beliefs), beliefs.loyalty)):
+        r1, r2 = (np.linspace(0.0, f, 41) for f in fees)
+        table = np.asarray(income(r1[:, None], r2[None, :], *s))
+        assert (np.diff(table, axis=0) >= -1e-12).all()
+        assert (np.diff(table, axis=1) >= -1e-12).all()
+
+
+# ---------------------------------------------------------------------------
 # array-valued beliefs: the broadcast verdict against a per-row scalar loop
 # ---------------------------------------------------------------------------
 
@@ -547,15 +648,20 @@ def test_array_belief_errors_match_row_loop(fields):
 
 
 @pytest.mark.parametrize(
-    "loyalty1,gamma",
+    "make,loyalty1,gamma",
     [
-        ([0.5, 1.0, 0.5], [0.2, 0.3, 1.0]),
-        ([0.5, 0.5, 1.0], [0.2, 1.0, 0.3]),
-        ([1.0, 0.5], [1.0, 0.5]),
+        (sigma_benchmark_game, [0.5, 1.0, 0.5], [0.2, 0.3, 1.0]),
+        (sigma_benchmark_game, [0.5, 0.5, 1.0], [0.2, 1.0, 0.3]),
+        (sigma_benchmark_game, [1.0, 0.5], [1.0, 0.5]),
+        # a game that fails its hypotheses where loyalty1 < 0.8: at row 1,
+        # or after a loyalty or gamma of 1 there, which comes first
+        (_low_participation_fall_game, [0.9, 0.1, 0.0, 0.5], [0.2, 0.3, 0.2, 1.0]),
+        (_low_participation_fall_game, [0.9, 1.0, 0.0, 0.1], [0.2, 0.3, 0.2, 0.4]),
+        (_low_participation_fall_game, [0.9, 0.5, 0.6, 0.0], [0.2, 1.0, 0.3, 0.3]),
     ],
 )
-def test_array_threshold_domain_errors_match_row_loop(loyalty1, gamma):
-    game = sigma_benchmark_game()
+def test_array_threshold_domain_errors_match_row_loop(make, loyalty1, gamma):
+    game = make()
     rows = [(0.0, g, l, 0.5) for l, g in zip(loyalty1, gamma)]
     expected = _first_error(lambda *row: full_exploitation_verdict(game, BeliefSystem(*row)), rows)
     with pytest.raises(ValueError) as info:

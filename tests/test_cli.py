@@ -425,6 +425,40 @@ def test_reused_parser_answers_each_call_as_a_fresh_one(scenario, capsys):
     assert (parser.parse_args(calls[6]).steps, parser.parse_args(calls[6]).eps) == (None, None)
 
 
+def test_in_process_calls_parse_each_scenario_text_once(tmp_path, capsys, monkeypatch):
+    # one process runs the sequence; each call answers as a fresh process
+    # does, while parse_scenario runs once per new text of the file. The
+    # texts carry a comment of their own, so no earlier test has kept them.
+    parses, parse = [], cli.parse_scenario
+    monkeypatch.setattr(cli, "parse_scenario", lambda text: parses.append(text) or parse(text))
+    first = BENCHMARK_DOC + "# kept once: first text\n"
+    second = BENCHMARK_DOC.replace("gamma: 0.5", "gamma: 0.8") + "# kept once: second text\n"
+    broken = first + "game: [\n"
+    loose = ["--steps", "10", "--eps", "2.0"]  # turns the verdict below true
+    sequence = [  # file text, subcommand and flags, parses so far
+        (first, ["threshold"], 1),
+        (first, ["threshold", "--format", "machine"], 1),
+        (first, ["sweep", "--sweep", "gamma=0:0.8:3"], 1),
+        (first, ["verify-nash", "--profile", "1,1,0.5,0.5", *loose], 1),
+        (first, ["verify-nash", "--profile", "1,1,0.5,0.5"], 1),
+        (second, ["threshold"], 2),
+        (broken, ["threshold"], 3),
+        (broken, ["threshold"], 4),
+        (first, ["threshold"], 4),
+    ]
+    path, results = tmp_path / "scenario.yaml", []
+    for text, (command, *flags), parsed in sequence:
+        path.write_text(text)
+        argv = [command, "--scenario", str(path), *flags]
+        results.append(_main_result(argv, capsys))
+        fresh = run_cli(*argv)
+        assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert len(parses) == parsed
+    assert "verdict=true" in results[3][1] and "verdict=false" in results[4][1]
+    assert results[0] == results[-1] and results[0] != results[5]
+    assert results[6] == results[7] and results[6][0] == 2 and results[6][2].startswith("error: ")
+
+
 # SHA-256 of stdout, captured from the per-point implementation of the
 # region map and the sweep and from the three-copy gated-income payoffs;
 # every later implementation must reproduce them.
@@ -587,6 +621,78 @@ def test_sweep_reports_first_failing_row(scenario):
     )
     assert later_line.returncode == 2
     assert later_line.stderr == "error: threshold test requires gamma < 1\n"
+
+
+# Tabulated income with values[i, j] = i + j at fee nodes (i, j) on [0, 1]^2,
+# except 10 at the middle node: the income falls as a fee rises, so the
+# two-candidate threshold argument fails (ambiguity-eq's best fee response
+# is (0.5, 0.5), neither F nor phi).
+FALLING_DOC = """
+schema_version: 1
+game:
+  f1: {family: linear, w1: 0.5, w2: 0.5}
+  f2: {family: linear, w1: 0.5, w2: 0.5}
+  income:
+    family: tabulated
+    values: [[[[0, 0], [0, 0]], [[1, 1], [1, 1]], [[2, 2], [2, 2]]],
+             [[[1, 1], [1, 1]], [[10, 10], [10, 10]], [[3, 3], [3, 3]]],
+             [[[2, 2], [2, 2]], [[3, 3], [3, 3]], [[4, 4], [4, 4]]]]
+    fee_bounds: [1, 1]
+beliefs:
+  gamma: 0.5
+  loyalty: [0.25, 0.25]
+grid:
+  steps: 20
+"""
+
+FALLING_ERROR = ("error: game.income: threshold test requires income weakly increasing in "
+                 "the fees, but at s = (1, 1) it changes by -7 from fees (0.5, 0.5) to (1, 0.5)\n")
+
+
+@pytest.mark.parametrize("command", [["threshold"], ["sweep", "--sweep", "gamma=0:0.5:3"]],
+                         ids=lambda command: command[0])
+def test_threshold_refuses_a_falling_income_table(tmp_path, command):
+    path = tmp_path / "falling.yaml"
+    path.write_text(FALLING_DOC)
+    result = run_cli(command[0], "--scenario", str(path), *command[1:])
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", FALLING_ERROR)
+    # the check it fails is the one a wrong verdict would have hidden
+    best = run_cli("ambiguity-eq", "--scenario", str(path), "--profile", "1,1,0.25,0.25")
+    assert best.returncode == 0
+    assert "best_fee_response=0.500000,0.500000\n" in best.stdout
+
+
+# The same table, rising at full participation (2 at the middle node), but
+# 5 at the zero fees where s1 = 0: interpolated at the loyalty levels it
+# falls from fees (0, 0) to (0.5, 0) wherever loyalty1 < 0.8.
+LOW_FALL_DOC = FALLING_DOC.replace("[[10, 10], [10, 10]]", "[[2, 2], [2, 2]]").replace(
+    "[[[[0, 0], [0, 0]]", "[[[[5, 5], [0, 0]]").replace(
+    "gamma: 0.5\n  loyalty: [0.25, 0.25]", "gamma: 0.3\n  lambda: 0.5\n  loyalty: [0.9, 0.9]")
+
+
+@pytest.mark.parametrize("sweeps,message", [
+    # row 1 (loyalty1 0.1) fails the game; rows 2 and 3 are improper, so the
+    # check runs on the rows before the first improper one
+    (["gamma=0.3:0.9:2", "loyalty1=0.9:0.1:2"],
+     "game.income: threshold test requires income weakly increasing in the fees, but at "
+     "s = (0.1, 0.9) it changes by -3.5 from fees (0, 0) to (0.5, 0)"),
+    # row 0 is improper before any row fails the game
+    (["gamma=0.9:0.3:2", "loyalty1=0.9:0.1:2"],
+     "properness violated: lambda_ + gamma = 1.4 exceeds 1"),
+    # every row is a valid belief system; rows 0 and 1 (loyalty1 0.9, 0.8)
+    # meet the game's hypotheses, row 2 (0.7) is the first that does not
+    (["loyalty1=0.9:0.6:4"],
+     "game.income: threshold test requires income weakly increasing in the fees, but at "
+     "s = (0.7, 0.9) it changes by -0.5 from fees (0, 0) to (0.5, 0)"),
+])
+def test_sweep_reports_the_first_row_failing_the_game(tmp_path, sweeps, message):
+    path = tmp_path / "low_fall.yaml"
+    path.write_text(LOW_FALL_DOC)
+    argv = ["sweep", "--scenario", str(path)]
+    for sweep in sweeps:
+        argv += ["--sweep", sweep]
+    result = run_cli(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("spec", ["gamma=0:inf:3", "gamma=-inf:0:1", "gamma=-1e308:1e308:3"])

@@ -453,6 +453,22 @@ def test_tabulated_income_interpolates_multilinear_exactly():
         )
 
 
+@pytest.mark.parametrize("make,shape", [
+    (TabulatedBenefit, (2, 3)),
+    (lambda values: TabulatedIncome(values, (1.0, 2.0)), (2, 3, 2, 2)),
+], ids=["benefit", "income"])
+def test_tabulated_tables_are_read_only_copies(make, shape):
+    # a parsed scenario is shared between calls, so its tables must not change
+    given = np.arange(float(np.prod(shape))).reshape(shape)
+    spec = make(given)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.values[(0,) * len(shape)] = 99.0
+    given[(0,) * len(shape)] = 7.0  # the caller's array stays writable
+    assert spec.values[(0,) * len(shape)] == 0.0
+    assert spec == make(np.arange(float(np.prod(shape))).reshape(shape))
+    assert spec != make(given)
+
+
 @pytest.mark.parametrize(
     "bounds",
     ["12", {1: 2, 3: 4}, (1.0,), (1.0, 2.0, 3.0), ("1", 1.0), (True, 1.0), np.array([True, True])],
