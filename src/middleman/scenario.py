@@ -36,9 +36,12 @@ is made as bytes. Sweep text is made a block of byte rows at a time, a uint8
 matrix of NUL-padded slots filled from digit tables, from columns that
 broadcast to one shape, each spelled in a block only along the axes it is
 not broadcast along; the region CSV is cut, a group of gamma rows at a
-time, from runs of equal verdicts in two line templates. :func:`emit_blocks` and :func:`sweep_blocks` hand out a map's
-bytes-like blocks for the CLI to write one at a time, none sharing memory
-with a later one; the string writers decode the joined blocks.
+time, from runs of equal verdicts in two line templates. The region SVG's
+points are spelled at two decimals (``f"{v:.2f}"``) from the same digit
+tables, all in one matrix. :func:`emit_blocks` and :func:`sweep_blocks`
+hand out a map's bytes-like blocks for the CLI to write one at a time, none
+sharing memory with a later one; the string writers decode the joined
+blocks.
 """
 
 from __future__ import annotations
@@ -355,15 +358,25 @@ def region_svg(region: RegionMap) -> str:
     Gamma runs along the x-axis, sigma up the y-axis, on a 500-unit square.
     The shaded polygon and the curve are drawn from the analytic boundary at
     the sample resolution: only ``region.axis`` is read, so the map's verdict
-    lattice is never evaluated.
+    lattice is never evaluated. Each point ``gamma * size, (1 - sigma) *
+    size`` is spelled ``f"{x:.2f},{y:.2f} "``: every coordinate in one
+    :func:`_slots` call at two decimals, the pairs laid out as the rows of
+    one uint8 matrix whose NULs one compress drops. The polygon and the
+    polyline share that text.
     """
     size = 500
-    point = "{:.2f},{:.2f}".format  # (gamma * size, (1 - sigma) * size)
     sigma = region.axis
-    curve = list(map(point, (boundary_curve(sigma) * size).tolist(),
-                     ((1.0 - sigma) * size).tolist()))
-    shade = " ".join([point(0.0, size), *curve, point(0.0, 0.0)])
-    line = " ".join(curve)
+    xy = np.concatenate([boundary_curve(sigma) * size, (1.0 - sigma) * size])
+    slots = _slots(xy.astype(np.float64, copy=False), False, 2)
+    n, w = sigma.size, slots.shape[1]
+    pairs = np.empty((n, 2 * w + 2), np.uint8)
+    pairs[:, :w] = slots[:n]
+    pairs[:, w] = ord(",")
+    pairs[:, w + 1:-1] = slots[n:]
+    pairs[:, -1] = ord(" ")
+    curve = pairs[pairs != 0].tobytes().decode()  # every point, each with a space
+    shade = f"0.00,{size}.00 {curve}0.00,0.00"
+    line = curve[:-1]
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">\n'
         f'  <rect width="{size}" height="{size}" fill="white" stroke="black"/>\n'
@@ -399,21 +412,26 @@ _BOOL_TEXT = np.frombuffer(b"falsetrue\0", (np.void, 5))
 del _DIGITS, _n
 
 
-def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
-    """uint8 matrix of each float's text, NUL-padded: ``_format_value(v)``,
-    or with ``machine`` ``json.dumps(_jsonable(v))``, one row per value.
+def _slots(values: np.ndarray, machine: bool, decimals: int = 6) -> np.ndarray:
+    """uint8 matrix of each float's text, NUL-padded: ``f"{v:.{decimals}f}"``
+    (``_format_value(v)`` at six), or with ``machine`` (at six decimals only)
+    ``json.dumps(_jsonable(v))``, one row per value.
 
-    For finite ``|v| < 1e7`` the product ``x = |v| * 1e6`` is off the exact
-    one by at most ``x * 2**-53``. Where ``x`` lies more than ``x * 2**-50``
-    from a rounding tie, ``rint(x)`` is therefore the rounding that ``%.6f``
-    prints, and the digits are made here. JSON drops the trailing fraction
-    zeros, which is ``repr(round(v, 6))`` for 0 and for rounded magnitudes
-    of at least 1e-4. Every other value goes through the per-value rule."""
+    For finite ``|v| < 1e7`` the product ``x = |v| * 10**decimals`` is off
+    the exact one by at most ``x * 2**-53``, as ``10**decimals`` is exact.
+    Where ``x`` lies more than ``x * 2**-50`` from a rounding tie,
+    ``rint(x)`` is therefore the rounding that the format prints. The same
+    count in millionths, ``rint(x) * 10**(6 - decimals)``, is then an exact
+    integer of at most 1e13 < 2**53: the digits are made from it at six
+    decimals, and the last ``6 - decimals`` of them, all zeros, are cut. JSON
+    drops the trailing fraction zeros, which is ``repr(round(v, 6))`` for 0
+    and for rounded magnitudes of at least 1e-4. Every other value goes
+    through the per-value rule."""
     mag = np.abs(values)
     fast = mag < 1e7  # False for NaN and infinities
-    scaled = np.where(fast, mag, 0.0) * 1e6
+    scaled = np.where(fast, mag, 0.0) * 10.0 ** decimals
     fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-50
-    units = np.rint(scaled)
+    units = np.rint(scaled) * 10.0 ** (6 - decimals)
     if machine:
         fast &= (units == 0) | (units >= 100)
     # word indices, from exact quotients of integers below 2**53: integer digits
@@ -429,10 +447,10 @@ def _slots(values: np.ndarray, machine: bool) -> np.ndarray:
     code = 12 * width + 6 * negative
     code += _KEPT.take(np.where(index[:, 3], index[:, 3], index[:, 2])) if machine else 5
     words = _WORDS.take(index) ^ _MASKS.take(code, axis=0)
-    slots = words.view(np.uint8)[:, 8 - (width + negative).max(initial=0):]
+    slots = words.view(np.uint8)[:, 8 - (width + negative).max(initial=0):10 + decimals]
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = [json.dumps(_jsonable(v)) if machine else _format_value(v)
+        text = [json.dumps(_jsonable(v)) if machine else f"{v:.{decimals}f}"
                 for v in values[slow].tolist()]
         text = np.array(text, dtype=bytes).view(np.uint8).reshape(slow.size, -1)
         slots = np.pad(slots, ((0, 0), (max(text.shape[1] - slots.shape[1], 0), 0)))

@@ -234,11 +234,14 @@ def test_region_verdicts_match_the_integer_certificate(n):
     # at gamma = i/n, sigma = j/n the region test (1 - gamma)(1 - sigma) >=
     # gamma sigma^2 is (n - i)(n - j) n >= i j^2, exact in integers. n = 300
     # holds the exact tie (i, j) = (200, 150); n = 3161 is the largest
-    # resolution the point budget accepts.
-    i = np.arange(n + 1, dtype=np.int64)[:, None]
-    j = np.arange(n + 1, dtype=np.int64)[None, :]
-    exact = (n - i) * (n - j) * n >= i * j * j
-    assert np.array_equal(region_sample(n).full_exploitation, exact)
+    # resolution the point budget accepts. The certificate is made a block
+    # of 64 gamma rows at a time, so its int64 products stay near 1.6 MB.
+    verdicts = region_sample(n).full_exploitation
+    j = np.arange(n + 1, dtype=np.int64)
+    for lo in range(0, n + 1, 64):
+        i = np.arange(lo, min(lo + 64, n + 1), dtype=np.int64)[:, None]
+        exact = (n - i) * (n - j) * n >= i * j * j
+        assert np.array_equal(verdicts[lo:lo + 64], exact)
 
 
 @pytest.mark.parametrize("n", [*range(2, 65), 1000])

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 import textwrap
 from pathlib import Path
@@ -507,10 +508,35 @@ def reference_region_svg_points(axis):
     return " ".join([pt(0.0, 0.0), *curve, pt(0.0, 1.0)])
 
 
+def _two_decimal_tie(v):
+    # within the digit tables' tie guard of a two-decimal rounding tie
+    x = v * 100.0
+    return np.abs(x - np.floor(x) - 0.5) <= x * 2.0**-50
+
+
+def _guard_failing_axis():
+    """Sigmas whose SVG coordinates sit on two-decimal ties: y = (1 - sigma)
+    500 at sigma = 1 - m/32 for odd m is one exactly, and an x = gamma* 500
+    is found within a few ulps of the root of gamma*(sigma) = (2k + 1)/1e5."""
+    sigma = [1.0 - m / 32 for m in range(1, 32, 2)]
+    for k in range(1, 50000, 997):
+        c = (2 * k + 1) / 1e5
+        u = (c + 1 - math.sqrt((c + 1) ** 2 - 4 * c * c)) / (2 * c)  # 1 - sigma
+        near = (1.0 - u) + np.arange(-64, 65) * np.spacing(1.0 - u)
+        near = near[(near >= 0.0) & (near <= 1.0)]
+        sigma.extend(near[_two_decimal_tie(boundary_curve(near) * 500)][:1].tolist())
+    axis = np.unique(sigma)
+    x, y = boundary_curve(axis) * 500, (1.0 - axis) * 500
+    assert _two_decimal_tie(x).sum() > 20 and _two_decimal_tie(y).sum() >= 16
+    return axis
+
+
 @pytest.mark.parametrize("axis", [region_sample(n).axis for n in (2, 7, 333, 1000)]
                          + [np.sort(np.random.default_rng(3).random(500)),
-                            np.array([0.0, 1e-300, 0.5 - 2**-54, 0.5, 1 - 2**-53, 1.0])],
-                         ids=["2", "7", "333", "1000", "random", "edges"])
+                            np.array([0.0, 1e-300, 0.5 - 2**-54, 0.5, 1 - 2**-53, 1.0]),
+                            np.array([]), np.array([0.25]), _guard_failing_axis()],
+                         ids=["2", "7", "333", "1000", "random", "edges", "empty", "one-point",
+                              "ties"])
 def test_region_svg_matches_the_per_point_reference(axis):
     points = re.search(r'<polygon points="([^"]*)"', region_svg(RegionMap(axis))).group(1)
     assert points == reference_region_svg_points(axis)
@@ -586,6 +612,42 @@ def test_sweep_spelling_boundaries(value):
     for columns in ({"x": [value]}, {"x": [value, *_BOUNDARY_VALUES]}):
         assert sweep_csv(columns) == reference_sweep_csv(columns)
         assert sweep_machine(columns) == reference_sweep_machine(columns)
+
+
+# Two decimals, as the region SVG spells its points: drawn floats below 1e7
+# for the digit tables, and for the per-value rule exact binary ties with
+# their float neighbours, 2.675 (a float just below its tie), both zeros,
+# subnormals, NaN, infinities and magnitudes from 1e7.
+_TIES = np.array([0.125, 0.375, 1e6 + 0.125, 9999999.375])
+_TWO_DECIMAL_FLOATS = np.concatenate([
+    np.random.default_rng(5).random(2000) * 1e7,
+    10.0 ** np.random.default_rng(6).uniform(-8.0, 7.0, 2000),
+    _TIES, np.nextafter(_TIES, 0.0), np.nextafter(_TIES, np.inf),
+    [2.675, 0.005, 0.0, -0.0, 5e-324, 1e-310, np.nan, np.inf, -np.inf,
+     9999999.995, 1e7, 1.5e7, 1e300],
+])
+
+
+def _slot_texts(slots):
+    return [row[row != 0].tobytes().decode() for row in slots]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_slots_spell_two_decimals_as_the_format_does(sign):
+    values = sign * _TWO_DECIMAL_FLOATS
+    assert _slot_texts(scenario_module._slots(values, False, 2)) == [
+        f"{v:.2f}" for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(_SPELLED_FLOATS,
+                          st.builds(lambda k, sign: sign * (k + 0.5) / 100,
+                                    st.integers(0, 10**9), st.sampled_from([1, -1]))),
+                min_size=1, max_size=40))
+def test_slots_at_two_decimals_match_the_format(values):
+    values = np.array(values)
+    assert _slot_texts(scenario_module._slots(values, False, 2)) == [
+        f"{v:.2f}" for v in values.tolist()]
 
 
 @pytest.mark.parametrize(
