@@ -95,29 +95,34 @@ def boundary_curve(sigma):
 class RegionMap(Sequence):
     """Benchmark verdicts on the (n+1)^2 lattice over [0, 1]^2.
 
-    ``axis`` holds the n+1 lattice coordinates shared by gamma and sigma;
-    ``full_exploitation[i, j]`` is the verdict at gamma = axis[i],
-    sigma = axis[j]. Without a ``full_exploitation`` lattice the map holds
-    the benchmark inequality's, evaluated on its first read, so a map that
-    draws only the analytic boundary from ``axis`` (the SVG) costs no
-    lattice; ``axis`` must then ascend within [0, 1]. As a sequence it
+    ``axis``, a 1-D copy of the caller's ascending within [0, 1], holds the
+    n+1 coordinates shared by gamma and sigma. The map is its ``counts``,
+    each gamma row's count of true verdicts (a prefix of sigma), evaluated
+    on first read, so the SVG, which reads only ``axis``, evaluates none.
+    ``full_exploitation[i, j]``, the verdict at gamma = axis[i], sigma =
+    axis[j], is ``j < counts[i]``, built on its first read. As a sequence it
     yields :class:`RegionSample` records in row-major order (gamma outer,
     sigma inner), built on demand.
     """
 
-    def __init__(self, axis: np.ndarray, full_exploitation: np.ndarray | None = None):
-        if full_exploitation is None and not (
-                np.all(axis[1:] >= axis[:-1]) and np.all((axis >= 0.0) & (axis <= 1.0))):
+    def __init__(self, axis):
+        axis = np.array(axis)  # a copy, so the caller's array stays writable
+        if axis.ndim != 1:
+            raise ValueError("axis must be 1-D")
+        if not (np.all(axis[1:] >= axis[:-1]) and np.all((axis >= 0.0) & (axis <= 1.0))):
             raise ValueError("axis must ascend within [0, 1]")
         axis.setflags(write=False)
         self.axis = axis
-        if full_exploitation is not None:
-            full_exploitation.setflags(write=False)
-            self.__dict__["full_exploitation"] = full_exploitation  # the cached value
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        counts = _region_counts(self.axis)
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
     def full_exploitation(self) -> np.ndarray:
-        verdicts = _region_verdicts(self.axis)
+        verdicts = np.arange(self.axis.size) < self.counts[:, None]
         verdicts.setflags(write=False)
         return verdicts
 
@@ -134,31 +139,30 @@ class RegionMap(Sequence):
             raise IndexError("region sample index out of range")
         i, j = divmod(k, self.axis.size)
         point = BenchmarkPoint(float(self.axis[i]), float(self.axis[j]))
-        return RegionSample(point, bool(self.full_exploitation[i, j]))
+        return RegionSample(point, bool(j < self.counts[i]))
 
 
-def _region_verdicts(axis: np.ndarray) -> np.ndarray:
-    """The benchmark inequality at every (gamma, sigma) of ``axis`` x ``axis``,
-    for an ``axis`` ascending within [0, 1].
+def _region_counts(axis: np.ndarray) -> np.ndarray:
+    """Each gamma row's count of true benchmark verdicts over the sigmas of
+    ``axis``, for an ``axis`` ascending within [0, 1].
 
-    Each gamma row's verdicts are true on a prefix of sigma: as sigma grows,
+    Each row's verdicts are true on a prefix of sigma: as sigma grows,
     ``(1 - gamma)(1 - sigma)`` never rises and ``gamma sigma sigma`` never
-    falls, in floats too, because rounding is monotone. So each row's count
-    of true verdicts is the prefix search the Pareto fee axes use, and every
-    verdict is bit-identical to the per-point test.
+    falls, in floats too, because rounding is monotone. So each count is
+    the prefix search the Pareto fee axes use, and every verdict it implies
+    is bit-identical to the per-point test.
     """
     n = np.full(axis.size, axis.size)
-    count = _prefix_len(lambda k: _benchmark_inequality(axis, axis[k]), n)
-    return np.arange(axis.size) < count[:, None]
+    return _prefix_len(lambda k: _benchmark_inequality(axis, axis[k]), n)
 
 
 def region_sample(resolution: int) -> RegionMap:
     """Benchmark verdicts on the (resolution+1)^2 lattice over [0, 1]^2.
 
-    The resolution is checked here; the verdicts are evaluated when the
-    map's ``full_exploitation`` is first read. Endpoints gamma = 1 and
-    sigma = 1 are included, though they fall outside the threshold test's
-    hypotheses; their verdicts read the benchmark inequality formally.
+    The resolution is checked here; the verdicts are counted when the map's
+    ``counts`` are first read. Endpoints gamma = 1 and sigma = 1 are
+    included, though they fall outside the threshold test's hypotheses;
+    their verdicts read the benchmark inequality formally.
     """
     _count(resolution, "resolution")
     return RegionMap(np.arange(resolution + 1) / resolution)

@@ -36,12 +36,12 @@ is made as bytes. Sweep text is made a block of byte rows at a time, a uint8
 matrix of NUL-padded slots filled from digit tables, from columns that
 broadcast to one shape, each spelled in a block only along the axes it is
 not broadcast along; the region CSV is cut, a group of gamma rows at a
-time, from runs of equal verdicts in two line templates. The region SVG's
-points are spelled at two decimals (``f"{v:.2f}"``) from the same digit
-tables, all in one matrix. :func:`emit_blocks` and :func:`sweep_blocks`
-hand out a map's bytes-like blocks for the CLI to write one at a time, none
-sharing memory with a later one; the string writers decode the joined
-blocks.
+time, from two line templates, each row at its count of true verdicts.
+The region SVG's points are spelled at two decimals (``f"{v:.2f}"``) from
+the same digit tables, all in one matrix. :func:`emit_blocks` and
+:func:`sweep_blocks` hand out a map's bytes-like blocks for the CLI to
+write one at a time, none sharing memory with a later one; the string
+writers decode the joined blocks.
 """
 
 from __future__ import annotations
@@ -309,42 +309,32 @@ def _region_csv_blocks(region: RegionMap):
     """The region CSV as byte blocks: the header, then groups of gamma rows
     of about one sweep block's lines each.
 
-    A line is ``gamma,sigma,`` and its verdict. Each row is cut at its
-    verdict changes (one on a benchmark row) into runs of equal verdicts, a
-    group is one concatenation of its runs, each cut from one of two line
-    templates (every sigma, all false or all true), and each run's gamma
-    labels are then written as one strided array of fixed-width items.
-    Labels narrower than the widest leave NULs, dropped last.
+    A line is ``gamma,sigma,`` and its verdict. A row is its count of
+    ``true`` lines, then ``false`` lines: two runs cut at the row's count
+    from two line templates (every sigma, all true or all false). A group is
+    one concatenation of its rows' runs, and each run's gamma labels are
+    then written as one strided array of fixed-width items. Labels narrower
+    than the widest leave NULs, dropped last.
     """
     yield b"gamma,sigma,full_exploitation\n"
     labels = _slots(region.axis.astype(np.float64, copy=False), False)
     n, w = labels.shape
-    label = np.dtype((np.void, w))
-    heads = labels.view(label)[:, 0]
-    templates, widths = [], []
-    for verdict in (b",false\n", b",true\n"):
-        lines = np.empty((n, 2 * w + 1 + len(verdict)), np.uint8)  # gamma written per run
-        lines[:, w] = ord(",")
-        lines[:, w + 1:2 * w + 1] = labels
-        lines[:, 2 * w + 1:] = np.frombuffer(verdict, np.uint8)
-        templates.append(lines.reshape(-1))
-        widths.append(lines.shape[1])
+    heads = labels.view((np.void, w))[:, 0]
+    # each template is every sigma's line, flat, its gamma slot NUL until written per run
+    (true, tw), (false, fw) = [(lines.reshape(-1), lines.shape[1]) for lines in (
+        _lines([bytes(w) + b",", v], [heads], (n,)) for v in (b",true\n", b",false\n"))]
     narrow = not labels.all()
     step = max(1, _SWEEP_BLOCK_ROWS // max(n, 1))
+    counts = region.counts.tolist()
     for lo in range(0, n, step):
-        verdicts = region.full_exploitation[lo:lo + step]
-        change = np.ones(verdicts.shape, bool)  # each row starts a run
-        np.not_equal(verdicts[:, 1:], verdicts[:, :-1], out=change[:, 1:])
-        starts = np.flatnonzero(change)
-        rows, columns = np.divmod(starts, n)
-        runs = list(zip(verdicts[rows, columns].astype(np.intp).tolist(), (rows + lo).tolist(),
-                        columns.tolist(), np.diff(starts, append=verdicts.size).tolist()))
-        block = np.concatenate([templates[k][j * widths[k]:(j + m) * widths[k]]
-                                for k, _, j, m in runs])
+        rows = range(lo, min(lo + step, n))
+        block = np.concatenate([run for i in rows
+                                for run in (true[:counts[i] * tw], false[counts[i] * fw:])])
         at = 0
-        for k, i, _, m in runs:
-            np.ndarray((m,), label, block, at, (widths[k],))[...] = heads[i]
-            at += m * widths[k]
+        for i in rows:
+            for m, width in ((counts[i], tw), (n - counts[i], fw)):
+                np.ndarray((m,), heads.dtype, block, at, (width,))[...] = heads[i]
+                at += m * width
         yield block[block != 0] if narrow else block
 
 
@@ -357,23 +347,19 @@ def region_svg(region: RegionMap) -> str:
 
     Gamma runs along the x-axis, sigma up the y-axis, on a 500-unit square.
     The shaded polygon and the curve are drawn from the analytic boundary at
-    the sample resolution: only ``region.axis`` is read, so the map's verdict
-    lattice is never evaluated. Each point ``gamma * size, (1 - sigma) *
+    the sample resolution: only ``region.axis`` is read, so the map's
+    counts are never evaluated. Each point ``gamma * size, (1 - sigma) *
     size`` is spelled ``f"{x:.2f},{y:.2f} "``: every coordinate in one
-    :func:`_slots` call at two decimals, the pairs laid out as the rows of
-    one uint8 matrix whose NULs one compress drops. The polygon and the
-    polyline share that text.
+    :func:`_slots` call at two decimals, the pairs laid out by :func:`_lines`
+    as the rows of one uint8 matrix whose NULs one compress drops. The
+    polygon and the polyline share that text.
     """
     size = 500
     sigma = region.axis
     xy = np.concatenate([boundary_curve(sigma) * size, (1.0 - sigma) * size])
     slots = _slots(xy.astype(np.float64, copy=False), False, 2)
-    n, w = sigma.size, slots.shape[1]
-    pairs = np.empty((n, 2 * w + 2), np.uint8)
-    pairs[:, :w] = slots[:n]
-    pairs[:, w] = ord(",")
-    pairs[:, w + 1:-1] = slots[n:]
-    pairs[:, -1] = ord(" ")
+    slots = slots.view((np.void, slots.shape[1]))[:, 0]
+    pairs = _lines([b"", b",", b" "], [slots[:sigma.size], slots[sigma.size:]], sigma.shape)
     curve = pairs[pairs != 0].tobytes().decode()  # every point, each with a space
     shade = f"0.00,{size}.00 {curve}0.00,0.00"
     line = curve[:-1]
@@ -459,14 +445,28 @@ def _slots(values: np.ndarray, machine: bool, decimals: int = 6) -> np.ndarray:
     return slots
 
 
+def _lines(seps: list, texts: list, rows: tuple) -> np.ndarray:
+    """uint8 matrix of ``rows`` lines in C order, each the byte ``seps`` (one
+    before each text, one after) around the ``np.void`` ``texts``, each
+    broadcast to ``rows`` and put in its place as one strided copy."""
+    line = b"".join(s + bytes(t.itemsize) for s, t in zip(seps, texts)) + seps[-1]
+    block = np.empty((*rows, len(line)), np.uint8)
+    block[...] = np.frombuffer(line, np.uint8)
+    at = 0
+    for s, t in zip(seps, texts) if block.size else ():  # no rows: no view past the buffer
+        at += len(s)
+        np.ndarray(rows, t.dtype, block, at, block.strides[:-1])[...] = t
+        at += t.itemsize
+    return block.reshape(-1, len(line))
+
+
 def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", tail=""):
     """``head``, the C-order rows of ``columns`` (broadcast to one shape) a block
     at a time, then ``tail``, as bytes: each row's float or bool cells between
     ``seps`` (one before each, one after), led by ``row_sep``. A block runs
     along the first axis whose trailing rows fit in ``_SWEEP_BLOCK_ROWS``, cut
     into as few near-equal blocks as that allows. In it a column is spelled
-    only along its axes of nonzero stride, and its texts go into the rows, a
-    line of the separators, as one strided copy."""
+    only along its axes of nonzero stride, and :func:`_lines` lays it out."""
     yield head.encode()
     arrays = np.broadcast_arrays(*map(np.atleast_1d, columns.values()))
     shape = arrays[0].shape
@@ -487,17 +487,7 @@ def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", t
             else:
                 slots = _slots(np.ravel(c.astype(np.float64, copy=False)), machine)
                 texts.append(slots.view((np.void, slots.shape[1])).reshape(c.shape))
-        # the separators, NUL where the texts go
-        line = b"".join(s + bytes(t.itemsize) for s, t in zip(seps, texts)) + seps[-1]
-        rows = cells[0].shape
-        block = np.empty((math.prod(rows), len(line)), np.uint8)
-        block[...] = np.frombuffer(line, np.uint8)
-        strides = [len(line) * math.prod(rows[i + 1:]) for i in range(len(rows))]
-        at = 0
-        for s, t in zip(seps, texts):
-            at += len(s)
-            np.ndarray(rows, t.dtype, block, at, strides)[...] = t
-            at += t.itemsize
+        block = _lines(seps, texts, cells[0].shape)
         if n == 0:
             block[0, :len(row_sep)] = 0
         yield block[block != 0]
@@ -507,8 +497,10 @@ def _row_blocks(columns: dict, machine: bool, seps: list, row_sep="", head="", t
 def sweep_blocks(columns: dict, fmt: str = "csv"):
     """The text of :func:`sweep_csv` (``csv``) or :func:`sweep_machine`
     (``machine``) as an iterable of bytes-like blocks, made one at a time as
-    it is read. That the columns broadcast together and the format are
-    checked here, before any block is made."""
+    it is read. That there are columns, that they broadcast together and
+    the format are checked here, before any block is made."""
+    if not columns:
+        raise ValueError("a sweep needs at least one column")
     np.broadcast_shapes(*map(np.shape, columns.values()))
     if fmt == "csv":
         seps = ["", *[","] * (len(columns) - 1), "\n"]

@@ -272,15 +272,42 @@ def test_region_verdicts_equal_the_broadcast_inequality_on_any_ascending_axis(va
     assert np.array_equal(RegionMap(axis).full_exploitation, want)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(UNIT_FLOATS, max_size=12))
+@example([])
+@example([0.9, 0.95])
+@example([0.0])
+def test_region_map_is_its_row_counts(values):
+    # the lattice and every sample read the same counts
+    region = RegionMap(np.sort(np.array(values, dtype=float)))
+    assert np.array_equal(region.counts, region.full_exploitation.sum(axis=1))
+    assert [s.full_exploitation for s in region] == region.full_exploitation.ravel().tolist()
+
+
 @pytest.mark.parametrize("axis", [[0.0, 1.0, 0.5], [0.0, 0.5, 1.5], [-0.1, 0.5], [0.0, np.nan]],
                          ids=["descending", "above-one", "negative", "nan"])
-def test_region_map_needs_an_ascending_unit_axis_for_its_own_lattice(axis):
-    # the bisection rests on the axis ascending within [0, 1]; a caller's
-    # own lattice may come with any axis
+def test_region_map_needs_an_ascending_unit_axis(axis):
+    # the prefix search rests on the axis ascending within [0, 1]
     with pytest.raises(ValueError, match=r"^axis must ascend within \[0, 1\]$"):
         RegionMap(np.array(axis))
-    verdicts = np.zeros((len(axis), len(axis)), bool)
-    assert RegionMap(np.array(axis), verdicts).full_exploitation is verdicts
+
+
+def test_region_map_needs_a_one_dimensional_axis():
+    with pytest.raises(ValueError, match="^axis must be 1-D$"):
+        RegionMap(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(ValueError, match="^axis must be 1-D$"):
+        RegionMap(np.float64(0.5))
+
+
+def test_region_map_copies_its_axis():
+    # any sequence of numbers is taken, and the caller's array stays its own
+    assert np.array_equal(RegionMap([0, 0.5, 1]).full_exploitation,
+                          region_sample(2).full_exploitation)
+    axis = np.arange(3) / 2
+    region = RegionMap(axis)
+    assert axis.flags.writeable and not region.axis.flags.writeable
+    axis[0] = 0.25
+    assert region.axis[0] == 0.0
 
 
 def test_region_sample_sequence_access():
@@ -295,3 +322,5 @@ def test_region_sample_sequence_access():
         samples[25]
     with pytest.raises(ValueError):
         samples.full_exploitation[0, 0] = False
+    with pytest.raises(ValueError):
+        samples.counts[0] = 0

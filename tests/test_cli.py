@@ -875,7 +875,7 @@ def test_region_svg_evaluates_no_verdict_lattice(monkeypatch, capsys):
     def no_lattice(axis):
         raise AssertionError("verdict lattice evaluated")
 
-    monkeypatch.setattr(activity, "_region_verdicts", no_lattice)
+    monkeypatch.setattr(activity, "_region_counts", no_lattice)
     argv = ("region", "--resolution", "7", "--format", "svg")
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out

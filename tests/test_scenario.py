@@ -740,18 +740,18 @@ def test_sweep_writers_on_flat_columns_with_repeats(monkeypatch, block_rows):
 @pytest.mark.parametrize("fmt", ["csv", "machine"])
 def test_sweep_columns_that_do_not_broadcast_are_refused_before_any_block(fmt):
     for columns in ({"a": np.zeros(3), "b": np.zeros(4)},
-                    {"a": np.zeros((2, 1)), "b": np.zeros((3, 1))}):
+                    {"a": np.zeros((2, 1)), "b": np.zeros((3, 1))}, {}):
         with pytest.raises(ValueError):
             scenario_module.sweep_blocks(columns, fmt)
 
 
 def reference_region_csv(region):
-    """``region_csv`` spelled a cell at a time."""
+    """``region_csv`` spelled a cell at a time, each verdict the benchmark
+    inequality at its cell."""
     axis = region.axis.tolist()
     cells = (
-        f"{g:.6f},{s:.6f},{'true' if v else 'false'}\n"
-        for g, row in zip(axis, region.full_exploitation.tolist())
-        for s, v in zip(axis, row)
+        f"{g:.6f},{s:.6f},{'true' if (1.0 - g) * (1.0 - s) >= g * s * s else 'false'}\n"
+        for g in axis for s in axis
     )
     return "gamma,sigma,full_exploitation\n" + "".join(cells)
 
@@ -762,27 +762,34 @@ def test_region_csv_matches_per_cell_reference(resolution):
     assert first_difference(region_csv(region), reference_region_csv(region)) is None
 
 
-_CALLER_LATTICES = {
-    "eye": lambda n, rng: np.eye(n, dtype=bool),
-    "checkerboard": lambda n, rng: np.indices((n, n)).sum(axis=0) % 2 == 1,
-    "random": lambda n, rng: rng.random((n, n)) < 0.5,
-    "all-true": lambda n, rng: np.ones((n, n), bool),
-    "all-false": lambda n, rng: np.zeros((n, n), bool),
+_PLANTED_AXES = {
+    "count-0": [0.9, 0.95],
+    "count-n": [0.0],
+    "zeros": [-0.0, 0.0, 0.0],
+    # a 9-byte label leaves NULs to drop; 5e-7 is spelled by the per-value rule
+    "mixed-widths": [-0.0, 5e-7, 0.123456, 0.5, 0.9, 1.0],
+    "unit": np.linspace(0.0, 1.0, 9),
 }
 
 
 @pytest.mark.parametrize("block_rows", [1, 20, 64])
-@pytest.mark.parametrize("axis", [np.linspace(0.0, 1.0, 9), np.array([-2.5, 0.0, 1e-7, 31.0, 1e7])],
-                         ids=["unit", "mixed-widths"])
-@pytest.mark.parametrize("lattice", list(_CALLER_LATTICES))
-def test_region_csv_of_a_caller_lattice(monkeypatch, lattice, axis, block_rows):
-    # rows whose verdicts change anywhere, in groups of one line up to
-    # several rows; labels of several widths, one spelled by the per-value
-    # rule, leave NULs to drop
+@pytest.mark.parametrize("axis", list(_PLANTED_AXES))
+def test_region_csv_of_planted_axes(monkeypatch, axis, block_rows):
+    # rows cut at counts 0 to n, in groups of one line up to several rows
     monkeypatch.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", block_rows)
-    verdicts = _CALLER_LATTICES[lattice](len(axis), np.random.default_rng(7))
-    region = RegionMap(axis, verdicts)
+    region = RegionMap(_PLANTED_AXES[axis])
     assert first_difference(region_csv(region), reference_region_csv(region)) is None
+
+
+@pytest.mark.parametrize("block_rows", [1, 20, 64])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 0.9, 1.0])),
+                       max_size=30))
+def test_region_csv_matches_per_cell_reference_on_drawn_axes(block_rows, values):
+    region = RegionMap(np.sort(np.array(values, dtype=float)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_module, "_SWEEP_BLOCK_ROWS", block_rows)
+        assert first_difference(region_csv(region), reference_region_csv(region)) is None
 
 
 def test_region_csv_of_an_empty_axis_is_its_header():
@@ -806,19 +813,6 @@ def test_block_emitters_check_before_any_block():
         scenario_module.sweep_blocks({"gamma": np.zeros(2)}, "svg")
     with pytest.raises(TypeError):
         scenario_module.emit_blocks(42, "text")
-
-
-def test_region_map_holds_a_caller_lattice():
-    axis = np.array([0.0, 0.5, 1.0])
-    verdicts = np.eye(3, dtype=bool)
-    region = RegionMap(axis, verdicts)
-    assert region.full_exploitation is verdicts
-    assert not verdicts.flags.writeable
-    lines = region_csv(region).splitlines()[1:]
-    assert [line.endswith(",true") for line in lines] == verdicts.ravel().tolist()
-    # without one, the map holds the benchmark inequality's
-    assert np.array_equal(RegionMap(axis.copy()).full_exploitation,
-                          region_sample(2).full_exploitation)
 
 
 def test_report_machine_sorted_and_stable():
