@@ -769,6 +769,15 @@ _PLANTED_AXES = {
     # a 9-byte label leaves NULs to drop; 5e-7 is spelled by the per-value rule
     "mixed-widths": [-0.0, 5e-7, 0.123456, 0.5, 0.9, 1.0],
     "unit": np.linspace(0.0, 1.0, 9),
+    # one interior point, its own row's count 1
+    "one-point": [0.5],
+    # the smallest subnormal and a larger one: labels 0.000000, verdicts of their own
+    "subnormals": [0.0, 5e-324, 1e-310, 0.5, 1.0],
+    # labels next to a six-decimal tie and next to 1
+    "edges": [0.0, 1e-300, 0.5 - 2**-54, 0.5, 1 - 2**-53, 1.0],
+    # interior counts from 4 to n - 1, one row each or shared
+    "random": np.sort(np.random.default_rng(11).random(23)),
+    "resolution-7": region_sample(7).axis,
 }
 
 
